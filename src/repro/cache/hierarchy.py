@@ -236,12 +236,6 @@ class CacheHierarchy:
             # The store path above may have hit in shared levels only.
             self._install_private(core, address)
 
-        # Reads of blocks not previously owned establish directory state
-        # even on private hits (first touch after fill handled above).
-        if not is_write and hit_level in ("L1", "L2"):
-            # Already a sharer; nothing to do.
-            pass
-
         result_data: Optional[bytes] = None
         l4_line = self.l4.peek(address)
         if l4_line is None:
@@ -269,6 +263,40 @@ class CacheHierarchy:
         return HierarchyAccess(address=address, is_write=is_write,
                                latency_cycles=latency, hit_level=hit_level,
                                data=result_data, writebacks=writeback_count)
+
+    def try_l1_hit(self, core: int, address: int, is_write: bool) -> int:
+        """Serve a pure L1 hit in place; ``-1`` when ``access()`` is needed.
+
+        A pure hit is an access whose reference walk touches nothing but
+        the L1 line's stats and recency (and, for a store, the L4 dirty
+        bit): the block is resident in ``core``'s L1 and in L4, and a
+        store additionally finds ``core`` the directory's MODIFIED owner
+        (so ``directory.write`` is a no-op). Functional stores are never
+        served here; their payload merge belongs to ``access()``. On a
+        hit this applies exactly ``access()``'s effects and returns the
+        L1 latency in cycles; on ``-1`` nothing has changed.
+        """
+        if not 0 <= core < self.num_cores:
+            return -1
+        block = address // self.block_size
+        l1 = self.l1[core]
+        location = l1._index.get(block)
+        if location is None:
+            return -1
+        l4_location = self.l4._index.get(block)
+        if l4_location is None:
+            return -1
+        if is_write:
+            if self.functional:
+                return -1
+            entry = self.directory._entries.get(block * self.block_size)
+            if (entry is None or entry.owner != core
+                    or entry.state is not MESIState.MODIFIED):
+                return -1
+            self.l4._sets[l4_location[0]][l4_location[1]].dirty = True
+        l1.stats.hits += 1
+        l1.policy.touch(location[0], location[1])
+        return self.config.l1.latency_cycles
 
     # -- the bulk access path ------------------------------------------------------
 

@@ -17,8 +17,11 @@ strictly separated kinds of output per scenario:
   which vector kernel actually ran) under ``meta``. These vary run to
   run and are excluded from determinism comparisons.
 
-Results land in ``BENCH_<scenario>.json`` at the repo root.
-``compare_results`` gates a fresh run against a committed baseline:
+Results land in ``BENCH_<scenario>.json`` in the output directory (the
+current one by default; such files are scratch output, git-ignored at
+the repo root). The committed baselines are the files under
+``benchmarks/baselines/``. ``compare_results`` gates a fresh run
+against one of them:
 any deterministic divergence fails outright; wall-clock regressions
 fail when an engine got more than ``threshold`` (fractional) slower.
 

@@ -51,6 +51,19 @@ class PageTable:
     def lookup(self, vpn: int) -> Optional[PageTableEntry]:
         return self._entries.get(vpn)
 
+    def resolve(self, vaddr: int, write: bool) -> Optional[PageTableEntry]:
+        """The entry that serves this access without a fault, or None.
+
+        A hit is a present entry whose permissions allow the access (a
+        read of any mapping, or a write of a writable one). Side-effect
+        free: a None result leaves fault handling (and the rejection of
+        negative addresses, which are never mapped) to the kernel.
+        """
+        entry = self._entries.get(vaddr // self.page_size)
+        if entry is not None and (entry.writable or not write):
+            return entry
+        return None
+
     def translate(self, vaddr: int, *, write: bool) -> int:
         """Resolve a virtual address, raising on any fault condition."""
         entry = self._entries.get(self.vpn_of(vaddr))
@@ -62,6 +75,10 @@ class PageTable:
 
     def mapped_vpns(self) -> Iterator[Tuple[int, PageTableEntry]]:
         return iter(sorted(self._entries.items()))
+
+    def clear(self) -> None:
+        """Drop every mapping (process teardown)."""
+        self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -34,6 +34,10 @@ class ExecutionContext:
         self._issue_cycles = system.config.kernel.store_issue_cycles
         self._l4_bytes = system.config.l4.size_bytes
         self._zero_block = bytes(self.block_size)
+        self._hierarchy = self.machine.hierarchy
+        # The process's own table serves fault-free translations directly
+        # (emptied on exit, so a dead pid falls through to the kernel).
+        self._page_table = self.kernel.page_table(pid)
         self.tlb = None
         if system.config.cpu.tlb_entries > 0:
             from ..cpu.tlb import TLB
@@ -55,7 +59,13 @@ class ExecutionContext:
     # -- translation ----------------------------------------------------------------
 
     def _translate(self, vaddr: int, *, write: bool) -> int:
-        if self.tlb is not None:
+        if self.tlb is None:
+            # No TLB to fill: a page-table hit costs nothing and changes
+            # nothing, so only faults need the kernel.
+            entry = self._page_table.resolve(vaddr, write)
+            if entry is not None:
+                return entry.ppn * self.page_size + vaddr % self.page_size
+        else:
             vpn = vaddr // self.page_size
             ppn = self.tlb.lookup(vpn, write=write)
             if ppn is not None:
@@ -97,16 +107,25 @@ class ExecutionContext:
         self.core.store(access.latency_cycles)
 
     def touch(self, vaddr: int, *, write: bool) -> None:
-        """Block-granularity timing access without data semantics."""
+        """Block-granularity timing access without data semantics.
+
+        A pure L1 hit is served in place by the hierarchy's probe (same
+        effects, same latency); anything else takes the reference walk.
+        """
         physical = self._translate(vaddr, write=write)
+        latency = self._hierarchy.try_l1_hit(self.core_id, physical, write)
         if write:
-            merge = (0, self._zero_block) if self.functional else None
-            access = self.machine.store(self.core_id, physical,
-                                        now_ns=self.core.now_ns, merge=merge)
-            self.core.store(access.latency_cycles)
+            if latency < 0:
+                merge = (0, self._zero_block) if self.functional else None
+                latency = self.machine.store(
+                    self.core_id, physical, now_ns=self.core.now_ns,
+                    merge=merge).latency_cycles
+            self.core.store(latency)
         else:
-            access = self.machine.load(self.core_id, physical, self.core.now_ns)
-            self.core.load(access.latency_cycles)
+            if latency < 0:
+                latency = self.machine.load(self.core_id, physical,
+                                            self.core.now_ns).latency_cycles
+            self.core.load(latency)
 
     # -- bulk operations -----------------------------------------------------------------
 
