@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import PageFaultError, SimulationError
+from repro.runtime.context import ExecutionContext
 from repro.sim import System
 
 
@@ -71,6 +72,43 @@ class TestShootdown:
         cycles_before = other.core.stats.cycles
         tlb_system.kernel.munmap(ctx.pid, region)
         assert other.core.stats.cycles > cycles_before
+
+    def test_cow_shoots_down_the_process_on_other_cores(self, tlb_system):
+        """A COW fault on core 1 replaces the Zero Page mapping that the
+        same process cached read-only on core 0; core 0 pays the IPI,
+        and its next load sees the private frame's value."""
+        ctx = tlb_system.new_context(0)
+        on_core_1 = ExecutionContext(tlb_system, ctx.pid, 1)
+        tlb_system.contexts.append(on_core_1)
+        base = ctx.malloc(4096)
+        vpn = base // 4096
+        assert ctx.load_u64(base) == 0
+        assert ctx.tlb.lookup(vpn, write=False) == \
+            tlb_system.kernel.zero_page_ppn
+        cycles_before = ctx.core.stats.cycles
+        on_core_1.store_u64(base, 42)
+        assert ctx.core.stats.cycles > cycles_before
+        assert ctx.tlb.lookup(vpn, write=False) is None
+        assert ctx.load_u64(base) == 42
+
+    def test_huge_cow_shoots_down_read_siblings(self, tiny_config):
+        """A huge fault maps the whole unit, so Zero Page entries cached
+        for other pages of the unit are stale too."""
+        huge = 4 * 4096
+        config = replace(tiny_config.with_zeroing("shred"),
+                         cpu=replace(tiny_config.cpu, tlb_entries=16),
+                         kernel=replace(tiny_config.kernel,
+                                        huge_page_size=huge))
+        system = System(config, shredder=True)
+        ctx = system.new_context(0)
+        on_core_1 = ExecutionContext(system, ctx.pid, 1)
+        system.contexts.append(on_core_1)
+        region = system.kernel.mmap(ctx.pid, huge, huge=True)
+        sibling = region.start + 2 * 4096
+        assert ctx.load_u64(sibling) == 0           # Zero Page, cached RO
+        on_core_1.store_u64(region.start, 1)        # populates the unit
+        on_core_1.store_u64(sibling, 7)             # no fault: already mapped
+        assert ctx.load_u64(sibling) == 7
 
     def test_no_stale_translation_leak(self, tlb_system):
         """After munmap + reallocation to another process, the first
