@@ -40,7 +40,7 @@ __version__ = "1.1.0"
 from .exec import (Experiment, Runner, ResultCache, run_experiments,
                    spec_experiment, powergraph_experiment, experiment_pair,
                    ExecutionBackend, SerialBackend, ForkPoolBackend,
-                   DistributedBackend, ProgressEvent)
+                   ProgressEvent)
 
 __all__ = [
     "AddressError",
@@ -55,7 +55,6 @@ __all__ = [
     "CounterOverflowError",
     "DRAMConfig",
     "EncryptionConfig",
-    "DistributedBackend",
     "EnduranceExceededError",
     "ExecutionBackend",
     "Experiment",

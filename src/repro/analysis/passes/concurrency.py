@@ -1,8 +1,8 @@
 """The ``concurrency`` pass family: shared mutable state needs a plan.
 
-The execution layer runs real threads: the distributed backend's
-dispatch loop, the worker's request handler, span tracers shared across
-a fork-join batch. Module-level mutable containers in ``repro.exec``
+The execution layer runs real threads: the cluster dispatcher's event
+loop, the scrape endpoint's request handlers, span tracers shared
+across a fork-join batch. Module-level mutable containers in ``repro.exec``
 and ``repro.obs`` are therefore cross-thread shared state, and mutating
 one without a lock (or making it thread-local) is a data race waiting
 for a scheduler to expose it.

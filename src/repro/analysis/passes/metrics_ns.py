@@ -45,8 +45,8 @@ DEFAULT_PREFIXES = (
     "mem.nvm", "mem.channel", "mem.ctrl", "mem.device", "mem.dram",
     "cache.counter", "cache.l1", "cache.l2", "cache.l3", "cache.l4",
     "cache.hierarchy", "core.shredder", "kernel", "cpu", "sim.engine",
-    "exec.batch", "exec.task", "exec.cache", "exec.dist", "exec.worker",
-    "exec.cluster", "obs.events",
+    "exec.batch", "exec.task", "exec.cache", "exec.worker", "exec.cluster",
+    "obs.events",
 )
 
 _BACKTICK_RE = re.compile(r"`([^`]+)`")
@@ -169,7 +169,7 @@ class MetricsNamespacePass(AnalysisPass):
                     "documented-prefix f-string head)",
     }
     scope = ("repro",)
-    version = 2
+    version = 3
     #: Editing the namespace table must invalidate cached results.
     inputs = ("docs/OBSERVABILITY.md",)
 

@@ -11,9 +11,8 @@ Commands
     print the four headline metrics.
 ``figure``
     Regenerate one of the paper's figures/tables and print its data.
-``worker serve``
-    Run a distributed experiment worker — a TCP task server, or (with
-    ``--register HOST:PORT``) a dial-out worker registered with an
+``worker serve --register HOST:PORT``
+    Run an experiment worker: a dial-out worker registered with an
     experiment cluster dispatcher.
 ``cluster serve`` / ``status`` / ``drain`` / ``shutdown`` / ``keygen``
     Run and administer the long-lived multi-tenant experiment cluster
@@ -56,8 +55,8 @@ from .analysis import (ablation_policies, fig12_counter_cache_sweep,
 from .analysis.figures import fig8_to_11_study, study_summary
 from .config import bench_config, default_config
 from .errors import BackendError
-from .exec import (ExecutionBackend, ProgressEvent, Runner,
-                   powergraph_experiment, spec_experiment)
+from .exec import (ProgressEvent, Runner, powergraph_experiment,
+                   spec_experiment)
 from .workloads import SPEC_BENCHMARKS
 
 POWERGRAPH_NAMES = ("PAGERANK", "SIMPLE_COLORING", "KCORE")
@@ -95,44 +94,28 @@ def _runner_context(args: argparse.Namespace):
     """The execution engine for a CLI invocation, with lifecycle.
 
     ``--backend SPEC`` picks any backend by spec string (grammar in
-    :mod:`repro.exec.spec`); ``--workers host:port,...`` dispatches to
-    an existing worker fleet; ``--spawn-local N`` forks N workers on
-    this machine and tears them down afterwards; otherwise ``--jobs``
-    picks serial or a local fork pool. On exit, ``--emit-metrics
-    PATH`` writes the run's merged registry (simulation metrics folded
-    in from every completed report, plus batch/dispatch telemetry) and
-    recorded spans as a JSON-lines dump.
+    :mod:`repro.exec.spec`); ``--spawn-local N`` runs an ephemeral
+    experiment cluster — an in-process dispatcher, N forked registered
+    workers and a cluster client — and tears it down afterwards;
+    otherwise ``--jobs`` picks serial or a local fork pool. On exit,
+    ``--emit-metrics PATH`` writes the run's merged registry
+    (simulation metrics folded in from every completed report, plus
+    batch telemetry) and recorded spans as a JSON-lines dump.
     """
     from .obs import MetricsRegistry, default_tracer, write_jsonl
-    spec = getattr(args, "backend", None)
-    workers = getattr(args, "workers", None)
-    spawn_local = getattr(args, "spawn_local", None)
-    exclusive = [flag for flag, value in
-                 (("--backend", spec), ("--workers", workers),
-                  ("--spawn-local", spawn_local)) if value]
-    if len(exclusive) > 1:
-        raise BackendError(
-            f"pass at most one of {', '.join(exclusive)}")
+    backend = args.backend
+    if backend and args.spawn_local:
+        raise BackendError("pass at most one of --backend, --spawn-local")
     metrics = MetricsRegistry()
-    pool = []
-    try:
-        if spec:
-            backend = ExecutionBackend.from_spec(
-                spec, metrics=metrics, task_timeout=args.task_timeout)
-            runner = Runner(backend=backend, use_cache=not args.no_cache,
-                            progress=_cli_progress, metrics=metrics)
-        elif workers or spawn_local:
-            if spawn_local:
-                from .exec.worker import spawn_local_workers
-                pool = spawn_local_workers(spawn_local)
-                addresses = [worker.endpoint for worker in pool]
-            else:
-                addresses = [part.strip() for part in workers.split(",")
-                             if part.strip()]
-            from .exec import DistributedBackend
-            backend = DistributedBackend(addresses,
-                                         task_timeout=args.task_timeout,
-                                         metrics=metrics)
+    with contextlib.ExitStack() as stack:
+        if args.spawn_local:
+            from .exec import (ClusterBackend, ClusterServer,
+                               registered_worker_pool)
+            server = stack.enter_context(ClusterServer())
+            stack.enter_context(
+                registered_worker_pool(args.spawn_local, server.endpoint))
+            backend = ClusterBackend(server.address)
+        if backend:
             runner = Runner(backend=backend, use_cache=not args.no_cache,
                             progress=_cli_progress, metrics=metrics)
         else:
@@ -140,23 +123,14 @@ def _runner_context(args: argparse.Namespace):
             runner = Runner(jobs=args.jobs, use_cache=not args.no_cache,
                             progress=progress, metrics=metrics)
         yield runner
-        emit = getattr(args, "emit_metrics", None)
-        if emit:
-            with open(emit, "w") as stream:
+        if args.emit_metrics:
+            with open(args.emit_metrics, "w") as stream:
                 write_jsonl(metrics.snapshot(), stream,
                             spans=default_tracer().snapshot(),
                             meta={"command": args.command,
                                   "backend": runner.backend.describe()})
-            print(f"(metrics written to {emit})", file=sys.stderr)
-    finally:
-        for worker in pool:
-            worker.terminate()
-
-
-def _make_runner(args: argparse.Namespace) -> Runner:
-    """Deprecated shim kept for scripts importing the old helper."""
-    with contextlib.ExitStack() as stack:
-        return stack.enter_context(_runner_context(args))
+            print(f"(metrics written to {args.emit_metrics})",
+                  file=sys.stderr)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -237,26 +211,13 @@ def _run_figure(args: argparse.Namespace, which: str, runner: Runner) -> int:
 
 
 def _cmd_worker_serve(args: argparse.Namespace) -> int:
-    def announce(line: str) -> None:
-        print(f"repro worker {line}", flush=True)
-
-    if args.register:
-        served = _registered_worker_session(args, announce)
-    else:
-        from .exec.worker import serve
-        served = serve(args.host, args.port, max_tasks=args.max_tasks,
-                       cache_dir=args.cache_dir,
-                       emit_metrics=args.emit_metrics,
-                       metrics_port=args.metrics_port,
-                       announce=announce)
-    print(f"worker stopped after {served} tasks", file=sys.stderr)
-    return 0
-
-
-def _registered_worker_session(args: argparse.Namespace, announce) -> int:
     """``repro worker serve --register``: dial out to a dispatcher."""
     from .exec.worker import run_registered_worker
     from .obs import MetricsRegistry, write_jsonl
+
+    def announce(line: str) -> None:
+        print(f"repro worker {line}", flush=True)
+
     metrics = MetricsRegistry()
     scrape = None
     if args.metrics_port is not None:
@@ -281,7 +242,8 @@ def _registered_worker_session(args: argparse.Namespace, announce) -> int:
                             meta={"role": "registered-worker",
                                   "dispatcher": args.register,
                                   "tasks_served": served})
-    return served
+    print(f"worker stopped after {served} tasks", file=sys.stderr)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -739,9 +701,9 @@ def _positive_int(text: str) -> int:
 # Shared flag surface
 #
 # Every flag that appears on more than one subcommand is defined exactly
-# once, in a parent parser, so ``--jobs``/``--workers``/``--backend``/
+# once, in a parent parser, so ``--jobs``/``--backend``/``--spawn-local``/
 # ``--task-timeout``/``--emit-metrics`` are spelled and help-texted
-# identically across figure/compare/bench/worker/cluster.
+# identically across figure/compare/events/bench/worker/cluster.
 # ---------------------------------------------------------------------------
 
 def _parent(add_flags) -> argparse.ArgumentParser:
@@ -759,27 +721,26 @@ def _flag_jobs(parser: argparse.ArgumentParser) -> None:
 def _flag_backend(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", metavar="SPEC", default=None,
                         help="execution backend spec: serial | fork[:N] | "
-                             "dist://host:port,... | cluster://host:port"
-                             "[?weight=N&client=NAME&keyfile=PATH] "
+                             "cluster://host:port"
+                             "[?weight=N&client=NAME&keyfile=PATH"
+                             "&frame_timeout=SECONDS] "
                              "(see docs/SERVICE.md)")
 
 
-def _flag_workers(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", metavar="HOST:PORT[,HOST:PORT...]",
-                        help="dispatch to remote 'repro worker serve' "
-                             "endpoints instead of local processes "
-                             "(overrides --jobs)")
+def _flag_spawn_local(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--spawn-local", type=_positive_int, default=None,
                         metavar="N",
-                        help="fork N local worker processes and dispatch "
-                             "to them (mutually exclusive with --workers)")
+                        help="run an ephemeral experiment cluster on this "
+                             "machine (a dispatcher plus N forked "
+                             "registered workers) for this command "
+                             "(mutually exclusive with --backend)")
 
 
 def _flag_task_timeout(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--task-timeout", type=float, default=300.0,
                         metavar="SECONDS",
-                        help="per-task timeout for distributed/cluster "
-                             "dispatch (default: 300)")
+                        help="per-task timeout for cluster dispatch "
+                             "(default: 300)")
 
 
 def _flag_emit_metrics(parser: argparse.ArgumentParser) -> None:
@@ -810,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Shared parent parsers: one definition per flag (see above).
     runner_flags = _parent(lambda p: (_flag_jobs(p), _flag_backend(p),
-                                      _flag_workers(p), _flag_task_timeout(p),
+                                      _flag_spawn_local(p),
                                       _flag_no_cache(p),
                                       _flag_emit_metrics(p)))
     emit_metrics_flag = _parent(_flag_emit_metrics)
@@ -853,24 +814,23 @@ def build_parser() -> argparse.ArgumentParser:
                         help="the full-size Table 1 system")
     export.set_defaults(func=_cmd_export_config)
 
-    worker = sub.add_parser("worker", help="distributed execution workers")
+    worker = sub.add_parser("worker", help="experiment cluster workers")
     worker_sub = worker.add_subparsers(dest="worker_command", required=True)
     serve = worker_sub.add_parser(
         "serve", parents=[emit_metrics_flag, keyfile_flag],
-        help="run an experiment worker: a TCP task server, or (with "
-             "--register) a dial-out worker on an experiment cluster")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="listen port (default: 0, OS-assigned; the "
-                            "bound endpoint is printed on startup)")
-    serve.add_argument("--register", metavar="HOST:PORT", default=None,
+        help="run an experiment worker registered with an experiment "
+             "cluster dispatcher")
+    serve.add_argument("--register", metavar="HOST:PORT", required=True,
                        help="register with the experiment cluster "
-                            "dispatcher at HOST:PORT over one persistent "
-                            "connection instead of listening locally")
+                            "dispatcher at HOST:PORT (see 'repro cluster "
+                            "serve') over one persistent dial-out "
+                            "connection")
+    serve.add_argument("--host", default="127.0.0.1",
+                       help="bind address of the --metrics-port endpoint "
+                            "(default: 127.0.0.1)")
     serve.add_argument("--heartbeat", type=float, default=5.0,
                        metavar="SECONDS",
-                       help="idle heartbeat period for --register mode "
-                            "(default: 5)")
+                       help="idle heartbeat period (default: 5)")
     serve.add_argument("--max-tasks", type=_positive_int, default=None,
                        metavar="N",
                        help="exit after serving N tasks (default: forever)")
@@ -1095,8 +1055,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except BackendError as error:
-        # Distributed failures (dead workers, exhausted retries) are
-        # operational, not bugs: report and exit instead of tracebacks.
+        # Cluster failures (unreachable dispatcher, exhausted retries)
+        # are operational, not bugs: report and exit instead of
+        # tracebacks.
         print(f"error: {error}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -10,8 +10,9 @@ The public surface for running sweeps:
   an :class:`ExecutionBackend`:
   :class:`SerialBackend` (in-process),
   :class:`ForkPoolBackend` (``multiprocessing`` fork pool), or
-  :class:`DistributedBackend` (remote TCP workers started with
-  ``python -m repro worker serve``, fault-tolerant dispatch).
+  :class:`ClusterBackend` (a client of the experiment cluster, whose
+  dispatcher feeds registered ``python -m repro worker serve
+  --register`` workers with fault-tolerant, fair-queued dispatch).
 * :class:`ResultCache` — persistent content-addressed store keyed by
   experiment hash + code version salt, so warm reruns never touch the
   simulator; ``sweep(max_bytes=, max_age_days=)`` applies LRU bounds.
@@ -25,23 +26,20 @@ Example::
     baseline, shredder = experiment_pair(spec_experiment("GCC", scale=0.5))
     reports = run_experiments([baseline, shredder], jobs=2)
 
-    # ... or across machines, via a backend spec string:
-    reports = Runner(backend="dist://nvm-box-1:7070,nvm-box-2:7070") \\
-        .run([baseline, shredder])
-
-    # ... or through a shared multi-tenant cluster (see docs/SERVICE.md):
+    # ... or across machines, through a shared experiment cluster
+    # (see docs/SERVICE.md), via a backend spec string:
     reports = Runner(backend="cluster://nvm-hub:7071?weight=2") \\
         .run([baseline, shredder])
 
 Backends are described by :class:`BackendSpec` strings — ``"serial"``,
-``"fork:8"``, ``"dist://host:port,..."``, ``"cluster://host:port"`` —
-parsed by :meth:`ExecutionBackend.from_spec`; the long-lived cluster
-service itself (dispatcher, fair queue, registered workers) lives in
+``"fork:8"``, ``"cluster://host:port"`` — parsed by
+:meth:`ExecutionBackend.from_spec`; the long-lived cluster service
+itself (dispatcher, fair queue, registered workers) lives in
 :mod:`repro.exec.cluster`.
 """
 
-from .backends import (DistributedBackend, ExecutionBackend, ForkPoolBackend,
-                       SerialBackend, parse_address, resolve_backend)
+from .backends import (ExecutionBackend, ForkPoolBackend, SerialBackend,
+                       parse_address, resolve_backend)
 from .bench import (SCENARIOS, BenchScenario, compare_results, load_result,
                     run_scenario, scenario_names, write_result)
 from .cache import (CacheStats, ResultCache, SweepResult, code_version_salt,
@@ -54,10 +52,8 @@ from .experiment import (Experiment, experiment_pair, powergraph_experiment,
 from .runner import ProgressEvent, Runner, run_experiments
 from .spec import BackendSpec
 from .wire import FrameAuth
-from .worker import (LocalWorker, RegisteredWorker, WorkerServer,
-                     local_worker_pool, registered_worker_pool,
-                     run_registered_worker, spawn_local_workers,
-                     spawn_registered_workers, worker_addresses)
+from .worker import (RegisteredWorker, registered_worker_pool,
+                     run_registered_worker, spawn_registered_workers)
 from .workloads import execute_experiment, register_workload, workload_kinds
 
 __all__ = [
@@ -67,21 +63,18 @@ __all__ = [
     "ClusterBackend",
     "ClusterDispatcher",
     "ClusterServer",
-    "DistributedBackend",
     "SCENARIOS",
     "ExecutionBackend",
     "Experiment",
     "FairQueue",
     "ForkPoolBackend",
     "FrameAuth",
-    "LocalWorker",
     "ProgressEvent",
     "RegisteredWorker",
     "ResultCache",
     "Runner",
     "SerialBackend",
     "SweepResult",
-    "WorkerServer",
     "cluster_drain",
     "cluster_shutdown",
     "cluster_status",
@@ -92,7 +85,6 @@ __all__ = [
     "execute_experiment",
     "experiment_pair",
     "load_result",
-    "local_worker_pool",
     "parse_address",
     "powergraph_experiment",
     "register_workload",
@@ -102,10 +94,8 @@ __all__ = [
     "run_registered_worker",
     "run_scenario",
     "scenario_names",
-    "spawn_local_workers",
     "spawn_registered_workers",
     "spec_experiment",
-    "worker_addresses",
     "workload_kinds",
     "write_result",
 ]

@@ -1,9 +1,8 @@
 """Simulation-as-a-service: the multi-tenant experiment cluster.
 
-:class:`ClusterDispatcher` is a long-lived asyncio service that turns
-the per-run :class:`~repro.exec.DistributedBackend` topology inside
-out. Instead of one client driving a fixed list of worker addresses,
-*everyone dials the dispatcher*:
+:class:`ClusterDispatcher` is a long-lived asyncio service and the one
+way to run experiments on other processes or machines. *Everyone dials
+the dispatcher*:
 
 * **Workers** self-register over a persistent connection
   (``repro worker serve --register HOST:PORT``), send idle heartbeats,
@@ -22,12 +21,18 @@ out. Instead of one client driving a fixed list of worker addresses,
   *coalesced* into a single execution whose result fans out to all
   submitters.
 
-Fault handling mirrors the distributed backend: a worker that dies
-mid-task has its task re-queued for the survivors (charged to the
-worker, not the task), an executor error burns one of the task's
-retries, and a task that exhausts ``max_retries`` fails only its own
-batch. A ``drain`` admin request completes all queued and in-flight
-work — none lost, none duplicated — then refuses new submissions.
+Fault handling splits worker faults from task faults: a worker that
+dies mid-task has its task re-queued for the survivors (charged to the
+worker, not the task), an executor error or a ``task_timeout`` burns
+one of the task's retries, and a task that exhausts ``max_retries``
+fails only its own batch. A ``drain`` admin request completes all
+queued and in-flight work — none lost, none duplicated — then refuses
+new submissions.
+
+``repro compare/figure/events --spawn-local N`` runs an *ephemeral*
+cluster: an in-process :class:`ClusterServer`, ``N`` forked registered
+workers and a :class:`ClusterBackend`, all torn down when the command
+exits.
 
 All connections speak the length-prefixed JSON protocol of
 :mod:`repro.exec.wire`; give the dispatcher and every peer the same
@@ -64,10 +69,10 @@ from .cache import ResultCache
 from .experiment import Experiment
 from .wire import (HEADER_BYTES, MSG_BATCH_DONE, MSG_DRAIN, MSG_DRAINED,
                    MSG_ERROR, MSG_GOODBYE, MSG_HELLO, MSG_NOTICE, MSG_OK,
-                   MSG_PING, MSG_PONG, MSG_RESULT, MSG_RUN, MSG_SHUTDOWN,
-                   MSG_STATUS, MSG_SUBMIT, MSG_WELCOME, PROTO_VERSION,
-                   FrameAuth, decode_payload, encode_frame, hello_message,
-                   recv_message, send_message, unpack_length)
+                   MSG_PING, MSG_PONG, MSG_RESULT, MSG_SHUTDOWN, MSG_STATUS,
+                   MSG_SUBMIT, MSG_WELCOME, PROTO_VERSION, FrameAuth,
+                   decode_payload, encode_frame, hello_message, recv_message,
+                   run_request, send_message, unpack_length)
 
 #: How long a connecting peer has to present its ``hello`` frame.
 HANDSHAKE_TIMEOUT = 10.0
@@ -750,10 +755,8 @@ class ClusterDispatcher:
             worker.started = self._loop.time()
             worker.started_ns = time.perf_counter_ns()
             worker.deadline = worker.started + self.task_timeout
-            frame = {"type": MSG_RUN, "task": task_id,
-                     "experiment": task.payload}
-            if task.trace is not None:
-                frame["trace"] = task.trace
+            frame = run_request(task.payload, trace=task.trace)
+            frame["task"] = task_id
             self._write(worker.writer, frame)
         self._update_queue_gauges()
         self._maybe_finish_drain()
@@ -867,9 +870,10 @@ class ClusterDispatcher:
             stats = self.cache.stats
             reply["cache"] = {"hits": stats.hits, "misses": stats.misses,
                               "stores": stats.stores}
-        # The full registry snapshot powers `repro top` and any other
-        # poller that wants more than the summary counters above.
-        reply["metrics"] = self.metrics.snapshot()
+        # The full registry snapshot, for operators reading `repro
+        # cluster status` (which prints the whole reply) and programmatic
+        # pollers; no in-tree peer parses it.
+        reply["metrics"] = self.metrics.snapshot()  # repro: suppress REPRO602 -- operator probe
         return reply
 
 

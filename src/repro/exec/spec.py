@@ -2,23 +2,25 @@
 
 Before this module, choosing a backend meant wiring a constructor by
 hand in every entry point (``SerialBackend()``, ``ForkPoolBackend(8)``,
-``DistributedBackend([...])``). :class:`BackendSpec` replaces that with
-a small spec-string grammar shared by the library API
+``ClusterBackend(...)``). :class:`BackendSpec` replaces that with a
+small spec-string grammar shared by the library API
 (:meth:`ExecutionBackend.from_spec <repro.exec.ExecutionBackend>`,
 ``Runner(backend="fork:8")``) and the CLI (``--backend``)::
 
     serial                          in-process reference execution
     fork                            fork pool, one job per CPU
     fork:8                          fork pool with 8 jobs
-    dist://h1:7070,h2:7070          distributed dispatch to fixed workers
     cluster://host:7071             shared experiment cluster client
     cluster://host:7071?weight=3&client=nightly&keyfile=cluster.key
 
-Options after ``?`` are URL-style ``key=value`` pairs; ``dist://``
-accepts the same worker-tuning knobs as ``DistributedBackend``
-(``task_timeout``, ``max_retries``), ``cluster://`` accepts ``weight``
-(fair-share priority), ``client`` (display name) and ``keyfile``
-(HMAC frame auth; see ``docs/SERVICE.md``).
+Options after ``?`` are URL-style ``key=value`` pairs; ``cluster://``
+accepts ``weight`` (fair-share priority), ``client`` (display name),
+``keyfile`` (HMAC frame auth; see ``docs/SERVICE.md``) and
+``frame_timeout`` (seconds to wait for each dispatcher frame).
+
+The retired ``dist://`` scheme (a fixed list of listening workers)
+raises a :class:`~repro.errors.BackendError` that spells out its
+cluster replacement.
 
 The dataclass is frozen and hashable, so a spec can key a cache or sit
 in an :class:`~repro.exec.Experiment`-style config without ceremony;
@@ -33,10 +35,9 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qsl
 
 from ..errors import BackendError
-from ..obs import MetricsRegistry
 
 #: Spec kinds understood by :meth:`BackendSpec.parse`.
-KINDS = ("serial", "fork", "dist", "cluster")
+KINDS = ("serial", "fork", "cluster")
 
 
 def _default_jobs() -> int:
@@ -97,35 +98,37 @@ class BackendSpec:
             return cls(kind="fork", jobs=jobs)
         raise BackendError(
             f"cannot parse backend spec {text!r}; expected 'serial', "
-            f"'fork[:N]', 'dist://host:port,...' or 'cluster://host:port'")
+            f"'fork[:N]' or 'cluster://host:port'")
 
     @classmethod
     def _parse_url(cls, scheme: str, rest: str, text: str) -> "BackendSpec":
         if scheme in ("dist", "distributed"):
-            kind = "dist"
-        elif scheme == "cluster":
-            kind = "cluster"
-        else:
+            raise BackendError(
+                f"{text!r}: the dist:// backend was retired in favour of "
+                f"the experiment cluster: run 'repro cluster serve', start "
+                f"each worker with 'repro worker serve --register "
+                f"HOST:PORT', and use cluster://HOST:PORT "
+                f"(see docs/SERVICE.md)")
+        if scheme != "cluster":
             raise BackendError(
                 f"unknown backend scheme {scheme!r} in {text!r}; "
-                f"expected dist:// or cluster://")
+                f"expected cluster://")
         hosts, _, query = rest.partition("?")
         addresses = tuple(part.strip() for part in hosts.split(",")
                           if part.strip())
         if not addresses:
             raise BackendError(f"backend spec {text!r} names no endpoint")
-        if kind == "cluster" and len(addresses) != 1:
+        if len(addresses) != 1:
             raise BackendError(
                 f"cluster:// takes exactly one dispatcher endpoint, "
                 f"got {len(addresses)} in {text!r}")
-        for address in addresses:
-            host, separator, port = address.rpartition(":")
-            if not separator or not host or not port.isdigit():
-                raise BackendError(
-                    f"bad endpoint {address!r} in backend spec {text!r}; "
-                    f"expected host:port")
+        host, separator, port = addresses[0].rpartition(":")
+        if not separator or not host or not port.isdigit():
+            raise BackendError(
+                f"bad endpoint {addresses[0]!r} in backend spec {text!r}; "
+                f"expected host:port")
         options = tuple(sorted(parse_qsl(query, keep_blank_values=True)))
-        return cls(kind=kind, addresses=addresses, options=options)
+        return cls(kind="cluster", addresses=addresses, options=options)
 
     @classmethod
     def coerce(cls, value: "SpecLike") -> "BackendSpec":
@@ -177,36 +180,17 @@ class BackendSpec:
 
     # -- instantiation ------------------------------------------------------------
 
-    def create(self, *, metrics: Optional[MetricsRegistry] = None,
-               task_timeout: Optional[float] = None) -> Any:
-        """Instantiate the backend this spec describes.
-
-        ``metrics`` and ``task_timeout`` apply to the backends that
-        accept them (dist, cluster) and are ignored by the local kinds;
-        spec options override neither — explicit arguments win.
-        """
+    def create(self) -> Any:
+        """Instantiate the backend this spec describes."""
         # Same-package imports, deferred only to break the
         # spec <-> backends module cycle.
-        from .backends import (DistributedBackend, ForkPoolBackend,
-                               SerialBackend)
+        from .backends import ForkPoolBackend, SerialBackend
         if self.kind == "serial":
             return SerialBackend()
         if self.kind == "fork":
             return ForkPoolBackend(self.jobs)
-        if self.kind == "dist":
-            kwargs: Dict[str, Any] = {}
-            timeout = task_timeout if task_timeout is not None \
-                else self._float_option("task_timeout")
-            if timeout is not None:
-                kwargs["task_timeout"] = timeout
-            retries = self._int_option("max_retries")
-            if retries is not None:
-                kwargs["max_retries"] = retries
-            if metrics is not None:
-                kwargs["metrics"] = metrics
-            return DistributedBackend(list(self.addresses), **kwargs)
         from .cluster import ClusterBackend
-        kwargs = {}
+        kwargs: Dict[str, Any] = {}
         weight = self._int_option("weight")
         if weight is not None:
             kwargs["weight"] = weight
@@ -216,8 +200,7 @@ class BackendSpec:
         keyfile = self.option("keyfile")
         if keyfile is not None:
             kwargs["keyfile"] = keyfile
-        timeout = task_timeout if task_timeout is not None \
-            else self._float_option("frame_timeout")
+        timeout = self._float_option("frame_timeout")
         if timeout is not None:
             kwargs["frame_timeout"] = timeout
         return ClusterBackend(self.addresses[0], **kwargs)

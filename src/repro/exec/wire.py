@@ -1,6 +1,6 @@
-"""Length-prefixed JSON framing for the distributed worker protocol.
+"""Length-prefixed JSON framing for the experiment cluster protocol.
 
-Every message on a worker connection is one *frame*: a 4-byte
+Every message on a cluster connection is one *frame*: a 4-byte
 big-endian unsigned length followed by that many bytes of payload.
 On an unauthenticated connection the payload is UTF-8 JSON encoding a
 single object; on an authenticated one it is a 32-byte HMAC-SHA256 tag
@@ -9,38 +9,32 @@ experiment or report document), so the dispatcher and worker always
 read a whole frame before acting, and a truncated or oversized frame
 is a protocol error rather than a hang.
 
-Message types (the ``"type"`` key of the decoded object):
+Message types (the ``"type"`` key of the decoded object), all on the
+persistent connections of the cluster service (:mod:`repro.exec.cluster`):
 
 ``run``
-    Dispatcher → worker: ``{"type": "run", "experiment": <Experiment
-    .to_dict()>}``. The worker executes the experiment and answers
-    with exactly one ``result`` or ``error`` frame. On cluster
-    connections the frame also carries a ``"task"`` id that the worker
-    echoes back. An optional ``"trace"`` key carries a
+    Dispatcher → worker: ``{"type": "run", "task": <id>, "experiment":
+    <Experiment.to_dict()>}``. The worker executes the experiment and
+    answers with exactly one ``result`` or ``error`` frame echoing the
+    ``"task"`` id. An optional ``"trace"`` key carries a
     ``TraceContext.to_dict()`` so the worker's spans join the caller's
-    trace; workers that predate the key ignore it.
+    trace.
 ``result``
     Worker → dispatcher: ``{"type": "result", "result":
-    <SystemReport.to_dict()>}``, optionally carrying ``"metrics"`` —
-    the worker's cumulative ``MetricsRegistry.snapshot()`` for merged
-    telemetry reporting — and ``"spans"`` — the span records the
-    worker opened while executing the task, for merged distributed
-    traces.
+    <SystemReport.to_dict()>}``, optionally carrying ``"spans"`` — the
+    span records the worker opened while executing the task, for
+    merged distributed traces. The dispatcher forwards results to
+    clients tagged with ``batch`` and ``task``.
 ``error``
     Worker → dispatcher: ``{"type": "error", "error": <message>,
     "kind": <exception class name>}``. The task failed but the worker
     survives; the dispatcher decides whether to retry.
 ``ping`` / ``pong``
-    Health probe and its reply. Registered cluster workers send
-    ``ping`` as an idle heartbeat; the dispatcher answers ``pong``.
+    Health probe and its reply. Registered workers send ``ping`` as an
+    idle heartbeat; the dispatcher answers ``pong``.
 ``shutdown``
-    Dispatcher → worker: stop serving after acknowledging with
-    ``{"type": "ok"}``. On a cluster admin connection: stop the whole
-    dispatcher.
-
-The cluster service (:mod:`repro.exec.cluster`) adds a second
-vocabulary on persistent connections:
-
+    Admin client → dispatcher: acknowledge with ``{"type": "ok"}``,
+    then stop the whole dispatcher.
 ``hello`` / ``welcome``
     Session handshake. A connecting peer announces its role
     (``"worker"`` or ``"client"``), a display ``name`` and — for
@@ -107,8 +101,6 @@ MSG_PING = "ping"
 MSG_PONG = "pong"
 MSG_SHUTDOWN = "shutdown"
 MSG_OK = "ok"
-
-# -- cluster session vocabulary (see repro.exec.cluster) ----------------------------
 MSG_HELLO = "hello"
 MSG_WELCOME = "welcome"
 MSG_SUBMIT = "submit"
@@ -293,17 +285,12 @@ def run_request(experiment_doc: Dict[str, Any], *,
     return request
 
 
-def result_reply(report_doc: Dict[str, Any],
-                 metrics: Dict[str, Any] = None, *,
+def result_reply(report_doc: Dict[str, Any], *,
                  spans: list = None) -> Dict[str, Any]:
-    """A ``result`` frame; ``metrics`` optionally attaches the worker's
-    cumulative :meth:`~repro.obs.MetricsRegistry.snapshot` so the
-    dispatcher can merge per-worker telemetry, and ``spans`` the span
+    """A ``result`` frame; ``spans`` optionally attaches the span
     records (:meth:`~repro.obs.SpanTracer.snapshot`) the worker opened
-    for this task. Readers that predate either key ignore it."""
+    for this task. Readers that predate the key ignore it."""
     reply = {"type": MSG_RESULT, "result": report_doc}
-    if metrics is not None:
-        reply["metrics"] = metrics
     if spans is not None:
         reply["spans"] = spans
     return reply

@@ -3,8 +3,9 @@
 ``start_metrics_server(registry, port=9100)`` binds a tiny threaded
 HTTP server whose ``GET /metrics`` renders the registry's current
 snapshot in the text exposition format (the same formatter the
-``--emit-metrics`` dumps use), so a long-lived process — typically
-``repro worker serve --metrics-port N`` — can be scraped by any
+``--emit-metrics`` dumps use), so a long-lived process — typically a
+registered worker (``repro worker serve --register HOST:PORT
+--metrics-port N``) or the cluster dispatcher — can be scraped by any
 Prometheus-compatible collector instead of only dumping metrics at
 shutdown. The server runs on a daemon thread and snapshots on every
 request; registries are already thread-safe, so no coordination with

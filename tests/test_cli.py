@@ -53,6 +53,27 @@ class TestCompare:
                      "--nodes", "200"]) == 0
         assert "KCORE" in capsys.readouterr().out
 
+    def test_spawn_local_matches_serial(self, capsys):
+        """--spawn-local runs an ephemeral cluster: output byte-identical
+        to a serial run, and no dispatcher thread or worker process
+        outlives the command."""
+        import multiprocessing
+        import threading
+
+        def dispatcher_threads():
+            return [thread for thread in threading.enumerate()
+                    if thread.name == "repro-cluster"]
+
+        children = set(multiprocessing.active_children())
+        argv = ["compare", "--benchmark", "HMMER", "--scale", "0.1",
+                "--cores", "1", "--no-cache"]
+        assert main(argv + ["--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--spawn-local", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert set(multiprocessing.active_children()) <= children
+        assert dispatcher_threads() == []
+
     def test_unknown(self, capsys):
         assert main(["compare", "--benchmark", "NOPE"]) == 2
 
@@ -112,62 +133,40 @@ class TestWorkerCli:
             build_parser().parse_args(["worker"])
 
     def test_serve_announces_and_honours_max_tasks(self, capsys):
-        """Drive a real serve() through one task over TCP."""
-        import re
-        import socket
+        """Drive a real registered worker through one task: it
+        announces its registration, then drains after --max-tasks."""
         import threading
-        from repro.exec.wire import recv_message, send_message
+
+        from repro.exec import (ClusterBackend, ClusterServer, Runner,
+                                spec_experiment)
 
         codes = {}
+        with ClusterServer() as server:
+            def run_worker():
+                codes["exit"] = main(["worker", "serve", "--register",
+                                      server.endpoint, "--max-tasks", "1",
+                                      "--heartbeat", "0.2"])
 
-        def run_server():
-            codes["exit"] = main(["worker", "serve", "--max-tasks", "1"])
-
-        thread = threading.Thread(target=run_server, daemon=True)
-        thread.start()
-        # Scrape the announced ephemeral port.
-        endpoint = None
-        for _ in range(100):
-            match = re.search(r"listening on ([\d.]+):(\d+)",
-                              capsys.readouterr().out)
-            if match:
-                endpoint = (match.group(1), int(match.group(2)))
-                break
-            thread.join(timeout=0.05)
-        assert endpoint, "server never announced its endpoint"
-        with socket.create_connection(endpoint, timeout=10) as conn:
-            conn.settimeout(10)
-            send_message(conn, {"type": "run", "experiment": "junk"})
-            assert recv_message(conn)["type"] == "error"
-        thread.join(timeout=10)
+            thread = threading.Thread(target=run_worker, daemon=True)
+            thread.start()
+            reports = Runner(backend=ClusterBackend(server.address),
+                             use_cache=False).run(
+                [spec_experiment("HMMER", cores=1, scale=0.1)])
+            thread.join(timeout=30)
         assert not thread.is_alive()
         assert codes["exit"] == 0
-
-    def test_workers_flag_parsed(self):
-        args = build_parser().parse_args(
-            ["figure", "fig8", "--workers", "a:1,b:2",
-             "--task-timeout", "7"])
-        assert args.workers == "a:1,b:2"
-        assert args.task_timeout == 7.0
-
-    def test_make_runner_builds_distributed_backend(self):
-        from repro.cli import _make_runner
-        from repro.exec import DistributedBackend
-        args = build_parser().parse_args(
-            ["figure", "fig8", "--workers", "a:1, b:2", "--no-cache",
-             "--task-timeout", "9"])
-        runner = _make_runner(args)
-        assert isinstance(runner.backend, DistributedBackend)
-        assert runner.backend.addresses == [("a", 1), ("b", 2)]
-        assert runner.backend.task_timeout == 9.0
-        assert runner.cache is None
+        assert len(reports) == 1
+        captured = capsys.readouterr()
+        assert f"registered with {server.endpoint}" in captured.out
+        assert "worker stopped after 1 tasks" in captured.err
 
     def test_distributed_failure_is_a_clean_exit(self, tmp_path, capsys,
                                                  monkeypatch):
-        """A dead endpoint surfaces as exit code 1, not a traceback."""
+        """An unreachable dispatcher surfaces as exit code 1, not a
+        traceback."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cc"))
         code = main(["compare", "--benchmark", "GCC", "--scale", "0.1",
-                     "--cores", "1", "--workers", "127.0.0.1:1",
+                     "--cores", "1", "--backend", "cluster://127.0.0.1:1",
                      "--no-cache"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
@@ -243,12 +242,6 @@ class TestObservabilityCli:
             ["figure", "fig12", "--spawn-local", "2"])
         assert args.spawn_local == 2
 
-    def test_spawn_local_conflicts_with_workers(self, capsys):
-        assert main(["compare", "--benchmark", "HMMER", "--scale", "0.1",
-                     "--spawn-local", "1",
-                     "--workers", "127.0.0.1:1"]) == 1
-        assert "at most one" in capsys.readouterr().err
-
 
 class TestFlagSurface:
     """The unified flag surface: one definition per shared flag, so
@@ -275,8 +268,8 @@ class TestFlagSurface:
         raise AssertionError(f"{option} missing from {subparser.prog}")
 
     def test_runner_flags_identical_across_compare_and_figure(self):
-        for option in ("--jobs", "--backend", "--workers", "--spawn-local",
-                       "--task-timeout", "--no-cache", "--emit-metrics"):
+        for option in ("--jobs", "--backend", "--spawn-local",
+                       "--no-cache", "--emit-metrics"):
             actions = [self.flag(self.subparser(cmd), option)
                        for cmd in ("compare", "figure")]
             helps = {a.help for a in actions}
@@ -293,13 +286,26 @@ class TestFlagSurface:
         assert len(helps) == 1
 
     def test_task_timeout_shared_with_cluster_commands(self):
-        surfaces = [self.subparser("compare"),
-                    self.subparser("cluster", "serve"),
+        surfaces = [self.subparser("cluster", "serve"),
                     self.subparser("cluster", "drain")]
         helps = {self.flag(s, "--task-timeout").help for s in surfaces}
         defaults = {self.flag(s, "--task-timeout").default for s in surfaces}
         assert len(helps) == 1
         assert defaults == {300.0}
+
+    def test_backend_spec_timeout_is_not_overridden(self):
+        """The runner commands have no --task-timeout, so a cluster
+        spec's own frame_timeout reaches the backend (a flag default
+        used to override it)."""
+        from repro.cli import _runner_context
+        for path in (("compare",), ("figure",), ("events",)):
+            options = {option for action in self.subparser(*path)._actions
+                       for option in action.option_strings}
+            assert "--task-timeout" not in options
+        args = build_parser().parse_args(
+            ["compare", "--backend", "cluster://hub:7071?frame_timeout=900"])
+        with _runner_context(args) as runner:
+            assert runner.backend.frame_timeout == 900.0
 
     def test_keyfile_shared_across_worker_and_cluster(self):
         surfaces = [self.subparser("worker", "serve"),
@@ -315,10 +321,9 @@ class TestFlagSurface:
             ["compare", "--backend", "cluster://hub:7071?weight=2"])
         assert args.backend == "cluster://hub:7071?weight=2"
 
-    def test_backend_conflicts_with_workers(self, capsys):
+    def test_backend_conflicts_with_spawn_local(self, capsys):
         assert main(["compare", "--benchmark", "HMMER", "--scale", "0.1",
-                     "--backend", "serial",
-                     "--workers", "127.0.0.1:1"]) == 1
+                     "--backend", "serial", "--spawn-local", "1"]) == 1
         assert "at most one" in capsys.readouterr().err
 
     def test_backend_serial_runs_end_to_end(self, capsys):

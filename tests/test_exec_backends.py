@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import BackendError, ExperimentError
-from repro.exec import (DistributedBackend, ExecutionBackend, ForkPoolBackend,
+from repro.exec import (ClusterBackend, ExecutionBackend, ForkPoolBackend,
                         Runner, SerialBackend, experiment_pair,
                         parse_address, resolve_backend, run_experiments,
                         spec_experiment)
@@ -55,7 +55,7 @@ class TestResolution:
     def test_describe_labels(self):
         assert SerialBackend().describe() == "serial"
         assert ForkPoolBackend(3).describe() == "fork-pool(3)"
-        assert "9001" in DistributedBackend([("box", 9001)]).describe()
+        assert ClusterBackend(("box", 9001)).describe() == "cluster(box:9001)"
 
 
 class TestAddressParsing:
@@ -70,10 +70,6 @@ class TestAddressParsing:
             parse_address("host:notanumber")
         with pytest.raises(BackendError):
             parse_address(":7070")
-
-    def test_distributed_needs_workers(self):
-        with pytest.raises(BackendError):
-            DistributedBackend([])
 
 
 class TestSubmitContract:

@@ -2,7 +2,9 @@
 
 Registered (dial-out) workers are forked, so workloads registered in
 this module are inherited by the worker processes — the nap workload
-below keeps tasks slow enough to observe scheduling and inject faults.
+below keeps tasks slow enough to observe scheduling and inject faults,
+the flaky one fails its first attempt and the crasher kills its worker
+process on its first attempt.
 """
 
 import contextlib
@@ -29,6 +31,26 @@ from repro.obs import MetricsRegistry
 @register_workload("cluster-napper")
 def _napper(system, params):
     time.sleep(float(params.get("seconds", 0.05)))
+
+
+@register_workload("cluster-flaky")
+def _flaky(system, params):
+    """Fail until a marker file exists; the first attempt plants it."""
+    marker = params["marker"]
+    if not os.path.exists(marker):
+        with open(marker, "w") as stream:
+            stream.write("attempted")
+        raise RuntimeError("transient failure, retry me")
+
+
+@register_workload("cluster-crasher")
+def _crasher(system, params):
+    """Kill the whole worker process mid-task until the marker exists."""
+    marker = params["marker"]
+    if not os.path.exists(marker):
+        with open(marker, "w") as stream:
+            stream.write("attempted")
+        os._exit(17)
 
 
 def canonical(reports):
@@ -109,6 +131,20 @@ class TestFairQueue:
 
 
 class TestClusterDeterminism:
+    def test_small_batch_matches_serial_byte_for_byte(self):
+        """One client, one mixed batch over 2 registered workers: the
+        reports are byte-identical to the serial backend's."""
+        batch = []
+        for name in ("GCC", "H264"):
+            batch.extend(experiment_pair(
+                spec_experiment(name, cores=1, scale=0.15)))
+        serial = Runner(use_cache=False).run(batch)
+        with cluster() as server:
+            with registered_worker_pool(2, server.endpoint):
+                backend = ClusterBackend(server.address, client_name="solo")
+                clustered = Runner(backend=backend, use_cache=False).run(batch)
+        assert canonical(clustered) == canonical(serial)
+
     def test_two_concurrent_clients_match_serial(self):
         """The ISSUE acceptance: two clients on disjoint batches over a
         shared 2-worker cluster each get byte-identical-to-serial
@@ -263,6 +299,109 @@ class TestClusterFaults:
         retries = [e for e in events if e.source == "retry"]
         assert retries, "the killed worker's task must be re-queued"
         assert len([e for e in events if e.source == "worker"]) == 6
+
+    def test_worker_killed_mid_batch_requeues(self):
+        """A killed worker is charged to the worker, not to its task:
+        with max_retries=0 the stranded task is still re-queued, and
+        the batch completes with nothing failed."""
+        metrics = MetricsRegistry()
+        batch = nap_batch(8, tag="killed")
+        with cluster(task_timeout=60, max_retries=0,
+                     metrics=metrics) as server:
+            workers = spawn_registered_workers(2, server.endpoint)
+            try:
+                deadline = time.monotonic() + 30
+                while len(cluster_status(server.address)["workers"]) < 2:
+                    assert time.monotonic() < deadline, "workers never joined"
+                    time.sleep(0.05)
+
+                def kill_on_first_completion(event):
+                    # Tasks are still queued, so the dispatcher has
+                    # handed every live worker one (it assigns in the
+                    # same step that forwards a result): the killed
+                    # worker strands exactly one task.
+                    if event.source == "worker" and workers[0].is_alive():
+                        workers[0].terminate()
+
+                backend = ClusterBackend(server.address, client_name="stoic")
+                reports = Runner(backend=backend, use_cache=False,
+                                 progress=kill_on_first_completion).run(batch)
+            finally:
+                for worker in workers:
+                    worker.terminate()
+        assert [r.name for r in reports] == [f"killed-{i}" for i in range(8)]
+        assert metrics.counter("exec.cluster.requeues").value == 1
+        assert metrics.counter("exec.cluster.tasks_failed").value == 0
+
+    def test_worker_crash_mid_task_retries_elsewhere(self, tmp_path):
+        """os._exit inside the executor: the worker's connection dies
+        mid-task, the task is re-queued, and the surviving worker
+        finishes it."""
+        marker = str(tmp_path / "crashed-once")
+        batch = [Experiment("cluster-crasher", params={"marker": marker},
+                            name="kamikaze")]
+        metrics = MetricsRegistry()
+        with cluster(task_timeout=60, metrics=metrics) as server:
+            with registered_worker_pool(2, server.endpoint):
+                backend = ClusterBackend(server.address,
+                                         client_name="survivor")
+                reports = Runner(backend=backend, use_cache=False).run(batch)
+        assert [r.name for r in reports] == ["kamikaze"]
+        assert os.path.exists(marker)
+        assert metrics.counter("exec.cluster.requeues").value == 1
+
+    def test_retry_then_succeed(self, tmp_path):
+        """An executor error is charged to the task and retried; the
+        retry surfaces as exactly one progress event before the
+        completion."""
+        marker = str(tmp_path / "flaked-once")
+        batch = [Experiment("cluster-flaky", params={"marker": marker},
+                            name="flaky-one")]
+        events = []
+        with cluster(max_retries=3) as server:
+            with registered_worker_pool(1, server.endpoint):
+                backend = ClusterBackend(server.address, client_name="flaky")
+                reports = Runner(backend=backend, use_cache=False,
+                                 progress=events.append).run(batch)
+        assert [r.name for r in reports] == ["flaky-one"]
+        retries = [e for e in events if e.source == "retry"]
+        assert len(retries) == 1
+        assert retries[0].label == "flaky-one"
+        assert events[-1].source == "worker"
+
+    def test_retries_exhausted_names_the_experiment(self):
+        """A deterministic failure exhausts max_retries and the error
+        carries the experiment label and attempt count."""
+        batch = [Experiment("no-such-workload-kind", name="doomed")]
+        with cluster(max_retries=2) as server:
+            with registered_worker_pool(1, server.endpoint):
+                backend = ClusterBackend(server.address,
+                                         client_name="doomed")
+                with pytest.raises(BackendError,
+                                   match=r"doomed.*3 attempts"):
+                    Runner(backend=backend, use_cache=False).run(batch)
+
+    def test_timeout_is_charged_to_the_task(self):
+        """A task that outlives task_timeout burns the task's retry
+        budget and counts in exec.cluster.timeouts. With max_retries=0
+        the batch fails at once, without waiting for the napping
+        worker (which the pool then terminates)."""
+        metrics = MetricsRegistry()
+        batch = [Experiment("cluster-napper", params={"seconds": 30.0},
+                            name="slowpoke")]
+        with cluster(task_timeout=0.3, max_retries=0, tick=0.05,
+                     metrics=metrics) as server:
+            with registered_worker_pool(1, server.endpoint):
+                backend = ClusterBackend(server.address,
+                                         client_name="patient")
+                started = time.monotonic()
+                with pytest.raises(BackendError,
+                                   match="slowpoke.*no result within"):
+                    Runner(backend=backend, use_cache=False).run(batch)
+                assert time.monotonic() - started < 20
+        assert metrics.counter("exec.cluster.timeouts").value == 1
+        assert metrics.counter("exec.cluster.tasks_failed").value == 1
+        assert metrics.counter("exec.cluster.requeues").value == 0
 
     def test_graceful_drain_loses_nothing(self):
         """Drain mid-batch: every in-flight and queued task completes

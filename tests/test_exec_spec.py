@@ -4,8 +4,7 @@ import pytest
 
 from repro.errors import BackendError
 from repro.exec import BackendSpec, ExecutionBackend, Runner
-from repro.exec.backends import (DistributedBackend, ForkPoolBackend,
-                                 SerialBackend)
+from repro.exec.backends import ForkPoolBackend, SerialBackend
 from repro.exec.cluster import ClusterBackend
 
 
@@ -31,12 +30,17 @@ class TestParse:
             BackendSpec.parse("fork:0")
 
     def test_dist_with_addresses(self):
-        spec = BackendSpec.parse("dist://h1:7070,h2:7071")
-        assert spec.kind == "dist"
-        assert spec.addresses == ("h1:7070", "h2:7071")
+        """The retired dist:// scheme names its cluster replacement."""
+        with pytest.raises(BackendError) as caught:
+            BackendSpec.parse("dist://h1:7070,h2:7071")
+        message = str(caught.value)
+        assert "repro cluster serve" in message
+        assert "repro worker serve --register HOST:PORT" in message
+        assert "cluster://HOST:PORT" in message
 
     def test_distributed_scheme_alias(self):
-        assert BackendSpec.parse("distributed://h:1").kind == "dist"
+        with pytest.raises(BackendError, match="repro cluster serve"):
+            BackendSpec.parse("distributed://h:1")
 
     def test_cluster_single_endpoint(self):
         spec = BackendSpec.parse("cluster://hub:7071?weight=3&client=nightly")
@@ -51,8 +55,8 @@ class TestParse:
             BackendSpec.parse("cluster://a:1,b:2")
 
     def test_rejects_bad_endpoints(self):
-        for bad in ("dist://", "dist://nohost", "dist://h:notaport",
-                    "dist://:7070"):
+        for bad in ("cluster://", "cluster://nohost", "cluster://h:notaport",
+                    "cluster://:7070"):
             with pytest.raises(BackendError):
                 BackendSpec.parse(bad)
 
@@ -63,6 +67,8 @@ class TestParse:
             BackendSpec.parse("ftp://h:1")
         with pytest.raises(BackendError, match="empty"):
             BackendSpec.parse("   ")
+        with pytest.raises(BackendError, match="serial, fork, cluster"):
+            BackendSpec(kind="dist")
 
     def test_case_and_whitespace_insensitive(self):
         assert BackendSpec.parse("  SERIAL ").kind == "serial"
@@ -79,7 +85,7 @@ class TestCoerceAndDescribe:
         assert BackendSpec.coerce("fork:2") == spec
 
     def test_describe_round_trips(self):
-        for text in ("serial", "fork:8", "dist://h1:7070,h2:7071",
+        for text in ("serial", "fork:8",
                      "cluster://hub:7071?client=x&weight=3"):
             spec = BackendSpec.parse(text)
             assert spec.describe() == text
@@ -103,36 +109,25 @@ class TestCreate:
         assert isinstance(fork, ForkPoolBackend)
         assert fork.jobs == 3
 
-    def test_dist_honours_options(self):
-        backend = BackendSpec.parse(
-            "dist://h:7070?task_timeout=5&max_retries=7").create()
-        assert isinstance(backend, DistributedBackend)
-        assert backend.task_timeout == 5.0
-        assert backend.max_retries == 7
-
-    def test_explicit_task_timeout_wins(self):
-        backend = BackendSpec.parse(
-            "dist://h:7070?task_timeout=5").create(task_timeout=9.0)
-        assert backend.task_timeout == 9.0
-
     def test_cluster_honours_options(self, tmp_path):
         from repro.exec import FrameAuth
         keyfile = tmp_path / "k"
         FrameAuth.generate_keyfile(keyfile)
         backend = BackendSpec.parse(
             f"cluster://hub:7071?weight=3&client=nightly"
-            f"&keyfile={keyfile}").create()
+            f"&keyfile={keyfile}&frame_timeout=900").create()
         assert isinstance(backend, ClusterBackend)
         assert backend.address == ("hub", 7071)
         assert backend.weight == 3
         assert backend.client_name == "nightly"
         assert backend.auth is not None
+        assert backend.frame_timeout == 900.0
 
     def test_bad_option_values_rejected(self):
         with pytest.raises(BackendError, match="not a number"):
-            BackendSpec.parse("dist://h:1?task_timeout=soon").create()
+            BackendSpec.parse("cluster://h:1?frame_timeout=soon").create()
         with pytest.raises(BackendError, match="not an integer"):
-            BackendSpec.parse("dist://h:1?max_retries=few").create()
+            BackendSpec.parse("cluster://h:1?weight=heavy").create()
 
 
 class TestFromSpec:

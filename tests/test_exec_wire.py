@@ -1,9 +1,8 @@
-"""The length-prefixed JSON wire protocol and the worker server."""
+"""The length-prefixed JSON wire protocol."""
 
 import socket
 import stat
 import struct
-import threading
 
 import pytest
 
@@ -12,7 +11,6 @@ from repro.exec.wire import (AUTH_TAG_BYTES, MAX_FRAME_BYTES, FrameAuth,
                              decode_body, decode_payload, encode_frame,
                              error_reply, recv_message, result_reply,
                              run_request, send_message)
-from repro.exec.worker import WorkerServer
 
 
 def round_trip(message):
@@ -174,76 +172,3 @@ class TestFrameAuth:
         finally:
             left.close()
             right.close()
-
-
-class TestWorkerServer:
-    """Protocol-level behaviour, no experiments involved."""
-
-    def serve_one(self, server):
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        return thread
-
-    def request(self, port, message):
-        with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
-            conn.settimeout(10)
-            send_message(conn, message)
-            return recv_message(conn)
-
-    def test_ping_pong_and_shutdown(self):
-        server = WorkerServer()
-        port = server.bind()
-        thread = self.serve_one(server)
-        assert self.request(port, {"type": "ping"})["type"] == "pong"
-        assert self.request(port, {"type": "shutdown"})["type"] == "ok"
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-
-    def test_unknown_request_gets_error_reply(self):
-        server = WorkerServer()
-        port = server.bind()
-        thread = self.serve_one(server)
-        try:
-            reply = self.request(port, {"type": "make-coffee"})
-            assert reply["type"] == "error"
-            assert "make-coffee" in reply["error"]
-        finally:
-            server.close()
-            thread.join(timeout=10)
-
-    def test_bad_run_request_survives_server(self):
-        """A junk experiment produces an error reply, not a dead worker."""
-        server = WorkerServer()
-        port = server.bind()
-        thread = self.serve_one(server)
-        try:
-            reply = self.request(port, {"type": "run", "experiment": "junk"})
-            assert reply["type"] == "error"
-            # ... and the server still answers afterwards.
-            assert self.request(port, {"type": "ping"})["type"] == "pong"
-        finally:
-            server.close()
-            thread.join(timeout=10)
-
-    def test_max_tasks_bounds_lifetime(self):
-        server = WorkerServer(max_tasks=1)
-        port = server.bind()
-        thread = self.serve_one(server)
-        reply = self.request(port, {"type": "run", "experiment": "junk"})
-        assert reply["type"] == "error"
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert server.tasks_served == 1
-
-    def test_garbage_connection_ignored(self):
-        server = WorkerServer()
-        port = server.bind()
-        thread = self.serve_one(server)
-        try:
-            with socket.create_connection(("127.0.0.1", port),
-                                          timeout=10) as conn:
-                conn.sendall(b"\x00\x00\x00\x05junk!")
-            assert self.request(port, {"type": "ping"})["type"] == "pong"
-        finally:
-            server.close()
-            thread.join(timeout=10)

@@ -1,16 +1,18 @@
-"""Exec-layer telemetry: runner counters, worker wire round-trip,
-worker-side caching, and the distributed-equals-serial invariant."""
+"""Exec-layer telemetry: runner counters, the registered worker's task
+executor (reply frames, worker-side caching, exec.worker.* counters),
+and the cluster-equals-serial invariant."""
 
 import json
 
 import pytest
 
-from repro.exec import (DistributedBackend, Experiment, ResultCache, Runner,
+from repro.exec import (ClusterBackend, ClusterServer, Experiment,
+                        ResultCache, Runner, registered_worker_pool,
                         spec_experiment)
-from repro.exec.wire import MSG_RESULT, MSG_RUN
-from repro.exec.worker import (WorkerServer, local_worker_pool,
-                               worker_addresses)
+from repro.exec.wire import MSG_ERROR, MSG_RESULT, MSG_RUN
+from repro.exec.worker import _TaskExecutor
 from repro.obs import MetricsRegistry
+from repro.sim.system import SystemReport
 
 
 def tiny_experiment(name="GCC", scale=0.1):
@@ -64,68 +66,81 @@ class TestRunnerMetrics:
             == reports[0].metrics["mem.ctrl.data_writes"]["value"]
 
 
+def run_frame(experiment):
+    return {"type": MSG_RUN, "experiment": experiment.to_dict()}
+
+
 class TestWorkerWire:
-    def test_result_frame_carries_metrics(self):
-        server = WorkerServer()
-        request = {"type": MSG_RUN,
-                   "experiment": tiny_experiment().to_dict()}
-        reply = server._run(request)
+    """The executor behind ``repro worker serve --register``: the frame
+    it answers each ``run`` frame with, and its worker-local telemetry."""
+
+    def test_result_frame_and_worker_counters(self):
+        executor = _TaskExecutor()
+        reply = executor.run(run_frame(tiny_experiment()))
         assert reply["type"] == MSG_RESULT
-        metrics = reply["metrics"]
+        metrics = executor.metrics.snapshot()
         assert metrics["exec.worker.tasks_served"]["value"] == 1
         assert metrics["exec.worker.task_duration_ns"]["count"] == 1
         # The report document itself is still a loadable SystemReport.
-        from repro.sim.system import SystemReport
         report = SystemReport.from_dict(reply["result"])
         assert report.metrics     # sim metrics embedded in the report
+        # The task's span rides the frame; the registry stays local.
+        assert [span["name"] for span in reply["spans"]] \
+            == ["exec.worker.task"]
+        assert "metrics" not in reply
 
     def test_metrics_are_cumulative_across_tasks(self):
-        server = WorkerServer()
-        request = {"type": MSG_RUN,
-                   "experiment": tiny_experiment().to_dict()}
-        server._run(request)
-        reply = server._run(request)
-        assert reply["metrics"]["exec.worker.tasks_served"]["value"] == 2
+        executor = _TaskExecutor()
+        executor.run(run_frame(tiny_experiment()))
+        executor.run(run_frame(tiny_experiment()))
+        snapshot = executor.metrics.snapshot()
+        assert snapshot["exec.worker.tasks_served"]["value"] == 2
 
     def test_worker_side_cache(self, tmp_path):
-        server = WorkerServer(cache_dir=tmp_path)
-        request = {"type": MSG_RUN,
-                   "experiment": tiny_experiment().to_dict()}
-        first = server._run(request)
-        second = server._run(request)
+        executor = _TaskExecutor(cache_dir=tmp_path)
+        first = executor.run(run_frame(tiny_experiment()))
+        second = executor.run(run_frame(tiny_experiment()))
         assert first["result"] == second["result"]
-        metrics = second["metrics"]
+        assert [reply["spans"][0]["attrs"]["cache_hit"]
+                for reply in (first, second)] == [False, True]
+        metrics = executor.metrics.snapshot()
         assert metrics["exec.worker.cache.misses"]["value"] == 1
         assert metrics["exec.worker.cache.hits"]["value"] == 1
 
     def test_errors_counted_not_fatal(self):
-        server = WorkerServer()
-        reply = server._run({"type": MSG_RUN,
-                             "experiment": Experiment("bogus").to_dict()})
-        assert reply["type"] == "error"
-        assert server.metrics.snapshot()["exec.worker.errors"]["value"] == 1
+        """A failing or malformed task becomes an error frame; the
+        executor keeps serving."""
+        executor = _TaskExecutor()
+        for request in ({"type": MSG_RUN,
+                         "experiment": Experiment("bogus").to_dict()},
+                        {"type": MSG_RUN, "experiment": "junk"}):
+            assert executor.run(request)["type"] == MSG_ERROR
+        assert executor.run(run_frame(tiny_experiment()))["type"] \
+            == MSG_RESULT
+        snapshot = executor.metrics.snapshot()
+        assert snapshot["exec.worker.errors"]["value"] == 2
+        assert snapshot["exec.worker.tasks_served"]["value"] == 1
 
 
 class TestDistributedMetrics:
-    def test_merged_sim_totals_match_serial(self, tmp_path):
+    def test_merged_sim_totals_match_serial(self):
+        """A cluster run's runner registry holds exactly the serial
+        run's simulation totals, folded in from the shipped reports."""
         batch = [tiny_experiment("GCC"), tiny_experiment("H264")]
 
         serial = Runner(use_cache=False)
         serial.run([Experiment.from_dict(e.to_dict()) for e in batch])
         serial_snapshot = sim_metric_items(serial.metrics.snapshot())
 
-        with local_worker_pool(2) as workers:
-            registry = MetricsRegistry()
-            backend = DistributedBackend(worker_addresses(workers),
-                                         metrics=registry)
-            distributed = Runner(backend=backend, use_cache=False,
-                                 metrics=registry)
-            distributed.run(batch)
-        merged = distributed.metrics.snapshot()
+        registry = MetricsRegistry()
+        with ClusterServer() as server:
+            with registered_worker_pool(2, server.endpoint):
+                clustered = Runner(backend=ClusterBackend(server.address),
+                                   use_cache=False, metrics=registry)
+                clustered.run(batch)
+        merged = registry.snapshot()
 
         assert sim_metric_items(merged) == serial_snapshot
         assert json.dumps(sim_metric_items(merged), sort_keys=True) \
             == json.dumps(serial_snapshot, sort_keys=True)
-        # Worker-side counters were shipped over the wire and merged.
-        assert merged["exec.worker.tasks_served"]["value"] == 2
-        assert merged["exec.dist.tasks_completed"]["value"] == 2
+        assert merged["exec.task.completed"]["value"] == 2

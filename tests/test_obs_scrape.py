@@ -65,47 +65,47 @@ class TestScrapeEndpoint:
 
 
 class TestWorkerWiring:
-    def test_serve_announces_metrics_endpoint(self):
-        """serve(metrics_port=0) brings up a scrapeable endpoint."""
+    def test_serve_announces_metrics_endpoint(self, capsys):
+        """worker serve --register ... --metrics-port 0 brings up a
+        scrapeable endpoint for the registered worker's registry."""
         import re
-        import socket
         import threading
 
-        from repro.exec.worker import serve
-        from repro.exec.wire import recv_message, send_message
+        from repro.cli import main
+        from repro.exec import ClusterServer
 
-        lines = []
-        done = threading.Event()
+        codes = {}
+        with ClusterServer() as server:
+            def run_worker():
+                codes["exit"] = main(["worker", "serve", "--register",
+                                      server.endpoint, "--metrics-port", "0",
+                                      "--heartbeat", "0.2"])
 
-        def run():
-            serve("127.0.0.1", 0, max_tasks=1, metrics_port=0,
-                  announce=lines.append)
-            done.set()
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        for _ in range(200):
-            if len(lines) >= 2:
-                break
-            done.wait(0.05)
-        assert len(lines) == 2, lines
-        match = re.search(r"http://([\d.]+):(\d+)/metrics", lines[1])
-        assert match, lines[1]
-        _, _, body = fetch(match.group(0))
-        assert "exec_worker_tasks_served 0" in body
-        # Shut the worker down by serving its single allowed task.
-        task_match = re.search(r"listening on ([\d.]+):(\d+)", lines[0])
-        with socket.create_connection(
-                (task_match.group(1), int(task_match.group(2))),
-                timeout=10) as conn:
-            send_message(conn, {"type": "run", "experiment": "junk"})
-            recv_message(conn)
-        assert done.wait(10)
+            thread = threading.Thread(target=run_worker, daemon=True)
+            thread.start()
+            out = ""
+            for _ in range(200):
+                out += capsys.readouterr().out
+                if "registered with" in out:
+                    break
+                thread.join(timeout=0.05)
+            match = re.search(r"http://([\d.]+):(\d+)/metrics", out)
+            assert match, out
+            _, _, body = fetch(match.group(0))
+            assert "exec_worker_tasks_served 0" in body
+        # Stopping the dispatcher says goodbye: the worker exits cleanly.
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert codes["exit"] == 0
 
     def test_cli_parses_metrics_port(self):
         from repro.cli import build_parser
         args = build_parser().parse_args(
-            ["worker", "serve", "--metrics-port", "9100"])
+            ["worker", "serve", "--register", "hub:7071",
+             "--metrics-port", "9100"])
         assert args.metrics_port == 9100
-        default = build_parser().parse_args(["worker", "serve"])
+        default = build_parser().parse_args(
+            ["worker", "serve", "--register", "hub:7071"])
         assert default.metrics_port is None
+        with pytest.raises(SystemExit):     # --register is required
+            build_parser().parse_args(["worker", "serve"])
