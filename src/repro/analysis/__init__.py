@@ -1,25 +1,18 @@
-"""Analysis layer: figure builders, text reports, and static analysis.
+"""Analysis layer: figure builders and report tables.
 
-Two halves live here. The *data* half: each ``figN_*`` function runs
-the simulations behind one figure or table of the paper and returns
-plain data (lists of dict rows), which the benchmark harness prints
-and EXPERIMENTS.md records; the heavy builders delegate to the shared
-:class:`repro.exec.Runner`, so results persist in the content-addressed
-cache and cold sweeps accept ``jobs=N`` for parallel execution.
+Each ``figN_*`` function runs the simulations behind one figure or
+table of the paper and returns plain data (lists of dict rows), which
+the benchmark harness prints and EXPERIMENTS.md records; the heavy
+builders delegate to the shared :class:`repro.exec.Runner`, so results
+persist in the content-addressed cache and cold sweeps accept
+``jobs=N`` for parallel execution. :func:`render_table` (defined in
+:mod:`repro.obs.exporters`), :func:`rows_to_csv` and
+:func:`rows_to_json` print those rows.
 
-The *static* half (``repro analyze`` / ``tools/analyze.py``): a
-dependency-free AST analyzer — :class:`Analyzer` runs the registered
-pass families (determinism, layering, shred-semantics, metrics
-namespace, concurrency, format, plus the project-wide dataflow
-families: lock-guard race inference, wire-schema conformance, and
-determinism taint) over the tree and reports ``REPRO###``-coded
-violations, with an incremental per-file-digest result cache for warm
-runs. See ``docs/ANALYSIS.md`` for the architecture, the rule catalog,
-and the suppression syntax.
+The static analyzer behind ``repro analyze`` is :mod:`repro.lint`.
 """
 
-from .engine import (AnalysisPass, AnalysisReport, Analyzer, ProjectPass,
-                     SourceFile, Violation, module_name)
+from ..obs.exporters import render_table
 from .figures import (
     fig4_memset,
     fig5_zeroing_writes,
@@ -29,33 +22,17 @@ from .figures import (
     ablation_policies,
     run_pair,
 )
-from .passes import builtin_passes, rule_catalog
-from .report import render_table, rows_to_csv, rows_to_json
-from .reporters import (render_json, render_sarif, render_text,
-                        report_from_json)
+from .report import rows_to_csv, rows_to_json
 
 __all__ = [
-    "AnalysisPass",
-    "AnalysisReport",
-    "Analyzer",
-    "ProjectPass",
-    "SourceFile",
-    "Violation",
     "ablation_policies",
-    "builtin_passes",
     "fig12_counter_cache_sweep",
     "fig4_memset",
     "fig5_zeroing_writes",
     "fig8_to_11_study",
-    "module_name",
-    "render_json",
-    "render_sarif",
     "render_table",
-    "render_text",
-    "report_from_json",
     "rows_to_csv",
     "rows_to_json",
-    "rule_catalog",
     "run_pair",
     "table2_mechanisms",
 ]

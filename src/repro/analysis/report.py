@@ -1,43 +1,9 @@
-"""Table rendering and structured export (text, CSV, JSON rows)."""
+"""Structured export of figure rows (CSV, JSON); the text table is
+:func:`repro.obs.exporters.render_table`."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
-
-def _format(value) -> str:
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 1000:
-            return f"{value:,.0f}"
-        if abs(value) >= 10:
-            return f"{value:.1f}"
-        return f"{value:.3f}"
-    return str(value)
-
-
-def render_table(rows: List[Dict], columns: Sequence[str] = None,
-                 title: str = "") -> str:
-    """Render dict rows as an aligned text table."""
-    if not rows:
-        return f"{title}\n(no rows)" if title else "(no rows)"
-    if columns is None:
-        columns = list(rows[0].keys())
-    header = [str(c) for c in columns]
-    body = [[_format(row.get(c, "")) for c in columns] for row in rows]
-    widths = [max(len(header[i]), *(len(line[i]) for line in body))
-              for i in range(len(columns))]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for line in body:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(line, widths)))
-    return "\n".join(lines)
+from typing import Dict, List
 
 
 def rows_to_csv(rows: List[Dict], stream) -> int:

@@ -109,8 +109,8 @@ def _runner_context(args: argparse.Namespace):
     metrics = MetricsRegistry()
     with contextlib.ExitStack() as stack:
         if args.spawn_local:
-            from .exec import (ClusterBackend, ClusterServer,
-                               registered_worker_pool)
+            from .exec.cluster import ClusterBackend, ClusterServer
+            from .exec.worker import registered_worker_pool
             server = stack.enter_context(ClusterServer())
             stack.enter_context(
                 registered_worker_pool(args.spawn_local, server.endpoint))
@@ -221,7 +221,7 @@ def _cmd_worker_serve(args: argparse.Namespace) -> int:
     metrics = MetricsRegistry()
     scrape = None
     if args.metrics_port is not None:
-        from .obs import start_metrics_server
+        from .obs.scrape import start_metrics_server
         scrape = start_metrics_server(metrics, host=args.host,
                                       port=args.metrics_port)
         announce(f"metrics on http://{scrape.endpoint}/metrics")
@@ -272,7 +272,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
     print(f"repro cluster listening on {host}:{port}", flush=True)
     scrape = None
     if args.metrics_port is not None:
-        from .obs import start_metrics_server
+        from .obs.scrape import start_metrics_server
         scrape = start_metrics_server(server.dispatcher.metrics,
                                       host=args.host, port=args.metrics_port)
         print(f"repro cluster metrics on http://{scrape.endpoint}/metrics",
@@ -515,8 +515,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     """Exit 0 clean, 1 violations, 2 internal/usage error."""
     import json
 
-    from .analysis import (Analyzer, render_json, render_sarif, render_text,
-                           rule_catalog)
+    from .lint import (Analyzer, render_json, render_sarif, render_text,
+                       rule_catalog)
     if args.list_rules:
         for code, entry in rule_catalog().items():
             print(f"{code}  [{entry['pass']}]  {entry['summary']}")
@@ -524,7 +524,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     cache_path = None if args.no_cache else args.root
     try:
         if args.import_graph:
-            from .analysis.passes.layering import render_import_graph
+            from .lint.passes.layering import render_import_graph
             analyzer = Analyzer(args.root, select=args.select,
                                 ignore=args.ignore)
             sys.stdout.write(

@@ -107,7 +107,7 @@ class WireAuthError(WireProtocolError):
 class ClusterError(BackendError):
     """The experiment cluster could not serve a request.
 
-    Raised by :class:`~repro.exec.ClusterBackend` and the cluster admin
+    Raised by :class:`~repro.exec.cluster.ClusterBackend` and the admin
     helpers when the dispatcher rejects a connection (bad auth,
     draining), violates the session protocol, or disappears mid-batch.
     """

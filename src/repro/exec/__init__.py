@@ -10,9 +10,10 @@ The public surface for running sweeps:
   an :class:`ExecutionBackend`:
   :class:`SerialBackend` (in-process),
   :class:`ForkPoolBackend` (``multiprocessing`` fork pool), or
-  :class:`ClusterBackend` (a client of the experiment cluster, whose
-  dispatcher feeds registered ``python -m repro worker serve
-  --register`` workers with fault-tolerant, fair-queued dispatch).
+  :class:`~repro.exec.cluster.ClusterBackend` (a client of the
+  experiment cluster, whose dispatcher feeds registered ``python -m
+  repro worker serve --register`` workers with fault-tolerant,
+  fair-queued dispatch).
 * :class:`ResultCache` — persistent content-addressed store keyed by
   experiment hash + code version salt, so warm reruns never touch the
   simulator; ``sweep(max_bytes=, max_age_days=)`` applies LRU bounds.
@@ -33,69 +34,44 @@ Example::
 
 Backends are described by :class:`BackendSpec` strings — ``"serial"``,
 ``"fork:8"``, ``"cluster://host:port"`` — parsed by
-:meth:`ExecutionBackend.from_spec`; the long-lived cluster service
-itself (dispatcher, fair queue, registered workers) lives in
-:mod:`repro.exec.cluster`.
+:meth:`ExecutionBackend.from_spec`. This package exports only what a
+local run needs, so importing it never loads asyncio; import the
+cluster service from :mod:`repro.exec.cluster`, registered workers
+from :mod:`repro.exec.worker`, frame auth from :mod:`repro.exec.wire`
+and the ``repro bench`` scenarios from :mod:`repro.exec.bench`.
 """
 
 from .backends import (ExecutionBackend, ForkPoolBackend, SerialBackend,
                        parse_address, resolve_backend)
-from .bench import (SCENARIOS, BenchScenario, compare_results, load_result,
-                    run_scenario, scenario_names, write_result)
 from .cache import (CacheStats, ResultCache, SweepResult, code_version_salt,
                     default_cache, default_cache_dir)
-from .cluster import (ClusterBackend, ClusterDispatcher, ClusterServer,
-                      FairQueue, cluster_drain, cluster_shutdown,
-                      cluster_status)
 from .experiment import (Experiment, experiment_pair, powergraph_experiment,
                          spec_experiment)
 from .runner import ProgressEvent, Runner, run_experiments
 from .spec import BackendSpec
-from .wire import FrameAuth
-from .worker import (RegisteredWorker, registered_worker_pool,
-                     run_registered_worker, spawn_registered_workers)
 from .workloads import execute_experiment, register_workload, workload_kinds
 
 __all__ = [
     "BackendSpec",
-    "BenchScenario",
     "CacheStats",
-    "ClusterBackend",
-    "ClusterDispatcher",
-    "ClusterServer",
-    "SCENARIOS",
     "ExecutionBackend",
     "Experiment",
-    "FairQueue",
     "ForkPoolBackend",
-    "FrameAuth",
     "ProgressEvent",
-    "RegisteredWorker",
     "ResultCache",
     "Runner",
     "SerialBackend",
     "SweepResult",
-    "cluster_drain",
-    "cluster_shutdown",
-    "cluster_status",
     "code_version_salt",
-    "compare_results",
     "default_cache",
     "default_cache_dir",
     "execute_experiment",
     "experiment_pair",
-    "load_result",
     "parse_address",
     "powergraph_experiment",
     "register_workload",
-    "registered_worker_pool",
     "resolve_backend",
     "run_experiments",
-    "run_registered_worker",
-    "run_scenario",
-    "scenario_names",
-    "spawn_registered_workers",
     "spec_experiment",
     "workload_kinds",
-    "write_result",
 ]

@@ -17,7 +17,7 @@ instead of returning lets the runner store results into the persistent
 cache and emit progress the moment each one lands, even when a remote
 worker finishes out of order. ``notify(label, source)`` is an optional
 hook for non-completion events — currently only ``"retry"``, emitted
-by :class:`~repro.exec.ClusterBackend` when the cluster dispatcher
+by :class:`~repro.exec.cluster.ClusterBackend` when the dispatcher
 re-queues a task.
 
 Every backend round-trips results through ``SystemReport.to_dict()``
@@ -31,8 +31,8 @@ Implementations:
 * :class:`ForkPoolBackend` — a ``multiprocessing`` fork pool
   (extracted from the original ``Runner`` internals); falls back to
   serial where ``fork`` is unavailable.
-* :class:`~repro.exec.ClusterBackend` (in :mod:`repro.exec.cluster`)
-  — the one remote-execution backend: a client of the experiment
+* :class:`~repro.exec.cluster.ClusterBackend` — the one
+  remote-execution backend: a client of the experiment
   cluster dispatcher, which owns timeouts, retries and re-queueing.
 """
 

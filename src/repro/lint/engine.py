@@ -15,14 +15,14 @@ Two pass shapes exist. Per-file passes (:class:`AnalysisPass`) see one
 :class:`SourceFile` at a time. Project passes (:class:`ProjectPass`)
 see the whole analyzed file set at once and build on the dataflow
 toolkit (symbol table and call graph in
-:mod:`repro.analysis.project`, CFG and reaching definitions in
-:mod:`repro.analysis.cfg`) — that is how the wire-schema and taint
+:mod:`repro.lint.project`, CFG and reaching definitions in
+:mod:`repro.lint.cfg`) — that is how the wire-schema and taint
 families reason across files.
 
 Runs are incremental when given a cache path: raw emissions are keyed
 by file digest (and by a whole-set digest for project passes) so a
 warm run replays results without parsing — see
-:mod:`repro.analysis.cache`.
+:mod:`repro.lint.cache`.
 
 Suppressions are line-level comments with a *required* justification::
 
@@ -251,7 +251,7 @@ class AnalysisContext:
     ``root`` locates repo-level resources (e.g. the documented metric
     namespace in ``docs/OBSERVABILITY.md``); ``cache`` lets passes
     memoise expensive lookups across files (including the shared
-    :class:`~repro.analysis.project.ProjectModel`).
+    :class:`~repro.lint.project.ProjectModel`).
     """
 
     root: Path

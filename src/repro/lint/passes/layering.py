@@ -3,10 +3,10 @@
 The package has a strict layer order — foundations (``errors``,
 ``config``, ``obs``) under device models (``mem``, ``cache``) under the
 secure controllers (``core``) under the full system (``sim``) under the
-execution and presentation layers (``exec``, ``analysis``, ``cli``).
-REPRO201 rejects any module-level import that reaches *up* that order,
-which is what keeps the graph acyclic and the simulation layers usable
-without dragging in the toolchain.
+execution and presentation layers (``exec``, ``analysis``, ``lint``,
+``cli``). REPRO201 rejects any module-level import that reaches *up*
+that order, which is what keeps the graph acyclic and the simulation
+layers usable without dragging in the toolchain.
 
 REPRO202 is stricter policy for the hot simulation substrate:
 ``core``/``mem``/``cache`` must not import ``exec``, ``obs``, or
@@ -57,6 +57,8 @@ LAYER_RANKS = {
     "repro.workloads": 7,
     "repro.exec": 8,
     "repro.analysis": 9,
+    # The static analyzer: only the CLI and tools import it.
+    "repro.lint": 9,
     "repro.cli": 10,
     "repro.__main__": 10,
     # The package root re-exports the public surface; it sits on top.

@@ -17,7 +17,7 @@ pattern-matching call sites:
   (``time.time()``, unseeded ``random.*``, ``os.urandom``,
   ``uuid.uuid4``, ``datetime.now`` — alias-aware), in *any* module.
 - **Propagation** is flow-aware inside a function (CFG + reaching
-  definitions from :mod:`repro.analysis.cfg`: a rebind kills the
+  definitions from :mod:`repro.lint.cfg`: a rebind kills the
   taint; a tainted def reaching a use carries it) and interprocedural
   across the project call graph: functions whose return value is
   tainted taint their call sites, ``self.x = tainted`` taints reads of

@@ -14,7 +14,7 @@ that picture once per run:
   ``module.func``/``instance.method`` call sites to fully-qualified
   function names and records caller → callee edges.
 - :class:`ProjectModel` bundles both and memoises per
-  :class:`~repro.analysis.engine.AnalysisContext`, so every project
+  :class:`~repro.lint.engine.AnalysisContext`, so every project
   pass in a run shares one build.
 
 Resolution is deliberately conservative: anything dynamic

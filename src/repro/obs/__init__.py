@@ -17,7 +17,9 @@ Zero-dependency metrics and tracing threaded through the whole stack:
   (shreds, zero-fill elisions, counter overflows), embedded per-run in
   reports and surfaced by ``repro events``.
 * Exporters: JSON-lines dumps (``--emit-metrics``), Prometheus text,
-  chrome://tracing trace events, and the ``repro stats`` table.
+  chrome://tracing trace events, and the ``repro stats`` table. The
+  live ``/metrics`` endpoint is :mod:`repro.obs.scrape` (not re-exported:
+  it loads ``http.server``).
 
 See ``docs/OBSERVABILITY.md`` for the naming scheme and formats.
 """
@@ -31,8 +33,6 @@ from .registry import (DEFAULT_DURATION_BUCKETS_NS,
                        DEFAULT_LATENCY_BUCKETS_NS, INF, Counter, Gauge,
                        Histogram, Instrument, MetricsRegistry, check_name,
                        merge_snapshots)
-from .scrape import (PROMETHEUS_CONTENT_TYPE, MetricsHTTPServer,
-                     start_metrics_server)
 from .spans import (SpanRecord, SpanTracer, TraceContext, default_tracer,
                     merge_span_records, span)
 
@@ -49,9 +49,7 @@ __all__ = [
     "INF",
     "Instrument",
     "MetricsDump",
-    "MetricsHTTPServer",
     "MetricsRegistry",
-    "PROMETHEUS_CONTENT_TYPE",
     "SpanRecord",
     "SpanTracer",
     "TraceContext",
@@ -66,7 +64,6 @@ __all__ = [
     "render_metrics_table",
     "render_spans_table",
     "span",
-    "start_metrics_server",
     "to_prometheus",
     "to_trace_events",
     "write_events_jsonl",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO, Any, Dict, List, Optional
+from typing import IO, Any, Dict, List, Optional, Sequence
 
 from ..errors import ObservabilityError
 from .registry import INF
@@ -212,9 +212,43 @@ def metrics_rows(snapshot: Dict[str, Dict[str, Any]], *,
     return rows
 
 
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        if value == 0:
+            return "0"
+        if abs(value) >= 1000:
+            return f"{value:,.0f}"
+        if abs(value) >= 10:
+            return f"{value:.1f}"
+        return f"{value:.3f}"
+    return str(value)
+
+
+def render_table(rows: List[Dict], columns: Sequence[str] = None,
+                 title: str = "") -> str:
+    """Render dict rows as an aligned text table."""
+    if not rows:
+        return f"{title}\n(no rows)" if title else "(no rows)"
+    if columns is None:
+        columns = list(rows[0].keys())
+    header = [str(c) for c in columns]
+    body = [[_format(row.get(c, "")) for c in columns] for row in rows]
+    widths = [max(len(header[i]), *(len(line[i]) for line in body))
+              for i in range(len(columns))]
+    lines = []
+    if title:
+        lines.append(title)
+    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+    lines.append("  ".join("-" * w for w in widths))
+    for line in body:
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(line, widths)))
+    return "\n".join(lines)
+
+
 def render_metrics_table(snapshot: Dict[str, Dict[str, Any]], *,
                          prefix: str = "", title: str = "") -> str:
-    from ..analysis.report import render_table  # repro: suppress REPRO203 -- ad-hoc console dump
     return render_table(metrics_rows(snapshot, prefix=prefix),
                         columns=["metric", "kind", "value", "unit"],
                         title=title)
@@ -222,7 +256,6 @@ def render_metrics_table(snapshot: Dict[str, Dict[str, Any]], *,
 
 def render_spans_table(spans: List[Dict[str, Any]], *,
                        title: str = "") -> str:
-    from ..analysis.report import render_table  # repro: suppress REPRO203 -- ad-hoc console dump
     rows = [{
         "span": "  " * record.get("depth", 0) + record.get("name", "?"),
         "duration_ms": record.get("duration_ns", 0) / 1e6,

@@ -19,7 +19,8 @@ than a list), so their outputs are bit-for-bit identical and the
 simulated reports cannot depend on which backend ran. numpy is never
 required: :func:`resolve_kernel` falls back to :class:`PyKernel`, and
 the ``"numpy"`` spec raises :class:`~repro.errors.ExperimentError`
-when the import is unavailable rather than degrading silently.
+when the import is unavailable rather than degrading silently. numpy is
+imported on first use, so importing :mod:`repro.sim` never loads it.
 """
 
 from __future__ import annotations
@@ -28,19 +29,29 @@ from typing import Any, List, Sequence
 
 from ..errors import ExperimentError
 
-try:                                    # optional, never required
-    import numpy as _np
-except ImportError:                     # pragma: no cover - env dependent
-    _np = None
+#: numpy once :func:`_numpy` has looked for it (``None`` if absent).
+_UNLOADED: Any = object()
+_np: Any = _UNLOADED
 
 #: Kernel specs accepted by :func:`resolve_kernel` (and the
 #: ``vector[:KERNEL]`` engine grammar).
 KERNEL_SPECS = ("auto", "numpy", "py")
 
 
+def _numpy() -> Any:
+    """numpy, imported on the first call; ``None`` when unavailable."""
+    global _np
+    if _np is _UNLOADED:
+        try:                            # optional, never required
+            import numpy as _np
+        except ImportError:             # pragma: no cover - env dependent
+            _np = None
+    return _np
+
+
 def numpy_available() -> bool:
     """Whether the numpy kernel backend can be used in this process."""
-    return _np is not None
+    return _numpy() is not None
 
 
 class PyKernel:
@@ -86,16 +97,16 @@ class NumpyKernel:
     name = "numpy"
 
     def __init__(self) -> None:
-        if _np is None:
+        self._np = _numpy()
+        if self._np is None:
             raise ExperimentError(
                 "the numpy kernel was requested but numpy is not "
                 "importable; install numpy or use the 'py' kernel")
 
-    @staticmethod
-    def _as_int64(values: Sequence[int]):
+    def _as_int64(self, values: Sequence[int]):
         # array('q') / array('b') expose the buffer protocol, so this is
         # zero-copy for the batch's native storage.
-        return _np.asarray(values, dtype=_np.int64)
+        return self._np.asarray(values, dtype=self._np.int64)
 
     def align_blocks(self, addresses: Sequence[int],
                      block_size: int) -> List[int]:
@@ -113,12 +124,12 @@ class NumpyKernel:
             return [0]
         addrs = self._as_int64(addresses)
         core_ids = self._as_int64(cores)
-        ws = _np.asarray(is_writes) != 0
+        ws = self._np.asarray(is_writes) != 0
         change = ((addrs[1:] != addrs[:-1])
                   | (core_ids[1:] != core_ids[:-1])
                   | (ws[1:] != ws[:-1]))
         bounds = [0]
-        bounds.extend((_np.flatnonzero(change) + 1).tolist())
+        bounds.extend((self._np.flatnonzero(change) + 1).tolist())
         bounds.append(n)
         return bounds
 
@@ -131,7 +142,7 @@ def resolve_kernel(spec: str = "auto"):
     raises :class:`~repro.errors.ExperimentError` when unavailable).
     """
     if spec == "auto":
-        return NumpyKernel() if _np is not None else PyKernel()
+        return NumpyKernel() if numpy_available() else PyKernel()
     if spec == "numpy":
         return NumpyKernel()
     if spec == "py":

@@ -19,6 +19,7 @@ from ..cpu import Core
 from ..errors import SimulationError
 from ..kernel import Kernel
 from ..obs import EventRecorder, MetricsRegistry
+from ..obs.exporters import render_table
 from ..runtime import ExecutionContext
 from .machine import Machine
 
@@ -348,7 +349,6 @@ class System:
 
     def dump_stats(self) -> str:
         """A gem5-style multi-section statistics dump."""
-        from ..analysis.report import render_table  # repro: suppress REPRO203 -- debug printf
         report = self.report()
         sections = [f"---------- {self.name} ----------"]
         sections.append(render_table(

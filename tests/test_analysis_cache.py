@@ -12,8 +12,8 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis import Analyzer
-from repro.analysis.cache import AnalysisCache
+from repro.lint import Analyzer
+from repro.lint.cache import AnalysisCache
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -85,7 +85,7 @@ class TestIncrementalRuns:
     def test_edited_file_is_the_only_per_file_reparse(self, tmp_path):
         # Project passes reparse the whole set when any digest moves,
         # so observe per-file incrementality with a per-file pass only.
-        from repro.analysis.passes.format import FormatPass
+        from repro.lint.passes.format import FormatPass
         root = self._project(tmp_path)
         cache = root / "cache.json"
         Analyzer(root, passes=[FormatPass()], cache_path=cache).run()
@@ -109,7 +109,7 @@ class TestIncrementalRuns:
         root = self._project(tmp_path)
         cache = root / "cache.json"
         Analyzer(root, cache_path=cache).run()
-        from repro.analysis.passes.format import FormatPass
+        from repro.lint.passes.format import FormatPass
         monkeypatch.setattr(FormatPass, "version", FormatPass.version + 1)
         rerun = Analyzer(root, cache_path=cache).run()
         assert rerun.files_reparsed == 2

@@ -7,10 +7,10 @@ import ast
 import textwrap
 from types import SimpleNamespace
 
-from repro.analysis import Analyzer
-from repro.analysis.cfg import (ReachingDefinitions, build_cfg, def_value,
-                                shallow_defs)
-from repro.analysis.project import ProjectModel, SymbolTable
+from repro.lint import Analyzer
+from repro.lint.cfg import (ReachingDefinitions, build_cfg, def_value,
+                            shallow_defs)
+from repro.lint.project import ProjectModel, SymbolTable
 
 
 def _func(code):

@@ -5,11 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (Analyzer, module_name, render_json, render_text,
-                            report_from_json)
-from repro.analysis.engine import (CODE_BAD_SUPPRESSION,
-                                   CODE_UNUSED_SUPPRESSION, SourceFile,
-                                   parse_suppressions)
+from repro.lint import (Analyzer, module_name, render_json, render_text,
+                        report_from_json)
+from repro.lint.engine import (CODE_BAD_SUPPRESSION,
+                               CODE_UNUSED_SUPPRESSION, SourceFile,
+                               parse_suppressions)
 from repro.errors import ConfigError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -195,7 +195,7 @@ class TestReporters:
         assert rebuilt.counts == report.counts
 
     def test_sarif_levels_and_rules(self, tmp_path):
-        from repro.analysis import render_sarif
+        from repro.lint import render_sarif
         path = tmp_path / "bad.py"
         # REPRO003 (error) plus a stale suppression (REPRO011, advisory).
         path.write_text("x = 1   \n"

@@ -7,7 +7,7 @@ plus the repo-wide gate: the analyzer must be clean on this repository.
 
 from pathlib import Path
 
-from repro.analysis import Analyzer, builtin_passes, rule_catalog
+from repro.lint import Analyzer, builtin_passes, rule_catalog
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "analysis"
@@ -85,15 +85,16 @@ class TestLayeringFamily:
         assert '"repro.sim" -> "repro.core"' in out
 
     def test_import_graph_renders_dot(self):
-        from repro.analysis.passes.layering import render_import_graph
+        from repro.lint.passes.layering import render_import_graph
         analyzer = Analyzer(REPO_ROOT)
         dot = render_import_graph(
             analyzer.source_files([REPO_ROOT / "src" / "repro"]))
         assert dot.startswith("digraph repro_imports {")
         assert dot.rstrip().endswith("}")
         assert '"repro.core" -> "repro.cache"' in dot
-        # The suppressed sim->analysis local edge shows up dashed+red.
-        assert ('"repro.sim" -> "repro.analysis" '
+        # The suppressed config->serialization local edge shows up
+        # dashed+red.
+        assert ('"repro.config" -> "repro.serialization" '
                 "[style=dashed, color=red, penwidth=2];") in dot
         # No *module-level* upward (solid red) edges exist in the tree.
         for line in dot.splitlines():

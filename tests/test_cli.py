@@ -137,8 +137,8 @@ class TestWorkerCli:
         announces its registration, then drains after --max-tasks."""
         import threading
 
-        from repro.exec import (ClusterBackend, ClusterServer, Runner,
-                                spec_experiment)
+        from repro.exec import Runner, spec_experiment
+        from repro.exec.cluster import ClusterBackend, ClusterServer
 
         codes = {}
         with ClusterServer() as server:
@@ -347,11 +347,11 @@ class TestClusterCli:
         path = tmp_path / "cluster.key"
         assert main(["cluster", "keygen", str(path)]) == 0
         assert "cluster key written" in capsys.readouterr().out
-        from repro.exec import FrameAuth
+        from repro.exec.wire import FrameAuth
         assert FrameAuth.from_keyfile(path) is not None
 
     def test_status_against_live_dispatcher(self, capsys):
-        from repro.exec import ClusterServer
+        from repro.exec.cluster import ClusterServer
         with ClusterServer() as server:
             host, port = server.address
             assert main(["cluster", "status", f"{host}:{port}"]) == 0
@@ -360,7 +360,7 @@ class TestClusterCli:
         assert status["workers"] == []
 
     def test_drain_and_shutdown_round_trip(self, capsys):
-        from repro.exec import ClusterServer
+        from repro.exec.cluster import ClusterServer
         with ClusterServer() as server:
             host, port = server.address
             endpoint = f"{host}:{port}"

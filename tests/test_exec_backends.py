@@ -5,11 +5,11 @@ import json
 import pytest
 
 from repro.errors import BackendError, ExperimentError
-from repro.exec import (ClusterBackend, ExecutionBackend, ForkPoolBackend,
-                        Runner, SerialBackend, experiment_pair,
-                        parse_address, resolve_backend, run_experiments,
-                        spec_experiment)
+from repro.exec import (ExecutionBackend, ForkPoolBackend, Runner,
+                        SerialBackend, experiment_pair, parse_address,
+                        resolve_backend, run_experiments, spec_experiment)
 from repro.exec import backends as backends_module
+from repro.exec.cluster import ClusterBackend
 from repro.sim.system import SystemReport
 
 

@@ -17,14 +17,15 @@ import time
 import pytest
 
 from repro.errors import BackendError, ClusterError
-from repro.exec import (ClusterBackend, ClusterServer, Experiment, FairQueue,
-                        FrameAuth, ResultCache, Runner, cluster_drain,
-                        cluster_status, experiment_pair, register_workload,
-                        registered_worker_pool, spawn_registered_workers,
-                        spec_experiment)
+from repro.exec import (Experiment, ResultCache, Runner, experiment_pair,
+                        register_workload, spec_experiment)
+from repro.exec.cluster import (ClusterBackend, ClusterServer, FairQueue,
+                                cluster_drain, cluster_status)
 from repro.exec.wire import (MSG_BATCH_DONE, MSG_RESULT, MSG_SUBMIT,
-                             MSG_WELCOME, hello_message, recv_message,
-                             send_message)
+                             MSG_WELCOME, FrameAuth, hello_message,
+                             recv_message, send_message)
+from repro.exec.worker import (registered_worker_pool,
+                               spawn_registered_workers)
 from repro.obs import MetricsRegistry
 
 

@@ -110,7 +110,7 @@ class TestCreate:
         assert fork.jobs == 3
 
     def test_cluster_honours_options(self, tmp_path):
-        from repro.exec import FrameAuth
+        from repro.exec.wire import FrameAuth
         keyfile = tmp_path / "k"
         FrameAuth.generate_keyfile(keyfile)
         backend = BackendSpec.parse(

@@ -1,7 +1,9 @@
-"""Cross-cutting coverage: error hierarchy, machine helpers, catalogue
-smoke runs, result records, DEUCE in timing mode, random replacement."""
+"""Cross-cutting coverage: error hierarchy, package version, machine
+helpers, catalogue smoke runs, result records, DEUCE in timing mode,
+random replacement."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,23 @@ class TestErrorHierarchy:
         for name in repro.__all__:
             assert getattr(repro, name, None) is not None, name
         assert repro.__version__
+
+
+class TestPackageVersion:
+    def test_pyproject_takes_the_package_version(self):
+        # __version__ also salts the result cache, so an installed
+        # package must report the version it runs under.
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads(
+            (Path(__file__).resolve().parent.parent / "pyproject.toml")
+            .read_text(encoding="utf-8"))
+        project = pyproject["project"]
+        if "version" in project:
+            assert project["version"] == repro.__version__
+        else:
+            assert "version" in project["dynamic"]
+            dynamic = pyproject["tool"]["setuptools"]["dynamic"]
+            assert dynamic["version"] == {"attr": "repro.__version__"}
 
 
 class TestMachineHelpers:

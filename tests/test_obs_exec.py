@@ -6,11 +6,10 @@ import json
 
 import pytest
 
-from repro.exec import (ClusterBackend, ClusterServer, Experiment,
-                        ResultCache, Runner, registered_worker_pool,
-                        spec_experiment)
+from repro.exec import Experiment, ResultCache, Runner, spec_experiment
+from repro.exec.cluster import ClusterBackend, ClusterServer
 from repro.exec.wire import MSG_ERROR, MSG_RESULT, MSG_RUN
-from repro.exec.worker import _TaskExecutor
+from repro.exec.worker import _TaskExecutor, registered_worker_pool
 from repro.obs import MetricsRegistry
 from repro.sim.system import SystemReport
 

@@ -5,8 +5,8 @@ import urllib.request
 
 import pytest
 
-from repro.obs import (PROMETHEUS_CONTENT_TYPE, MetricsRegistry,
-                       start_metrics_server)
+from repro.obs import MetricsRegistry
+from repro.obs.scrape import PROMETHEUS_CONTENT_TYPE, start_metrics_server
 
 
 @pytest.fixture()
@@ -72,7 +72,7 @@ class TestWorkerWiring:
         import threading
 
         from repro.cli import main
-        from repro.exec import ClusterServer
+        from repro.exec.cluster import ClusterServer
 
         codes = {}
         with ClusterServer() as server:

@@ -17,10 +17,11 @@ import tempfile
 import threading
 from pathlib import Path
 
-from repro.exec import (ClusterBackend, ClusterServer, FrameAuth,
-                        ResultCache, Runner, cluster_drain, cluster_status,
-                        experiment_pair, registered_worker_pool,
-                        spec_experiment)
+from repro.exec import ResultCache, Runner, experiment_pair, spec_experiment
+from repro.exec.cluster import (ClusterBackend, ClusterServer, cluster_drain,
+                                cluster_status)
+from repro.exec.wire import FrameAuth
+from repro.exec.worker import registered_worker_pool
 
 
 def canonical(reports):

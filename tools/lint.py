@@ -2,7 +2,7 @@
 """Format-only lint gate — a shim over the ``repro`` analyzer.
 
 The standalone checker this file used to contain now lives in
-``repro.analysis`` as the ``format`` pass family (rules
+``repro.lint`` as the ``format`` pass family (rules
 ``REPRO001``-``REPRO005``: syntax errors, tabs, trailing whitespace,
 over-long lines, missing trailing newline). This entry point keeps the
 historical interface — ``python tools/lint.py [paths...]``, one
@@ -23,7 +23,7 @@ FORMAT_CODES = "REPRO001,REPRO002,REPRO003,REPRO004,REPRO005"
 
 def main(argv: Optional[List[str]] = None) -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.analysis import Analyzer
+    from repro.lint import Analyzer
     argv = list(sys.argv[1:] if argv is None else argv)
     analyzer = Analyzer(REPO_ROOT, select=FORMAT_CODES)
     report = analyzer.run(argv or None)

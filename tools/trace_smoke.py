@@ -24,8 +24,9 @@ import json
 import os
 import sys
 
-from repro.exec import (ClusterBackend, ClusterServer, Experiment, Runner,
-                        registered_worker_pool)
+from repro.exec import Experiment, Runner
+from repro.exec.cluster import ClusterBackend, ClusterServer
+from repro.exec.worker import registered_worker_pool
 from repro.obs import default_tracer, format_event, to_trace_events
 
 TASKS = 6
