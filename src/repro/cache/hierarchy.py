@@ -8,12 +8,14 @@ payloads (upper levels are tag-only), which keeps the functional model
 simple — a write updates the L4 copy and marks it dirty; dirty L4
 victims are written back to the memory controller below.
 
-The hierarchy talks to the world below through two callbacks:
+The hierarchy talks to the world below through two callbacks, in a
+full machine the controller's own ``fetch_block``/``store_block``:
 
-* ``miss_handler(address, now_ns) -> MemoryFetch`` — fetch a block from
-  the (secure) memory controller; may report a *zero-filled* block for
-  shredded pages that never touch NVM.
-* ``writeback_handler(address, data, now_ns) -> None`` — a dirty block
+* ``miss_handler(address, now_ns)`` — fetch a block; returns anything
+  with :class:`MemoryFetch`'s ``data``/``latency_ns``/``zero_filled``
+  (the controller's ``AccessResult``), and may report a *zero-filled*
+  block for shredded pages that never touch NVM.
+* ``writeback_handler(address, data, now_ns)`` — a dirty block
   leaves the hierarchy.
 
 Shredding interacts with the hierarchy through

@@ -24,7 +24,14 @@ clocks in simulation layers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
+
+#: Default latency bins (ns) of simulator-side histograms: powers of two
+#: from an L1-ish hit to well past an NVM page re-encryption. The
+#: controller buckets ``mem.ctrl.read_latency_ns`` by these (it may not
+#: import :mod:`repro.obs`, which re-exports them).
+DEFAULT_LATENCY_BUCKETS_NS: Tuple[float, ...] = (
+    25.0, 50.0, 100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0, 6400.0, 12800.0)
 
 
 @dataclass

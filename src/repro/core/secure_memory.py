@@ -21,10 +21,11 @@ pad, write ciphertext.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
-from ..clock import SimClock, resolve_time
+from ..clock import DEFAULT_LATENCY_BUCKETS_NS, SimClock, resolve_time
 from ..config import SystemConfig
 from ..crypto import CounterModeEngine, make_cipher
 from ..errors import AddressError
@@ -34,9 +35,9 @@ from ..cache.counter_cache import CounterCache, CounterEviction
 from .iv import CounterBlock, IVLayout, MINOR_SHREDDED
 
 if TYPE_CHECKING:
-    # Type-only: the controller takes an injected registry and must not
-    # import the telemetry layer at runtime (layering rule REPRO202).
-    from ..obs import EventRecorder, MetricsRegistry
+    # Type-only: the controller takes an injected flight recorder and
+    # must not import the telemetry layer at runtime (REPRO202).
+    from ..obs import EventRecorder
 
 #: Cycles charged for a Merkle path verification / update on a counter
 #: block fetched from (written to) NVM. Matches the "about 2% overhead"
@@ -57,8 +58,20 @@ class SecureMemoryStats:
     counter_writebacks: int = 0       # counter blocks written to NVM
     reencryptions: int = 0            # whole-page re-encryptions
     shreds: int = 0                   # shred commands executed
-    total_read_latency_ns: float = 0.0
+    # Integer 0 until the first read, like an empty histogram's sum.
+    total_read_latency_ns: float = 0
     read_requests: int = 0
+    #: Reads per DEFAULT_LATENCY_BUCKETS_NS bucket, overflow last: the
+    #: ``mem.ctrl.read_latency_ns`` histogram, published by pull.
+    read_latency_buckets: List[int] = field(
+        default_factory=lambda: [0] * (len(DEFAULT_LATENCY_BUCKETS_NS) + 1))
+
+    def record_read(self, latency_ns: float, count: int = 1) -> None:
+        """Account ``count`` served reads of ``latency_ns`` each."""
+        self.read_requests += count
+        self.total_read_latency_ns += count * latency_ns
+        self.read_latency_buckets[
+            bisect_left(DEFAULT_LATENCY_BUCKETS_NS, latency_ns)] += count
 
     @property
     def avg_read_latency_ns(self) -> float:
@@ -109,13 +122,11 @@ class SecureMemoryController:
 
     def __init__(self, config: SystemConfig, *,
                  device: Optional[NVMDevice] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  events: Optional[EventRecorder] = None,
                  clock: Optional[SimClock] = None) -> None:
         self.config = config
-        self.metrics = metrics
-        # The flight recorder (injected like the registry, same layering
-        # rule): security-relevant transitions land here in sim order.
+        # The flight recorder (injected, never imported): security-
+        # relevant transitions land here in sim order.
         self.events = events
         self.clock = clock if clock is not None else SimClock()
         self.block_size = config.block_size
@@ -142,8 +153,7 @@ class SecureMemoryController:
             device = NVMDevice(_replace(config.nvm,
                                         capacity_bytes=physical_total),
                                block_size=self.block_size,
-                               functional=config.functional,
-                               metrics=metrics, metrics_prefix="mem.nvm")
+                               functional=config.functional)
         self.device = device
         if wear_leveler is not None and config.functional:
             def _move(src_line: int, dst_line: int,
@@ -152,7 +162,6 @@ class SecureMemoryController:
             wear_leveler.move_hook = _move
         self.mem = MemoryController.for_nvm(device, config.nvm,
                                             wear_leveler=wear_leveler,
-                                            metrics=metrics,
                                             clock=self.clock)
 
         self.minor_bits = config.encryption.minor_counter_bits
@@ -175,12 +184,6 @@ class SecureMemoryController:
         self._merkle_latency_ns = MERKLE_CYCLES * cycle_ns
         self.functional = config.functional
         self._zero_block = bytes(self.block_size)
-        # Simulated read-latency distribution (deterministic — these are
-        # model nanoseconds, not wall time), when a registry is attached.
-        self._read_latency_hist = None
-        if metrics is not None:
-            self._read_latency_hist = metrics.histogram(
-                "mem.ctrl.read_latency_ns", unit="ns")
 
     # -- address helpers ---------------------------------------------------
 
@@ -288,10 +291,7 @@ class SecureMemoryController:
             if self.events is not None:
                 self.events.emit("zero_fill", page_id, now)
             self.stats.zero_fill_reads += 1
-            self.stats.read_requests += 1
-            self.stats.total_read_latency_ns += latency
-            if self._read_latency_hist is not None:
-                self._read_latency_hist.observe(latency)
+            self.stats.record_read(latency)
             return AccessResult(data=self._zero_block if self.functional else None,
                                 latency_ns=latency, zero_filled=True,
                                 counter_hit=hit)
@@ -310,10 +310,7 @@ class SecureMemoryController:
         latency = (counter_latency
                    + max(access.latency_ns, self._pad_latency_ns)
                    + self._xor_latency_ns)
-        self.stats.read_requests += 1
-        self.stats.total_read_latency_ns += latency
-        if self._read_latency_hist is not None:
-            self._read_latency_hist.observe(latency)
+        self.stats.record_read(latency)
         return AccessResult(data=plaintext, latency_ns=latency, counter_hit=hit)
 
     def store_block(self, address: int, data: Optional[bytes] = None,

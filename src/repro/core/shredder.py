@@ -47,9 +47,8 @@ class SilentShredderController(SecureMemoryController):
     def __init__(self, config: SystemConfig, *,
                  policy: Optional[ShredPolicy] = None,
                  device: Optional[NVMDevice] = None,
-                 metrics=None, events=None, clock=None) -> None:
-        super().__init__(config, device=device, metrics=metrics,
-                         events=events, clock=clock)
+                 events=None, clock=None) -> None:
+        super().__init__(config, device=device, events=events, clock=clock)
         self.policy = policy if policy is not None else MajorResetMinorsPolicy()
         # Zero-fill reads only exist under the reserved-zero policy.
         self.zero_semantics = self.policy.reads_return_zero

@@ -127,7 +127,7 @@ class ResultCache:
         """
         stats = self.stats
 
-        def _collect() -> None:
+        def _collect(registry) -> None:
             for name, value in (
                     ("memory_hits", stats.memory_hits),
                     ("disk_hits", stats.disk_hits),

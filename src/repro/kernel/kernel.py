@@ -20,7 +20,7 @@ user-level examples (sparse matrices, managed-language zero init).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import PageFaultError, SimulationError
 from .page_table import PageTable
@@ -78,7 +78,8 @@ class Kernel:
         self.allocator = allocator
         self.zeroing = zeroing if zeroing is not None else ZeroingEngine(machine)
         self.zero_page_ppn = 0
-        self.system = None            # set by repro.sim.System (TLB shootdown)
+        # (pid, core, TLB) of every context, for TLB shootdowns.
+        self._tlbs: List[tuple] = []
         self.processes: Dict[int, Process] = {}
         self._next_pid = 1
         self._ever_allocated: set = set()
@@ -110,6 +111,11 @@ class Kernel:
 
     # -- process lifecycle ----------------------------------------------------
 
+    def register_tlb(self, pid: int, core, tlb) -> None:
+        """Subject ``tlb`` (a context of ``pid`` on ``core``) to this
+        kernel's munmap, COW and exit shootdowns."""
+        self._tlbs.append((pid, core, tlb))
+
     def create_process(self) -> Process:
         process = Process(self._next_pid, self.page_size)
         self.processes[process.pid] = process
@@ -132,10 +138,9 @@ class Kernel:
                 self.allocator.free(entry.ppn)
                 freed += 1
         process.page_table.clear()
-        contexts = self.system.contexts if self.system is not None else []
-        for ctx in contexts:
-            if ctx.pid == pid and ctx.tlb is not None:
-                ctx.tlb.flush()
+        for owner, _core, tlb in self._tlbs:
+            if owner == pid:
+                tlb.flush()
         return freed
 
     def mmap(self, pid: int, length: int, *, huge: bool = False) -> Region:
@@ -285,15 +290,12 @@ class Kernel:
     def _tlb_shootdown(self, region: Region) -> None:
         """Invalidate the region's translations in every context's TLB
         and charge each affected core an IPI cost."""
-        contexts = self.system.contexts if self.system is not None else []
-        for ctx in contexts:
-            if ctx.tlb is None:
-                continue
-            first_vpn = region.start // self.page_size
+        first_vpn = region.start // self.page_size
+        for _pid, core, tlb in self._tlbs:
             for vpn in range(first_vpn,
                              first_vpn + region.length // self.page_size):
-                ctx.tlb.invalidate(vpn)
-            ctx.core.stall(SHOOTDOWN_CYCLES)
+                tlb.invalidate(vpn)
+            core.stall(SHOOTDOWN_CYCLES)
 
     def _cow_shootdown(self, pid: int, vpns, core: int) -> None:
         """A write fault replaced present (read-only Zero Page) mappings:
@@ -301,14 +303,13 @@ class Kernel:
         core cannot keep reading the Zero Page after the write. Each
         other core is charged an IPI; the faulting core refills its own
         TLB from the fault."""
-        contexts = self.system.contexts if self.system is not None else []
-        for ctx in contexts:
-            if ctx.pid != pid or ctx.tlb is None:
+        for owner, other, tlb in self._tlbs:
+            if owner != pid:
                 continue
             for vpn in vpns:
-                ctx.tlb.invalidate(vpn)
-            if ctx.core_id != core:
-                ctx.core.stall(SHOOTDOWN_CYCLES)
+                tlb.invalidate(vpn)
+            if other.core_id != core:
+                other.stall(SHOOTDOWN_CYCLES)
 
     # -- pre-zeroed pool (FreeBSD-style) ------------------------------------------
 

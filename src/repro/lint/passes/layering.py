@@ -10,10 +10,11 @@ layers usable without dragging in the toolchain.
 
 REPRO202 is stricter policy for the hot simulation substrate:
 ``core``/``mem``/``cache`` must not import ``exec``, ``obs``, or
-``cli`` at runtime at all — telemetry reaches them by injection (a
-``MetricsRegistry`` passed in), never by import. Type-only imports
-under ``if TYPE_CHECKING:`` and imports local to a function body are
-exempt; both are the established escape hatches in this codebase.
+``cli`` at runtime at all — the flight recorder reaches them by
+injection and metrics are pulled from their plain stats fields, never
+by import. Type-only imports under ``if TYPE_CHECKING:`` and imports
+local to a function body are exempt; both are the established escape
+hatches in this codebase.
 
 REPRO203 closes the second escape hatch's loophole: a function-local
 import that resolves to a *strictly higher* layer still creates the

@@ -38,7 +38,6 @@ class MemoryController:
     def __init__(self, device: MemoryDevice, *,
                  num_channels: int = 2, channel_bandwidth_gbps: float = 12.8,
                  wear_leveler: Optional[StartGapWearLeveler] = None,
-                 metrics=None, metrics_prefix: str = "mem.channel",
                  clock: Optional[SimClock] = None) -> None:
         self.device = device
         self.clock = clock if clock is not None else SimClock()
@@ -46,7 +45,7 @@ class MemoryController:
         self.channels = ChannelModel(num_channels, channel_bandwidth_gbps,
                                      device.block_size)
         self.wear_leveler = wear_leveler
-        self.stats = MemoryStats(registry=metrics, prefix=metrics_prefix)
+        self.stats = MemoryStats()
         # Bus probes (section 2.2 attack model): every payload crossing
         # the processor<->memory bus is shown to attached snoopers. With
         # processor-side counter-mode encryption they only ever see
@@ -57,13 +56,11 @@ class MemoryController:
     @classmethod
     def for_nvm(cls, device: MemoryDevice, config: NVMConfig, *,
                 wear_leveler: Optional[StartGapWearLeveler] = None,
-                metrics=None,
                 clock: Optional[SimClock] = None) -> "MemoryController":
         return cls(device,
                    num_channels=config.num_channels,
                    channel_bandwidth_gbps=config.channel_bandwidth_gbps,
                    wear_leveler=wear_leveler,
-                   metrics=metrics,
                    clock=clock)
 
     # -- address remapping -------------------------------------------------

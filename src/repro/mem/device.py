@@ -9,15 +9,10 @@ parameter sweeps fast.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Optional
 
 from ..errors import AddressError, AlignmentError
 from .stats import MemoryStats
-
-if TYPE_CHECKING:
-    # Type-only: devices take an injected registry and must not import
-    # the telemetry layer at runtime (layering rule REPRO202).
-    from ..obs import MetricsRegistry
 
 
 class MemoryDevice:
@@ -26,9 +21,7 @@ class MemoryDevice:
     def __init__(self, capacity_bytes: int, block_size: int = 64, *,
                  read_latency_ns: float, write_latency_ns: float,
                  read_energy_pj: float, write_energy_pj: float,
-                 functional: bool = True,
-                 metrics: Optional[MetricsRegistry] = None,
-                 metrics_prefix: str = "mem.device") -> None:
+                 functional: bool = True) -> None:
         if capacity_bytes % block_size != 0:
             raise AddressError("capacity must be a whole number of blocks")
         self.capacity_bytes = capacity_bytes
@@ -38,7 +31,7 @@ class MemoryDevice:
         self.read_energy_pj = read_energy_pj
         self.write_energy_pj = write_energy_pj
         self.functional = functional
-        self.stats = MemoryStats(registry=metrics, prefix=metrics_prefix)
+        self.stats = MemoryStats()
         # Sparse line store: absent lines read as zero-filled.
         self._lines: Dict[int, bytes] = {}
         self._zero_line = bytes(block_size)

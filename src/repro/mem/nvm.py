@@ -37,8 +37,7 @@ class NVMDevice(MemoryDevice):
 
     def __init__(self, config: NVMConfig, block_size: int = 64, *,
                  functional: bool = True, write_scheme: str = "fnw",
-                 fail_on_endurance: bool = False,
-                 metrics=None, metrics_prefix: str = "mem.nvm") -> None:
+                 fail_on_endurance: bool = False) -> None:
         super().__init__(
             config.capacity_bytes, block_size,
             read_latency_ns=config.read_latency_ns,
@@ -46,7 +45,6 @@ class NVMDevice(MemoryDevice):
             read_energy_pj=config.read_energy_pj,
             write_energy_pj=config.write_energy_pj,
             functional=functional,
-            metrics=metrics, metrics_prefix=metrics_prefix,
         )
         if write_scheme not in ("naive", "dcw", "fnw"):
             raise ValueError(f"unknown write scheme {write_scheme!r}")

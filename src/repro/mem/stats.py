@@ -1,38 +1,20 @@
 """Counters collected by memory devices and controllers.
 
-Since the telemetry layer (:mod:`repro.obs`) landed, the numbers live
-in :class:`~repro.obs.MetricsRegistry` counters and
-:class:`MemoryStats` is a *view* over them: construct it bound to a
-registry and prefix (``MemoryStats(registry=reg, prefix="mem.nvm")``)
-and every ``record_read``/``record_write`` feeds instruments named
-``mem.nvm.reads``, ``mem.nvm.writes`` and so on, which exporters then
-dump alongside the rest of the stack. Constructed bare, it owns a
-private registry and behaves exactly like the original dataclass —
-same attributes, properties and ``snapshot()``.
+:class:`MemoryStats` keeps plain fields, incremented in place on every
+block transaction; no simulator component holds a metrics registry.
+The owning :class:`~repro.sim.System`'s collector publishes the NVM
+device's fields as ``mem.nvm.*`` and the channel controller's as
+``mem.channel.*`` when its registry is snapshotted.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict
 
-if TYPE_CHECKING:
-    # Type-only at module level: mem must not import the telemetry
-    # layer at runtime (layering rule REPRO202). The bare-construction
-    # default in __init__ imports it lazily instead.
-    from ..obs import MetricsRegistry
-
-#: (field, unit) of each counter a MemoryStats view exposes.
-_COUNTER_FIELDS = (
-    ("reads", "ops"),
-    ("writes", "ops"),
-    ("bytes_read", "bytes"),
-    ("bytes_written", "bytes"),
-    ("bits_written", "bits"),
-    ("read_energy_pj", "pJ"),
-    ("write_energy_pj", "pJ"),
-    ("total_read_latency_ns", "ns"),
-    ("total_write_latency_ns", "ns"),
-)
+#: The summed fields of a MemoryStats.
+_FIELDS = ("reads", "writes", "bytes_read", "bytes_written", "bits_written",
+          "read_energy_pj", "write_energy_pj", "total_read_latency_ns",
+          "total_write_latency_ns")
 
 
 class MemoryStats:
@@ -40,49 +22,30 @@ class MemoryStats:
 
     ``reads``/``writes`` count block transactions; ``bits_written`` counts
     actual cell programs after Data-Comparison-Write / Flip-N-Write, which
-    is what endurance and write energy scale with.
+    is what endurance and write energy scale with. Every field starts at
+    integer 0, so an idle device publishes ``0``, not ``0.0``.
     """
 
-    def __init__(self, *, registry: Optional[MetricsRegistry] = None,
-                 prefix: str = "mem.device") -> None:
-        if registry is None:
-            from ..obs import MetricsRegistry as _Registry
-            registry = _Registry()
-        self.registry = registry
-        self.prefix = prefix
-        self._counters = {
-            name: self.registry.counter(
-                f"{prefix}.{name}",  # repro: suppress REPRO402 -- prefix is caller-checked
-                unit=unit)
-            for name, unit in _COUNTER_FIELDS
-        }
+    def __init__(self) -> None:
+        self.reset()
 
     # -- recording ----------------------------------------------------------------
 
     def record_read(self, nbytes: int, latency_ns: float, energy_pj: float) -> None:
-        counters = self._counters
-        counters["reads"].inc()
-        counters["bytes_read"].inc(nbytes)
-        counters["total_read_latency_ns"].inc(latency_ns)
-        counters["read_energy_pj"].inc(energy_pj)
+        self.reads += 1
+        self.bytes_read += nbytes
+        self.total_read_latency_ns += latency_ns
+        self.read_energy_pj += energy_pj
 
     def record_write(self, nbytes: int, bits_flipped: int, latency_ns: float,
                      energy_pj: float) -> None:
-        counters = self._counters
-        counters["writes"].inc()
-        counters["bytes_written"].inc(nbytes)
-        counters["bits_written"].inc(bits_flipped)
-        counters["total_write_latency_ns"].inc(latency_ns)
-        counters["write_energy_pj"].inc(energy_pj)
+        self.writes += 1
+        self.bytes_written += nbytes
+        self.bits_written += bits_flipped
+        self.total_write_latency_ns += latency_ns
+        self.write_energy_pj += energy_pj
 
-    # -- the dataclass-compatible view ----------------------------------------------
-
-    def __getattr__(self, name: str):
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            return counters[name].value
-        raise AttributeError(f"{type(self).__name__!r} object has no "
-                             f"attribute {name!r}")
+    # -- derived values -------------------------------------------------------------
 
     @property
     def total_energy_pj(self) -> float:
@@ -113,14 +76,14 @@ class MemoryStats:
     # -- aggregation --------------------------------------------------------------
 
     def merge(self, other: "MemoryStats") -> None:
-        """Fold another view's totals into this one (multi-channel /
-        multi-device aggregation for exporters; adds, never replaces,
-        so repeated snapshots don't double-count)."""
-        for name, _unit in _COUNTER_FIELDS:
-            self._counters[name].inc(getattr(other, name))
+        """Fold another instance's totals into this one (multi-channel /
+        multi-device aggregation; adds, never replaces)."""
+        for name in _FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def reset(self) -> None:
-        """Zero every counter in place, keeping the registry binding
-        (replacing the object would orphan the bound instruments)."""
-        for counter in self._counters.values():
-            counter.reset()
+        """Zero every field in place."""
+        self.reads = self.writes = 0
+        self.bytes_read = self.bytes_written = self.bits_written = 0
+        self.read_energy_pj = self.write_energy_pj = 0
+        self.total_read_latency_ns = self.total_write_latency_ns = 0

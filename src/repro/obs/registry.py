@@ -20,20 +20,25 @@ JSON scalars, so they cross process and wire boundaries unchanged, and
 that lets a distributed sweep merge per-worker registries into exactly
 the totals a serial run would have produced.
 
-Pull-style sources (stats dataclasses that predate the registry)
-attach through :meth:`MetricsRegistry.register_collector`; collectors
-run at snapshot time and publish via :meth:`Counter.set_total` /
-:meth:`Gauge.set`, keeping the registry current without instrumenting
-every increment site.
+Pull-style sources (plain stats fields, such as every simulator
+statistic) attach through :meth:`MetricsRegistry.register_collector`;
+collectors run at snapshot time, receive the registry, and publish via
+:meth:`Counter.set_total` / :meth:`Gauge.set` /
+:meth:`Histogram.set_counts`, keeping the registry current without
+instrumenting every increment site. Because the registry is passed in,
+a collector need not reference it, so no reference cycle keeps a
+finished source alive.
 """
 
 from __future__ import annotations
 
 import re
 import threading
+from bisect import bisect_left
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
+from ..clock import DEFAULT_LATENCY_BUCKETS_NS
 from ..errors import ObservabilityError
 
 #: Hierarchical instrument names: lowercase dotted segments.
@@ -41,11 +46,6 @@ _NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
 
 #: The sentinel upper bound of a histogram's overflow bucket.
 INF = "+Inf"
-
-#: Default latency bins (ns) used by simulator-side histograms: powers
-#: of two from an L1-ish hit to well past an NVM page re-encryption.
-DEFAULT_LATENCY_BUCKETS_NS: Tuple[float, ...] = (
-    25.0, 50.0, 100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0, 6400.0, 12800.0)
 
 #: Wall-clock bins (ns) for toolchain-side histograms (task/batch
 #: durations): 1 ms up to a minute.
@@ -194,12 +194,9 @@ class Histogram(Instrument):
         return self._sum
 
     def observe(self, value: Number) -> None:
+        # The first bound >= value; past the last bound, the overflow.
+        index = bisect_left(self.bounds, value)
         with self._lock:
-            index = len(self.bounds)
-            for i, bound in enumerate(self.bounds):
-                if value <= bound:
-                    index = i
-                    break
             self._counts[index] += 1
             self._count += 1
             self._sum += value
@@ -216,15 +213,27 @@ class Histogram(Instrument):
                 f"histogram {self.name}: negative observation count {count}")
         if count == 0:
             return
+        index = bisect_left(self.bounds, value)
         with self._lock:
-            index = len(self.bounds)
-            for i, bound in enumerate(self.bounds):
-                if value <= bound:
-                    index = i
-                    break
             self._counts[index] += count
             self._count += count
             self._sum += value * count
+
+    def set_counts(self, counts: Sequence[int], total: Number) -> None:
+        """Collector hook: publish a distribution bucketed elsewhere.
+
+        ``counts`` holds the non-cumulative count of each bound's bucket
+        with the overflow bucket last, as ``bisect_left`` over ``bounds``
+        places values; ``total`` is the sum of the observed values.
+        """
+        if len(counts) != len(self._counts):
+            raise ObservabilityError(
+                f"histogram {self.name} has {len(self._counts)} buckets, "
+                f"got {len(counts)} counts")
+        with self._lock:
+            self._counts = list(counts)
+            self._count = sum(self._counts)
+            self._sum = total
 
     def describe(self) -> Dict[str, Any]:
         cumulative = []
@@ -243,8 +252,9 @@ class Histogram(Instrument):
             self._sum = 0
 
 
-#: A pull-style metrics source run at snapshot time.
-CollectorFn = Callable[[], None]
+#: A pull-style metrics source, run at snapshot time with the registry
+#: to publish into.
+CollectorFn = Callable[["MetricsRegistry"], None]
 
 
 class MetricsRegistry:
@@ -288,7 +298,9 @@ class MetricsRegistry:
                                    unit=unit, description=description)
 
     def register_collector(self, collector: CollectorFn) -> None:
-        """Attach a pull-style source, run (in order) by :meth:`snapshot`."""
+        """Attach a pull-style source, run (in order) by :meth:`snapshot`
+        as ``collector(registry)``. The registry holds it strongly, so
+        it keeps publishing for as long as the registry lives."""
         self._collectors.append(collector)
 
     # -- access -------------------------------------------------------------------
@@ -309,7 +321,7 @@ class MetricsRegistry:
         """A deterministic (name-sorted) plain-dict copy of every
         instrument, after running registered collectors."""
         for collector in self._collectors:
-            collector()
+            collector(self)
         return {name: self._instruments[name].describe()
                 for name in sorted(self._instruments)}
 
@@ -389,13 +401,11 @@ class MetricsRegistry:
             raise ObservabilityError(
                 f"histogram {name!r} bucket mismatch: registry has "
                 f"{histogram.bounds}, snapshot has {bounds}")
-        with self._lock:
-            previous = 0
-            for index, (_le, cumulative) in enumerate(buckets):
-                histogram._counts[index] = cumulative - previous
-                previous = cumulative
-            histogram._count = entry.get("count", 0)
-            histogram._sum = entry.get("sum", 0)
+        counts, previous = [], 0
+        for _le, cumulative in buckets:
+            counts.append(cumulative - previous)
+            previous = cumulative
+        histogram.set_counts(counts, entry.get("sum", 0))
 
     def reset(self) -> None:
         """Zero every instrument (the registry keeps its registrations)."""

@@ -18,10 +18,13 @@ from ..errors import SimulationError
 
 
 class ExecutionContext:
-    """A (process, core) pair executing against the simulated system."""
+    """A (process, core) pair executing against the simulated system.
+
+    Keeps the system's machine, kernel and core, not the system itself,
+    and registers its TLB with the kernel for shootdowns.
+    """
 
     def __init__(self, system, pid: int, core_id: int) -> None:
-        self.system = system
         self.machine = system.machine
         self.kernel = system.kernel
         self.pid = pid
@@ -46,6 +49,7 @@ class ExecutionContext:
             self.tlb = TLB(system.config.cpu.tlb_entries, self.page_size,
                            huge_span=huge_span)
             self._tlb_penalty = system.config.cpu.tlb_miss_penalty_cycles
+            self.kernel.register_tlb(pid, self.core, self.tlb)
 
     # -- memory management -------------------------------------------------------
 

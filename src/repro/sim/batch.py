@@ -404,11 +404,7 @@ class HierarchyMissPort:
         stats.counter_hits += count
         self._cc.record_hits(self._page, count)
         stats.zero_fill_reads += count
-        stats.read_requests += count
-        stats.total_read_latency_ns += count * latency
-        hist = ctl._read_latency_hist
-        if hist is not None:
-            hist.observe_many(latency, count)
+        stats.record_read(latency, count)
 
     def close(self) -> None:
         """Flush and invalidate the window (before shreds / at end)."""
@@ -760,7 +756,6 @@ class BatchEngine(AccessEngine):
             raise SimulationError(
                 f"page {page_id} counters not resident after segment head")
         stats = ctl.stats
-        hist = ctl._read_latency_hist
         hit_latency = ctl._counter_latency_ns
         pad_ns = ctl._pad_latency_ns
         xor_ns = ctl._xor_latency_ns
@@ -782,10 +777,7 @@ class BatchEngine(AccessEngine):
                 # scalar engine's per-access zero_fill events.
                 ctl.events.emit("zero_fill", page_id, now, count=zero_run)
             stats.zero_fill_reads += zero_run
-            stats.read_requests += zero_run
-            stats.total_read_latency_ns += zero_run * hit_latency
-            if hist is not None:
-                hist.observe_many(hit_latency, zero_run)
+            stats.record_read(hit_latency, zero_run)
             result.reads += zero_run
             result.zero_fill_reads += zero_run
             result.total_latency_ns += zero_run * hit_latency
@@ -807,10 +799,7 @@ class BatchEngine(AccessEngine):
                 stats.data_reads += 1
                 latency = (hit_latency
                            + max(access.latency_ns, pad_ns) + xor_ns)
-                stats.read_requests += 1
-                stats.total_read_latency_ns += latency
-                if hist is not None:
-                    hist.observe(latency)
+                stats.record_read(latency)
                 result.reads += 1
                 result.total_latency_ns += latency
                 if functional:

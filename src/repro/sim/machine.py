@@ -4,6 +4,10 @@ Couples the cache hierarchy to a secure memory controller (baseline
 counter-mode, or Silent Shredder with its MMIO shred register) and
 exposes physical-address load/store plus the shred datapath. The
 kernel model and CPU cores sit on top.
+
+The hierarchy calls the controller's ``fetch_block``/``store_block``
+directly, and nothing below the machine references it, so a finished
+machine is freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -15,46 +19,32 @@ from ..config import SystemConfig
 from ..core import (SecureMemoryController, ShredRegister,
                     SilentShredderController)
 from ..core.policies import ShredPolicy
-from ..cache import CacheHierarchy, MemoryFetch
+from ..cache import CacheHierarchy
 
 
 class Machine:
     """Hardware assembly at the physical-address level."""
 
     def __init__(self, config: SystemConfig, *, shredder: bool = True,
-                 policy: Optional[ShredPolicy] = None,
-                 metrics=None, events=None,
+                 policy: Optional[ShredPolicy] = None, events=None,
                  clock: Optional[SimClock] = None) -> None:
         self.config = config
         self.functional = config.functional
         self.block_size = config.block_size
-        self.metrics = metrics
         self.events = events
         self.clock = clock if clock is not None else SimClock()
         if shredder:
             self.controller: SecureMemoryController = SilentShredderController(
-                config, policy=policy, metrics=metrics, events=events,
-                clock=self.clock)
+                config, policy=policy, events=events, clock=self.clock)
         else:
-            self.controller = SecureMemoryController(config, metrics=metrics,
-                                                     events=events,
+            self.controller = SecureMemoryController(config, events=events,
                                                      clock=self.clock)
-        self.hierarchy = CacheHierarchy(config, self._on_miss, self._on_writeback)
+        self.hierarchy = CacheHierarchy(config, self.controller.fetch_block,
+                                        self.controller.store_block)
         self.shred_register: Optional[ShredRegister] = None
         if shredder:
             self.shred_register = ShredRegister(self.controller, self.hierarchy)
         self.has_shredder = shredder
-
-    # -- hierarchy <-> controller glue ------------------------------------------
-
-    def _on_miss(self, address: int, now_ns: float) -> MemoryFetch:
-        result = self.controller.fetch_block(address, now_ns)
-        return MemoryFetch(data=result.data, latency_ns=result.latency_ns,
-                           zero_filled=result.zero_filled)
-
-    def _on_writeback(self, address: int, data: Optional[bytes],
-                      now_ns: float) -> None:
-        self.controller.store_block(address, data, now_ns)
 
     # -- physical-address access helpers -----------------------------------------
 

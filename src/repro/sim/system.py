@@ -6,11 +6,18 @@ perform work through an :class:`~repro.runtime.ExecutionContext` and
 core clock is furthest behind, which interleaves the cores' traffic
 through the shared caches and memory channels the way concurrent
 execution would.
+
+Ownership is a tree: no simulator component references its owner or
+the metrics registry. The registry's collector is bound to the
+machine, kernel, cores and event recorder (never the ``System``), so a
+finished system is freed by reference counting as soon as its last
+outside reference goes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional
 
 from ..config import SystemConfig, default_config
@@ -116,13 +123,15 @@ class System:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = events if events is not None else EventRecorder()
         self.machine = Machine(self.config, shredder=shredder, policy=policy,
-                               metrics=self.metrics, events=self.events)
+                               events=self.events)
         self.kernel = Kernel(self.machine)
-        self.kernel.system = self      # for TLB shootdowns on munmap
         self.cores = [Core(i, self.config.cpu)
                       for i in range(self.config.cpu.num_cores)]
-        self.contexts: List[ExecutionContext] = []
-        self.metrics.register_collector(self._collect_metrics)
+        # _collect_metrics is static: the partial holds the components,
+        # not this System, so registering it forms no reference cycle.
+        self.metrics.register_collector(partial(
+            self._collect_metrics, self.machine, self.kernel, self.cores,
+            self.events))
 
     @property
     def shredder_enabled(self) -> bool:
@@ -149,9 +158,7 @@ class System:
         if core_id < 0 or core_id >= len(self.cores):
             raise SimulationError(f"no core {core_id}")
         process = self.kernel.create_process()
-        ctx = ExecutionContext(self, process.pid, core_id)
-        self.contexts.append(ctx)
-        return ctx
+        return ExecutionContext(self, process.pid, core_id)
 
     def run(self, tasks: List[TaskFunction]) -> None:
         """Run one task per core (round-robin by laggard core clock)."""
@@ -212,9 +219,6 @@ class System:
         from ..kernel.zeroing import ZeroingStats
         machine = self.machine
         machine.controller.stats = SecureMemoryStats()
-        # Device/channel stats are registry-backed views: reset them in
-        # place so their bound instruments stay live (replacing them
-        # would orphan the registry's counters).
         machine.controller.device.stats.reset()
         machine.controller.mem.stats.reset()
         machine.controller.mem.channels.reset()
@@ -235,8 +239,8 @@ class System:
         if self.shred_register is not None:
             self.shred_register.commands_accepted = 0
             self.shred_register.commands_rejected = 0
-        # The registry mirrors the dataclasses just zeroed; reset it with
-        # them so the pull collector's monotonic publishes stay valid.
+        # The registry mirrors the stats just zeroed; reset it with them
+        # so the pull collector's monotonic publishes stay valid.
         self.metrics.reset()
         # Warm-up shreds belong to the discarded window, not the report.
         self.events.clear()
@@ -245,18 +249,13 @@ class System:
     def shred_register(self):
         return self.machine.shred_register
 
-    def _collect_metrics(self) -> None:
-        """Pull collector: publish dataclass-backed statistics into the
-        registry at snapshot time.
-
-        Push-style instruments (``mem.nvm.*``, ``mem.channel.*``,
-        ``mem.ctrl.read_latency_ns``) update inline on the hot path;
-        everything that already has a well-tested dataclass home is
-        published here instead, so the simulation code keeps a single
-        source of truth per statistic.
-        """
-        registry = self.metrics
-        ctl = self.machine.controller.stats
+    @staticmethod
+    def _collect_metrics(machine: Machine, kernel: Kernel, cores: List[Core],
+                         events: EventRecorder,
+                         registry: MetricsRegistry) -> None:
+        """Pull collector: publish every simulator statistic, each a
+        plain field, into the registry at snapshot time."""
+        ctl = machine.controller.stats
         for name, value in (
                 ("mem.ctrl.data_reads", ctl.data_reads),
                 ("mem.ctrl.data_writes", ctl.data_writes),
@@ -267,8 +266,37 @@ class System:
                 ("core.shredder.shreds", ctl.shreds),
         ):
             registry.counter(name, unit="ops").set_total(value)
+        registry.histogram("mem.ctrl.read_latency_ns", unit="ns").set_counts(
+            ctl.read_latency_buckets, ctl.total_read_latency_ns)
 
-        cc = self.machine.controller.counter_cache.stats
+        nvm = machine.controller.device.stats
+        channel = machine.controller.mem.stats
+        for nvm_name, channel_name, field_name, unit in (
+                ("mem.nvm.reads", "mem.channel.reads", "reads", "ops"),
+                ("mem.nvm.writes", "mem.channel.writes", "writes", "ops"),
+                ("mem.nvm.bytes_read", "mem.channel.bytes_read",
+                 "bytes_read", "bytes"),
+                ("mem.nvm.bytes_written", "mem.channel.bytes_written",
+                 "bytes_written", "bytes"),
+                ("mem.nvm.bits_written", "mem.channel.bits_written",
+                 "bits_written", "bits"),
+                ("mem.nvm.read_energy_pj", "mem.channel.read_energy_pj",
+                 "read_energy_pj", "pJ"),
+                ("mem.nvm.write_energy_pj", "mem.channel.write_energy_pj",
+                 "write_energy_pj", "pJ"),
+                ("mem.nvm.total_read_latency_ns",
+                 "mem.channel.total_read_latency_ns",
+                 "total_read_latency_ns", "ns"),
+                ("mem.nvm.total_write_latency_ns",
+                 "mem.channel.total_write_latency_ns",
+                 "total_write_latency_ns", "ns"),
+        ):
+            registry.counter(nvm_name, unit=unit).set_total(
+                getattr(nvm, field_name))
+            registry.counter(channel_name, unit=unit).set_total(
+                getattr(channel, field_name))
+
+        cc = machine.controller.counter_cache.stats
         for name, value in (
                 ("cache.counter.hits", cc.hits),
                 ("cache.counter.misses", cc.misses),
@@ -277,9 +305,9 @@ class System:
         ):
             registry.counter(name, unit="ops").set_total(value)
         registry.gauge("cache.counter.entries", unit="entries").set(
-            float(len(self.machine.controller.counter_cache)))
+            float(len(machine.controller.counter_cache)))
 
-        hierarchy = self.machine.hierarchy
+        hierarchy = machine.hierarchy
         # Literal (prefix, caches) pairs so the metrics-namespace pass
         # can resolve every registered name statically (REPRO402).
         for prefix, caches in (("cache.l1", hierarchy.l1),
@@ -297,15 +325,16 @@ class System:
         ):
             registry.counter(name, unit="ops").set_total(value)
 
-        if self.shred_register is not None:
+        shred_register = machine.shred_register
+        if shred_register is not None:
             registry.counter("core.shredder.commands_accepted",
                              unit="ops").set_total(
-                                 self.shred_register.commands_accepted)
+                                 shred_register.commands_accepted)
             registry.counter("core.shredder.commands_rejected",
                              unit="ops").set_total(
-                                 self.shred_register.commands_rejected)
+                                 shred_register.commands_rejected)
 
-        ks = self.kernel.stats
+        ks = kernel.stats
         for name, value, unit in (
                 ("kernel.faults.minor", ks.minor_faults, "ops"),
                 ("kernel.faults.cow", ks.cow_faults, "ops"),
@@ -316,7 +345,7 @@ class System:
                 ("kernel.shred_syscalls", ks.shred_syscalls, "ops"),
         ):
             registry.counter(name, unit=unit).set_total(value)
-        zs = self.kernel.zeroing.stats
+        zs = kernel.zeroing.stats
         for name, value, unit in (
                 ("kernel.zeroing.pages_zeroed", zs.pages_zeroed, "ops"),
                 ("kernel.zeroing.memory_writes", zs.memory_writes, "ops"),
@@ -331,15 +360,14 @@ class System:
 
         for name, total, unit in (
                 ("cpu.instructions",
-                 sum(c.stats.instructions for c in self.cores), "ops"),
-                ("cpu.loads", sum(c.stats.loads for c in self.cores), "ops"),
-                ("cpu.stores", sum(c.stats.stores for c in self.cores), "ops"),
+                 sum(c.stats.instructions for c in cores), "ops"),
+                ("cpu.loads", sum(c.stats.loads for c in cores), "ops"),
+                ("cpu.stores", sum(c.stats.stores for c in cores), "ops"),
         ):
             registry.counter(name, unit=unit).set_total(total)
         registry.gauge("cpu.cycles", unit="cycles").set(
-            max((c.stats.cycles for c in self.cores), default=0.0))
+            max((c.stats.cycles for c in cores), default=0.0))
 
-        events = self.events
         for name, value in (
                 ("obs.events.emitted", events.emitted),
                 ("obs.events.recorded", events.recorded),

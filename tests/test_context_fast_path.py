@@ -125,7 +125,6 @@ class World:
         a = self.system.new_context(0)
         b = self.system.new_context(1)
         a_on_1 = ExecutionContext(self.system, a.pid, 1)
-        self.system.contexts.append(a_on_1)
         self.contexts = [a, b, a_on_1]
         self.regions = {ctx.pid: self.system.kernel.mmap(ctx.pid, PAGES * PAGE)
                         for ctx in (a, b)}

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.config import fast_config
 from repro.errors import PageFaultError, SimulationError
 from repro.runtime.context import ExecutionContext
 from repro.sim import System
@@ -79,7 +80,6 @@ class TestShootdown:
         and its next load sees the private frame's value."""
         ctx = tlb_system.new_context(0)
         on_core_1 = ExecutionContext(tlb_system, ctx.pid, 1)
-        tlb_system.contexts.append(on_core_1)
         base = ctx.malloc(4096)
         vpn = base // 4096
         assert ctx.load_u64(base) == 0
@@ -102,7 +102,6 @@ class TestShootdown:
         system = System(config, shredder=True)
         ctx = system.new_context(0)
         on_core_1 = ExecutionContext(system, ctx.pid, 1)
-        system.contexts.append(on_core_1)
         region = system.kernel.mmap(ctx.pid, huge, huge=True)
         sibling = region.start + 2 * 4096
         assert ctx.load_u64(sibling) == 0           # Zero Page, cached RO
@@ -124,3 +123,33 @@ class TestShootdown:
         # Victim's old virtual address no longer resolves anywhere.
         with pytest.raises(Exception):
             tlb_system.kernel.translate(victim.pid, region.start, write=False)
+
+
+class TestHandBuiltContext:
+    """A context built with the public constructor registers its TLB
+    with the kernel, so it takes part in every shootdown."""
+
+    @pytest.fixture
+    def system(self):
+        config = fast_config()
+        return System(replace(config, functional=True,
+                              cpu=replace(config.cpu, tlb_entries=8)),
+                      shredder=True)
+
+    def test_sees_another_cores_cow_store(self, system):
+        writer = system.new_context(0)
+        reader = ExecutionContext(system, writer.pid, 1)
+        base = writer.malloc(4096)
+        assert reader.load_u64(base) == 0        # Zero Page, cached RO
+        writer.store_u64(base, 0xDEADBEEF)       # COW fault on core 0
+        assert reader.load_u64(base) == 0xDEADBEEF
+
+    def test_munmap_drops_its_translation(self, system):
+        owner = system.new_context(0)
+        other = ExecutionContext(system, owner.pid, 1)
+        region = system.kernel.mmap(owner.pid, 4096)
+        other.store_u64(region.start, 5)
+        vpn = region.start // 4096
+        assert other.tlb.lookup(vpn, write=True) is not None
+        system.kernel.munmap(owner.pid, region)
+        assert other.tlb.lookup(vpn, write=True) is None

@@ -97,7 +97,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         source = {"total": 0}
         registry.register_collector(
-            lambda: registry.counter("pull.total").set_total(source["total"]))
+            lambda reg: reg.counter("pull.total").set_total(source["total"]))
         source["total"] = 7
         assert registry.snapshot()["pull.total"]["value"] == 7
         source["total"] = 9

@@ -125,13 +125,17 @@ class TestMemoryStatsView:
         assert first.bits_written == 384
         assert first.write_energy_pj == 15.0
 
-    def test_reset_keeps_binding(self):
+    def test_reset_zeroes_plain_fields(self):
+        """MemoryStats keeps plain fields (no registry): reset zeroes
+        them in place to integer 0, and recording resumes from there."""
         from repro.mem.stats import MemoryStats
-        from repro.obs import MetricsRegistry
-        registry = MetricsRegistry()
-        stats = MemoryStats(registry=registry, prefix="mem.test")
+        stats = MemoryStats()
         stats.record_read(64, 10.0, 1.0)
+        stats.record_write(64, 256, 20.0, 2.0)
         stats.reset()
-        assert stats.reads == 0
+        fields = stats.snapshot()
+        assert all(value == 0 for value in fields.values())
+        assert type(stats.read_energy_pj) is int
         stats.record_read(64, 10.0, 1.0)
-        assert registry.get("mem.test.reads").value == 1
+        assert (stats.reads, stats.bytes_read, stats.writes) == (1, 64, 0)
+        assert stats.total_read_latency_ns == 10.0
