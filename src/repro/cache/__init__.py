@@ -12,12 +12,11 @@ counter blocks.
 from .replacement import ReplacementPolicy, LRUPolicy, FIFOPolicy, RandomPolicy, make_replacement
 from .cache import SetAssociativeCache, CacheStats
 from .coherence import MESIState, CoherenceDirectory
-from .hierarchy import (BulkAccessResult, CacheHierarchy, HierarchyAccess,
-                        MemoryFetch, PageInvalidation)
+from .hierarchy import (CacheHierarchy, HierarchyAccess, MemoryFetch,
+                        PageInvalidation)
 from .counter_cache import CounterCache
 
 __all__ = [
-    "BulkAccessResult",
     "CacheHierarchy",
     "CacheStats",
     "CoherenceDirectory",

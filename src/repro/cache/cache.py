@@ -5,13 +5,10 @@ keeps payloads only at the last level; the counter cache stores counter
 blocks). Evictions report the victim so the owner can write back dirty
 state; invalidation supports both clean drops (shredding) and flushing.
 
-Set state is array-backed: :attr:`SetAssociativeCache.way_tags` is a
-flat ``array('q')`` of block numbers indexed ``set * assoc + way``
-(``-1`` = empty way), kept in lockstep with the per-line objects, and
-the bound replacement policy keeps a parallel flat stamp array. The
-bulk hierarchy walk and the optional numpy kernels read these arrays
-directly (``numpy.frombuffer`` gives a zero-copy int64 view); the
-``_index`` dict stays as the O(1) scalar probe path.
+Each set is a list of ways holding :class:`CacheLine` objects (``None``
+for an empty way); the ``_index`` dict maps a block number to its
+``(set, way)`` slot for O(1) probes. LRU and FIFO keep their recency
+stamps in a flat array indexed ``set * assoc + way``.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..config import CacheConfig
 from ..errors import ConfigError
-from .replacement import ReplacementPolicy, make_replacement
+from .replacement import make_replacement
 
 #: ``slots=True`` for the per-line hot allocations where the runtime
 #: supports it (3.10+); plain dataclasses on 3.9.
@@ -80,8 +77,7 @@ class SetAssociativeCache:
     caches (the counter cache) index by something other than 64 B blocks.
     """
 
-    def __init__(self, config: CacheConfig,
-                 policy: Optional[ReplacementPolicy] = None) -> None:
+    def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.name = config.name
         self.block_size = config.block_size
@@ -89,7 +85,7 @@ class SetAssociativeCache:
         self.associativity = config.associativity
         if self.num_sets < 1:
             raise ConfigError(f"{config.name}: zero sets")
-        self.policy = policy if policy is not None else make_replacement(config.replacement)
+        self.policy = make_replacement(config.replacement)
         self.policy.bind(self.num_sets, self.associativity)
         self.latency_cycles = config.latency_cycles
         self.stats = CacheStats()
@@ -97,9 +93,6 @@ class SetAssociativeCache:
         self._sets: List[List[Optional[CacheLine]]] = [
             [None] * self.associativity for _ in range(self.num_sets)
         ]
-        # Flat tag store: way_tags[set * assoc + way] = block number, -1
-        # when the way is empty. Mirrors _sets exactly.
-        self.way_tags = array("q", [-1]) * (self.num_sets * self.associativity)
         # Lines resident per set; a full set (the steady state) skips
         # the empty-way scan entirely on fill.
         self._set_fill = array("i", bytes(4 * self.num_sets))
@@ -145,26 +138,6 @@ class SetAssociativeCache:
             return None
         return self._sets[location[0]][location[1]]
 
-    def record_hits(self, address: int, count: int) -> None:
-        """Account ``count`` repeated hits on a resident line at once.
-
-        The batched access engine uses this for a run of back-to-back
-        probes of one line: the stats advance exactly as ``count``
-        scalar lookups would, and recency advances through
-        :meth:`~repro.cache.replacement.ReplacementPolicy.touch_many`,
-        which leaves the policy's stamps identical to ``count`` scalar
-        touches (repeated touches of one line with nothing in between
-        cannot reorder the other ways).
-        """
-        if count <= 0:
-            return
-        location = self._index.get(self._block_number(address))
-        if location is None:
-            raise ConfigError(f"{self.name}: record_hits on a non-resident "
-                              f"line {address:#x}")
-        self.stats.hits += count
-        self.policy.touch_many(location[0], location[1], count)
-
     # -- fills and evictions ---------------------------------------------------
 
     def fill(self, address: int, payload: Any = None, *,
@@ -187,8 +160,6 @@ class SetAssociativeCache:
 
         set_index = block % self.num_sets
         ways = self._sets[set_index]
-        base = set_index * self.associativity
-        way_tags = self.way_tags
 
         eviction = None
         if self._set_fill[set_index] == self.associativity:
@@ -209,15 +180,10 @@ class SetAssociativeCache:
             victim.dirty = dirty
             victim.payload = payload
         else:
-            victim_way = 0
-            for way in range(self.associativity):
-                if way_tags[base + way] < 0:
-                    victim_way = way
-                    break
+            victim_way = ways.index(None)
             ways[victim_way] = CacheLine(tag=block, dirty=dirty, payload=payload)
             self._set_fill[set_index] += 1
 
-        way_tags[base + victim_way] = block
         self._index[block] = (set_index, victim_way)
         self.policy.touch(set_index, victim_way)
         self.stats.fills += 1
@@ -243,8 +209,6 @@ class SetAssociativeCache:
 
         set_index = block % self.num_sets
         ways = self._sets[set_index]
-        base = set_index * self.associativity
-        way_tags = self.way_tags
 
         victim_address = -1
         if self._set_fill[set_index] == self.associativity:
@@ -260,15 +224,10 @@ class SetAssociativeCache:
             victim.dirty = False
             victim.payload = None
         else:
-            victim_way = 0
-            for way in range(self.associativity):
-                if way_tags[base + way] < 0:
-                    victim_way = way
-                    break
+            victim_way = ways.index(None)
             ways[victim_way] = CacheLine(tag=block)
             self._set_fill[set_index] += 1
 
-        way_tags[base + victim_way] = block
         self._index[block] = (set_index, victim_way)
         self.policy.touch(set_index, victim_way)
         self.stats.fills += 1
@@ -289,7 +248,6 @@ class SetAssociativeCache:
         line = self._sets[set_index][way]
         assert line is not None
         self._sets[set_index][way] = None
-        self.way_tags[set_index * self.associativity + way] = -1
         self._set_fill[set_index] -= 1
         self.policy.forget(set_index, way)
         self.stats.invalidations += 1
@@ -309,7 +267,6 @@ class SetAssociativeCache:
             return
         set_index, way = location
         self._sets[set_index][way] = None
-        self.way_tags[set_index * self.associativity + way] = -1
         self._set_fill[set_index] -= 1
         self.policy.forget(set_index, way)
         self.stats.invalidations += 1

@@ -13,9 +13,8 @@ propagated to the NVM counter region by the owning controller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
-                    Tuple)
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from ..config import CacheConfig, CounterCacheConfig
 from .cache import SetAssociativeCache
@@ -31,19 +30,6 @@ class CounterEviction:
     page_id: int
     block: CounterBlock
     dirty: bool
-
-
-@dataclass
-class CounterLookup:
-    """Outcome of one bulk :meth:`CounterCache.lookup_many` probe.
-
-    ``hits`` maps page id -> resident counter block; ``misses`` keeps
-    the missing page ids in first-probe order so the caller can load
-    them from NVM in a deterministic sequence.
-    """
-
-    hits: Dict[int, "CounterBlock"] = field(default_factory=dict)
-    misses: List[int] = field(default_factory=list)
 
 
 class CounterCache:
@@ -94,37 +80,6 @@ class CounterCache:
             return None
         return CounterEviction(page_id=evicted.address // self._block_size,
                                block=evicted.payload, dirty=evicted.dirty)
-
-    def lookup_many(self, page_ids: Iterable[int]) -> CounterLookup:
-        """Probe a batch of pages, partitioning into hit and miss sets.
-
-        Every element counts as one probe (stats advance exactly as the
-        equivalent sequence of scalar :meth:`lookup` calls would);
-        repeated ids probe repeatedly, matching scalar behaviour.
-        """
-        result = CounterLookup()
-        for page_id in page_ids:
-            block = self.lookup(page_id)
-            if block is not None:
-                result.hits[page_id] = block
-            elif page_id not in result.misses:
-                result.misses.append(page_id)
-        return result
-
-    def fill_many(self, blocks: Iterable[Tuple[int, CounterBlock]], *,
-                  dirty: bool = False) -> List[CounterEviction]:
-        """Install a batch of counter blocks in order; returns victims."""
-        evictions = []
-        for page_id, block in blocks:
-            evicted = self.fill(page_id, block, dirty=dirty)
-            if evicted is not None:
-                evictions.append(evicted)
-        return evictions
-
-    def record_hits(self, page_id: int, count: int) -> None:
-        """Bulk hit accounting for a run of repeated probes of one
-        resident page (see :meth:`SetAssociativeCache.record_hits`)."""
-        self._cache.record_hits(self._address(page_id), count)
 
     def mark_dirty(self, page_id: int) -> None:
         self._cache.mark_dirty(self._address(page_id))

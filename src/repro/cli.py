@@ -34,11 +34,6 @@ Commands
     Run the repo's static invariant checker (``REPRO###`` rules);
     see ``docs/ANALYSIS.md``. ``--import-graph dot`` exports the
     layered import graph instead.
-``bench``
-    Run named performance scenarios through the scalar and batch
-    access engines, write ``BENCH_<scenario>.json``, and optionally
-    gate against a committed baseline (``--compare``); see
-    ``docs/BENCHMARKS.md``.
 """
 
 from __future__ import annotations
@@ -411,31 +406,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _events_experiment(args: argparse.Namespace, name: str):
-    """The experiment one ``repro events`` invocation runs.
-
-    The scalar engine can drive the full workloads; a non-scalar engine
-    (and the ``STREAM`` pseudo-benchmark) replays the workload as a
-    flat access stream through the engine-aware ``access-stream``
-    workload, which is the apples-to-apples surface for comparing event
-    logs across engines.
-    """
-    from .exec import Experiment
-    if name == "STREAM" or (args.engine != "scalar"
-                            and name in SPEC_BENCHMARKS):
-        params = {"epoch_length": 256}
-        if name == "STREAM":
-            params.update(source="synthetic", accesses=args.accesses,
-                          shred_fraction=args.shred_fraction)
-        else:
-            params.update(source=name, scale=args.scale)
-        return Experiment(workload="access-stream", params=params,
-                          engine=args.engine,
-                          name=f"events-{name.lower()}")
-    if args.engine != "scalar":
-        print(f"benchmark {args.benchmark!r} drives the per-access API and "
-              f"cannot run under --engine {args.engine}; use a SPEC name "
-              f"or STREAM", file=sys.stderr)
-        return None
+    """The experiment one ``repro events`` invocation runs."""
     if name in SPEC_BENCHMARKS:
         return spec_experiment(name, cores=args.cores, scale=args.scale)
     if name in POWERGRAPH_NAMES:
@@ -569,88 +540,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .errors import ExperimentError
-    from .exec.bench import (SCENARIOS, compare_results, load_result,
-                             run_scenario, scenario_names, write_result)
-    if args.list:
-        for name in scenario_names():
-            print(f"{name:18s} {SCENARIOS[name].description}")
-        return 0
-    names = args.scenarios or scenario_names()
-    unknown = [name for name in names if name not in SCENARIOS]
-    if unknown:
-        print(f"error: unknown scenario(s) {', '.join(unknown)}; choose "
-              f"from {scenario_names()}", file=sys.stderr)
-        return 2
-    if args.compare and len(names) != 1:
-        print("error: --compare gates exactly one scenario per baseline "
-              "file", file=sys.stderr)
-        return 2
-    tracer = None
-    metrics = None
-    if args.emit_metrics:
-        from .obs import MetricsRegistry, SpanTracer
-        tracer = SpanTracer()
-        metrics = MetricsRegistry()
-    status = 0
-    for name in names:
-        try:
-            result = run_scenario(name, warmup=args.warmup,
-                                  repeat=args.repeat, tracer=tracer,
-                                  profile_dir=args.profile,
-                                  metrics=metrics)
-        except ExperimentError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        path = write_result(result, directory=args.output_dir)
-        timing = result["timing"]
-        summary = " ".join(
-            f"{engine}={entry['best_s']:.4f}s"
-            for engine, entry in timing.items() if isinstance(entry, dict))
-        extra = ""
-        for label, key in (("batch", "speedup_batch_over_scalar"),
-                           ("vector", "speedup_vector_over_scalar")):
-            speedup = timing.get(key)
-            if speedup is not None:
-                extra += f" {label}-speedup={speedup:.2f}x"
-        ok = result["deterministic"]["reports_identical"]
-        print(f"{name}: {summary}{extra} "
-              f"reports_identical={ok} -> {path}")
-        profiles = result["meta"].get("profiles")
-        if profiles:
-            for engine, pstats_path in sorted(profiles.items()):
-                print(f"  profile[{engine}] -> {pstats_path}")
-        if not ok:
-            print(f"error: {name}: engine reports diverge",
-                  file=sys.stderr)
-            status = 1
-        if args.compare:
-            try:
-                baseline = load_result(args.compare)
-            except ExperimentError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-            failures = compare_results(result, baseline,
-                                       threshold=args.threshold)
-            if failures:
-                for failure in failures:
-                    print(f"REGRESSION {name}: {failure}", file=sys.stderr)
-                status = 1
-            else:
-                print(f"{name}: within {args.threshold:.0%} of baseline "
-                      f"{args.compare}")
-    if args.emit_metrics:
-        from .obs import write_jsonl
-        with open(args.emit_metrics, "w") as stream:
-            write_jsonl(metrics.snapshot(), stream,
-                        spans=tracer.snapshot(),
-                        meta={"command": "bench",
-                              "scenarios": list(names)})
-        print(f"(metrics written to {args.emit_metrics})", file=sys.stderr)
-    return status
-
-
 def _parse_size(text: str) -> int:
     """``'512'``, ``'64K'``, ``'100M'``, ``'2G'`` → bytes."""
     suffixes = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}
@@ -703,7 +592,7 @@ def _positive_int(text: str) -> int:
 # Every flag that appears on more than one subcommand is defined exactly
 # once, in a parent parser, so ``--jobs``/``--backend``/``--spawn-local``/
 # ``--task-timeout``/``--emit-metrics`` are spelled and help-texted
-# identically across figure/compare/events/bench/worker/cluster.
+# identically across figure/compare/events/worker/cluster.
 # ---------------------------------------------------------------------------
 
 def _parent(add_flags) -> argparse.ArgumentParser:
@@ -925,19 +814,11 @@ def build_parser() -> argparse.ArgumentParser:
              "(shreds, zero-fill elisions, counter overflows, IV "
              "regenerations) as canonical JSON-lines")
     events.add_argument("--benchmark", default="GCC",
-                        help="SPEC/PowerGraph name, or STREAM for a "
-                             "synthetic shred-heavy access stream")
+                        help="SPEC or PowerGraph name")
     events.add_argument("--scale", type=float, default=0.5)
     events.add_argument("--cores", type=int, default=2)
-    events.add_argument("--accesses", type=_positive_int, default=20000,
-                        help="stream length for --benchmark STREAM")
-    events.add_argument("--shred-fraction", type=float, default=0.05,
-                        help="shred density for --benchmark STREAM")
     events.add_argument("--nodes", type=int, default=1500,
                         help="graph size for PowerGraph workloads")
-    events.add_argument("--engine", default="scalar",
-                        help="access-stream engine: scalar | batch | "
-                             "vector (the log is identical across them)")
     events.add_argument("--baseline", action="store_true",
                         help="run the baseline (non-shredder) system "
                              "instead of Silent Shredder")
@@ -999,39 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "level and function-local edges, annotated "
                               "with layer ranks) instead of checking rules")
     analyze.set_defaults(func=_cmd_analyze)
-
-    bench = sub.add_parser(
-        "bench", parents=[emit_metrics_flag],
-        help="run performance scenarios through the access engines and "
-             "record BENCH_<scenario>.json trajectories")
-    bench.add_argument("scenarios", nargs="*",
-                       help="scenario names (default: all; see --list)")
-    bench.add_argument("--list", action="store_true",
-                       help="print the scenario catalog and exit")
-    bench.add_argument("--warmup", type=int, default=1, metavar="N",
-                       help="untimed runs per engine before measuring "
-                            "(default: 1)")
-    bench.add_argument("--repeat", type=_positive_int, default=3,
-                       metavar="N",
-                       help="timed runs per engine (default: 3)")
-    bench.add_argument("--output-dir", default=None, metavar="DIR",
-                       help="directory for BENCH_<scenario>.json files "
-                            "(default: current directory)")
-    bench.add_argument("--compare", default=None, metavar="BASELINE.json",
-                       help="gate the run against a recorded baseline: "
-                            "fail on deterministic divergence or timing "
-                            "regression past --threshold")
-    bench.add_argument("--threshold", type=float, default=0.5,
-                       metavar="FRACTION",
-                       help="allowed fractional slowdown vs the baseline's "
-                            "best time before --compare fails "
-                            "(default: 0.5 = 50%%)")
-    bench.add_argument("--profile", default=None, metavar="DIR",
-                       help="also run each engine once under cProfile and "
-                            "dump <scenario>.<engine>.pstats files into "
-                            "DIR (profiled runs are separate from the "
-                            "timed repeats)")
-    bench.set_defaults(func=_cmd_bench)
 
     stats = sub.add_parser(
         "stats", help="render an --emit-metrics JSON-lines dump")

@@ -66,12 +66,12 @@ class SecureMemoryStats:
     read_latency_buckets: List[int] = field(
         default_factory=lambda: [0] * (len(DEFAULT_LATENCY_BUCKETS_NS) + 1))
 
-    def record_read(self, latency_ns: float, count: int = 1) -> None:
-        """Account ``count`` served reads of ``latency_ns`` each."""
-        self.read_requests += count
-        self.total_read_latency_ns += count * latency_ns
+    def record_read(self, latency_ns: float) -> None:
+        """Account one served read of ``latency_ns``."""
+        self.read_requests += 1
+        self.total_read_latency_ns += latency_ns
         self.read_latency_buckets[
-            bisect_left(DEFAULT_LATENCY_BUCKETS_NS, latency_ns)] += count
+            bisect_left(DEFAULT_LATENCY_BUCKETS_NS, latency_ns)] += 1
 
     @property
     def avg_read_latency_ns(self) -> float:

@@ -10,9 +10,6 @@ segments are distinct cipher inputs under the same logical IV.
 
 from __future__ import annotations
 
-import struct
-from typing import Iterable
-
 from ..errors import CipherError
 from .cipher import BlockCipher
 
@@ -64,16 +61,6 @@ class CounterModeEngine:
         self.pads_generated += 1
         return b"".join(pad_parts)
 
-    def pads_for_ivs(self, ivs: Iterable[bytes]) -> list:
-        """Produce pads for a group of logical IVs in order.
-
-        The grouped entry point the batch engine drives: semantically
-        identical to mapping :meth:`pad_for_iv` over ``ivs`` (including
-        the ``pads_generated`` accounting), but a single call through
-        the cipher seam per epoch group.
-        """
-        return [self.pad_for_iv(iv) for iv in ivs]
-
     def encrypt(self, plaintext: bytes, iv_bytes: bytes) -> bytes:
         """Encrypt one cache block: ciphertext = plaintext XOR pad(IV)."""
         if len(plaintext) != self.block_size:
@@ -84,10 +71,3 @@ class CounterModeEngine:
         """Decrypt one cache block (XOR with the same pad)."""
         return self.encrypt(ciphertext, iv_bytes)
 
-    def decrypt_many(self, blocks: Iterable[bytes],
-                     ivs: Iterable[bytes]) -> list:
-        """Decrypt a group of cache blocks under their paired IVs."""
-        pairs = list(zip(blocks, ivs))
-        pads = self.pads_for_ivs(iv for _, iv in pairs)
-        return [xor_bytes(block, pad)
-                for (block, _), pad in zip(pairs, pads)]

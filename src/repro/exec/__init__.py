@@ -37,8 +37,8 @@ Backends are described by :class:`BackendSpec` strings — ``"serial"``,
 :meth:`ExecutionBackend.from_spec`. This package exports only what a
 local run needs, so importing it never loads asyncio; import the
 cluster service from :mod:`repro.exec.cluster`, registered workers
-from :mod:`repro.exec.worker`, frame auth from :mod:`repro.exec.wire`
-and the ``repro bench`` scenarios from :mod:`repro.exec.bench`.
+from :mod:`repro.exec.worker` and frame auth from
+:mod:`repro.exec.wire`.
 """
 
 from .backends import (ExecutionBackend, ForkPoolBackend, SerialBackend,

@@ -62,12 +62,6 @@ class Experiment:
     shredder: bool = True
     policy: Optional[str] = None
     seed: int = 0
-    #: Access-stream engine driving the run: ``"scalar"`` (default, the
-    #: per-access API), ``"batch"`` (the epoch-batched engine) or
-    #: ``"vector"`` / ``"vector:numpy"`` / ``"vector:py"`` (the batch
-    #: engine with a flat-array kernel backend). Only engine-aware
-    #: workloads accept non-scalar engines.
-    engine: str = "scalar"
     name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
@@ -76,8 +70,6 @@ class Experiment:
             object.__setattr__(self, "config", bench_config())
         if self.policy is not None:
             make_policy(self.policy)    # validate the name eagerly
-        from ..sim.batch import parse_engine_spec
-        parse_engine_spec(self.engine)  # raises ExperimentError if unknown
 
     # -- parameter access ---------------------------------------------------------
 
@@ -104,11 +96,6 @@ class Experiment:
             "policy": self.policy,
             "seed": self.seed,
         }
-        # Included only when non-default so every pre-engine cache entry
-        # keeps its hash (the scalar engine is the behaviour those
-        # entries were produced under).
-        if self.engine != "scalar":
-            document["engine"] = self.engine
         payload = json.dumps(document, sort_keys=True,
                              separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -125,7 +112,6 @@ class Experiment:
             "shredder": self.shredder,
             "policy": self.policy,
             "seed": self.seed,
-            "engine": self.engine,
             "name": self.name,
         }
 
@@ -139,7 +125,6 @@ class Experiment:
                        shredder=bool(data.get("shredder", True)),
                        policy=data.get("policy"),
                        seed=int(data.get("seed", 0)),
-                       engine=data.get("engine", "scalar"),
                        name=data.get("name", ""))
         except KeyError as error:
             raise ExperimentError(f"malformed experiment document: missing {error}")

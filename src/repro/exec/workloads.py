@@ -16,34 +16,26 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..core.policies import make_policy
 from ..errors import ExperimentError
-from ..sim import AccessBatch, System
+from ..sim import System
 from ..sim.system import SystemReport
-from ..workloads import (SPEC_BENCHMARKS, multiprogrammed_tasks,
-                         powergraph_task, spec_access_batch)
+from ..workloads import multiprogrammed_tasks, powergraph_task
 from .experiment import Experiment
 
 #: executor(system, params) -> optional extra metrics for the report
 ExecutorFn = Callable[[System, Dict[str, Any]], Optional[Dict[str, float]]]
 
 _EXECUTORS: Dict[str, ExecutorFn] = {}
-#: Kinds whose executor honours ``System.engine`` (drives the access
-#: stream through ``system.access_engine()`` instead of hard-coding the
-#: scalar per-access calls). Only these accept ``engine="batch"``.
-_ENGINE_AWARE: Dict[str, bool] = {}
 #: Registration can race backend dispatch threads resolving executors
 #: (tests register custom kinds while a distributed batch is in
 #: flight), so writes to the registry take this lock.
 _EXECUTORS_LOCK = threading.Lock()
 
 
-def register_workload(kind: str, *,
-                      engine_aware: bool = False) -> Callable[[ExecutorFn],
-                                                              ExecutorFn]:
+def register_workload(kind: str) -> Callable[[ExecutorFn], ExecutorFn]:
     """Register an executor for ``Experiment(workload=kind, ...)``."""
     def decorate(fn: ExecutorFn) -> ExecutorFn:
         with _EXECUTORS_LOCK:
             _EXECUTORS[kind] = fn
-            _ENGINE_AWARE[kind] = engine_aware
         return fn
     return decorate
 
@@ -53,11 +45,6 @@ def workload_kinds() -> List[str]:
     return sorted(_EXECUTORS)
 
 
-def workload_is_engine_aware(kind: str) -> bool:
-    """Whether a kind honours the experiment's ``engine`` selection."""
-    return _ENGINE_AWARE.get(kind, False)
-
-
 def execute_experiment(experiment: Experiment) -> SystemReport:
     """Run one experiment to completion and return its report."""
     executor = _EXECUTORS.get(experiment.workload)
@@ -65,18 +52,10 @@ def execute_experiment(experiment: Experiment) -> SystemReport:
         raise ExperimentError(
             f"unknown workload kind {experiment.workload!r}; "
             f"choose from {workload_kinds()}")
-    if experiment.engine != "scalar" \
-            and not workload_is_engine_aware(experiment.workload):
-        raise ExperimentError(
-            f"workload {experiment.workload!r} drives the per-access API "
-            f"directly and cannot honour engine={experiment.engine!r}; "
-            "only engine-aware workloads (e.g. 'access-stream') accept a "
-            "non-scalar engine")
     policy = make_policy(experiment.policy) if experiment.policy else None
     system = System(experiment.config, shredder=experiment.shredder,
                     policy=policy,
-                    name=experiment.name or experiment.workload,
-                    engine=experiment.engine)
+                    name=experiment.name or experiment.workload)
     extras = executor(system, experiment.param_dict) or {}
     report = system.report()
     report.extra.update(extras)
@@ -154,54 +133,4 @@ def _run_policy_ablation(system: System, params: Dict[str, Any]) -> Dict[str, fl
         "probes": float(probes),
         "zero_reads": float(zero_reads),
         "zero_read_fraction": zero_reads / probes,
-    }
-
-
-@register_workload("access-stream", engine_aware=True)
-def _run_access_stream(system: System,
-                       params: Dict[str, Any]) -> Dict[str, float]:
-    """Drive a flat access stream through the configured engine.
-
-    ``source="synthetic"`` (default) builds a parameterised synthetic
-    batch; any SPEC benchmark name replays that model's init-phase
-    accesses (:func:`repro.workloads.spec_access_batch`). The engine —
-    scalar or batch — comes from the experiment via ``System.engine``.
-    """
-    source = str(params.get("source", "synthetic"))
-    epoch_length = int(params.get("epoch_length", 256))
-    if source == "synthetic":
-        batch = AccessBatch.synthetic(
-            int(params.get("accesses", 20000)),
-            num_pages=int(params.get("pages", 64)),
-            page_size=system.config.kernel.page_size,
-            block_size=system.config.block_size,
-            read_fraction=float(params.get("read_fraction", 0.7)),
-            shred_fraction=float(params.get("shred_fraction", 0.0)),
-            locality=float(params.get("locality", 0.85)),
-            epoch_length=epoch_length,
-            seed=int(params.get("seed", 1234)))
-    elif source in SPEC_BENCHMARKS:
-        spec = SPEC_BENCHMARKS[source]
-        scale = float(params.get("scale", 1.0))
-        if scale != 1.0:
-            spec = spec.scaled(scale)
-        batch = spec_access_batch(spec,
-                                  page_size=system.config.kernel.page_size,
-                                  block_size=system.config.block_size,
-                                  epoch_length=epoch_length)
-    else:
-        raise ExperimentError(
-            f"access-stream source {source!r} is neither 'synthetic' nor "
-            "a SPEC benchmark name")
-    result = system.access_engine().run(batch)
-    # Engine-internal diagnostics (segments, bulk_hits) are deliberately
-    # NOT reported: extras must be engine-agnostic so scalar and batch
-    # runs of the same stream produce identical reports.
-    return {
-        "stream_accesses": float(result.accesses),
-        "stream_reads": float(result.reads),
-        "stream_writes": float(result.writes),
-        "stream_shreds": float(result.shreds),
-        "stream_epochs": float(result.epochs),
-        "stream_latency_ns": result.total_latency_ns,
     }

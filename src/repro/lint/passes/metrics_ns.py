@@ -44,9 +44,8 @@ _PREFIX_KEYWORDS = frozenset({"metrics_prefix"})
 DEFAULT_PREFIXES = (
     "mem.nvm", "mem.channel", "mem.ctrl", "mem.device", "mem.dram",
     "cache.counter", "cache.l1", "cache.l2", "cache.l3", "cache.l4",
-    "cache.hierarchy", "core.shredder", "kernel", "cpu", "sim.engine",
-    "exec.batch", "exec.task", "exec.cache", "exec.worker", "exec.cluster",
-    "obs.events",
+    "cache.hierarchy", "core.shredder", "kernel", "cpu", "exec.batch",
+    "exec.task", "exec.cache", "exec.worker", "exec.cluster", "obs.events",
 )
 
 _BACKTICK_RE = re.compile(r"`([^`]+)`")

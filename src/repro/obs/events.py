@@ -25,15 +25,13 @@ Every event is a JSON-safe dict ``{"kind", "page", "time_ns",
 simulation state**: the recorder is driven only by simulated accesses
 and simulated time, never the wall clock, so the log embeds in
 :class:`~repro.sim.system.SystemReport` and stays byte-identical
-across engines and backends.
+across hosts and backends.
 
 Two mechanisms keep the log bounded without breaking that identity:
 
 * **Coalescing** — an emission that matches the tail record's
   ``(kind, page, block)`` folds into it (``count`` accumulates, the
-  first ``time_ns`` wins). This is also what makes the scalar engine's
-  per-access emission and the batch/vector engines' bulk run-flush
-  emission converge on the same records.
+  first ``time_ns`` wins).
 * **Sampling and capacity** — after coalescing, every
   ``sample_every``-th distinct record is kept, up to ``capacity``
   records; the rest only bump ``dropped``. Both are pure functions of

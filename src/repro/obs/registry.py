@@ -201,24 +201,6 @@ class Histogram(Instrument):
             self._count += 1
             self._sum += value
 
-    def observe_many(self, value: Number, count: int) -> None:
-        """Record ``count`` observations of the same ``value`` at once.
-
-        ``sum`` advances by ``value * count`` — exact for the integral
-        and dyadic-rational latencies the simulator produces, so a bulk
-        observation is indistinguishable from ``count`` scalar ones.
-        """
-        if count < 0:
-            raise ObservabilityError(
-                f"histogram {self.name}: negative observation count {count}")
-        if count == 0:
-            return
-        index = bisect_left(self.bounds, value)
-        with self._lock:
-            self._counts[index] += count
-            self._count += count
-            self._sum += value * count
-
     def set_counts(self, counts: Sequence[int], total: Number) -> None:
         """Collector hook: publish a distribution bucketed elsewhere.
 

@@ -4,45 +4,18 @@
   shred register) glued together at the physical-address level.
 * :class:`~repro.sim.system.System` — machine + kernel + cores +
   processes; the object workloads run against.
-* :mod:`repro.sim.batch` — the epoch-batched access-stream engine
-  (:class:`AccessBatch`, :class:`ScalarEngine`, :class:`BatchEngine`,
-  :class:`VectorEngine`) over either the controller datapath or, for
-  batches carrying a cores array, the bulk cache-hierarchy walk.
-* :mod:`repro.sim.kernels` — flat-array kernels behind the vector
-  engine seam (pure Python, optional numpy).
 * :mod:`repro.sim.results` — serialisable run summaries used by the
   benchmark harness and the analysis layer.
 """
 
-from .batch import (AccessBatch, AccessEngine, BatchEngine, EngineResult,
-                    HierarchyMissPort, OP_READ, OP_SHRED, OP_WRITE,
-                    ScalarEngine, VectorEngine, make_engine,
-                    parse_engine_spec)
-from .kernels import NumpyKernel, PyKernel, numpy_available, resolve_kernel
 from .machine import Machine
 from .system import System, SystemReport
 from .results import RunResult, compare_runs
 
 __all__ = [
-    "AccessBatch",
-    "AccessEngine",
-    "BatchEngine",
-    "EngineResult",
-    "HierarchyMissPort",
     "Machine",
-    "NumpyKernel",
-    "OP_READ",
-    "OP_SHRED",
-    "OP_WRITE",
-    "PyKernel",
     "RunResult",
-    "ScalarEngine",
     "System",
     "SystemReport",
-    "VectorEngine",
     "compare_runs",
-    "make_engine",
-    "numpy_available",
-    "parse_engine_spec",
-    "resolve_kernel",
 ]

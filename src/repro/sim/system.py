@@ -65,8 +65,8 @@ class SystemReport:
     metrics: Dict[str, object] = field(default_factory=dict)
     #: Flight-recorder event log (:meth:`repro.obs.EventRecorder.snapshot`).
     #: Like ``metrics``, every field is a simulated quantity, so the log
-    #: is byte-identical across hosts, engines, and serial-vs-cluster
-    #: execution for the same experiment.
+    #: is byte-identical across hosts and serial-vs-cluster execution
+    #: for the same experiment.
     events: List[Dict[str, object]] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, float]:
@@ -113,13 +113,9 @@ class System:
                  shredder: bool = True, policy: Optional[ShredPolicy] = None,
                  name: str = "system",
                  metrics: Optional[MetricsRegistry] = None,
-                 events: Optional[EventRecorder] = None,
-                 engine: str = "scalar") -> None:
+                 events: Optional[EventRecorder] = None) -> None:
         self.config = config if config is not None else default_config()
         self.name = name
-        from .batch import parse_engine_spec
-        parse_engine_spec(engine)      # raises ExperimentError if unknown
-        self.engine = engine
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = events if events is not None else EventRecorder()
         self.machine = Machine(self.config, shredder=shredder, policy=policy,
@@ -140,16 +136,6 @@ class System:
     @property
     def clock(self):
         return self.machine.clock
-
-    def access_engine(self, kind: Optional[str] = None):
-        """Build the configured access-stream engine over this system's
-        controller and cache hierarchy (see :mod:`repro.sim.batch`)."""
-        from .batch import make_engine
-        return make_engine(kind if kind is not None else self.engine,
-                           self.machine.controller,
-                           hierarchy=self.machine.hierarchy,
-                           shred_register=self.machine.shred_register,
-                           metrics=self.metrics)
 
     # -- task plumbing -----------------------------------------------------------
 

@@ -19,7 +19,6 @@ from .powergraph import (POWERGRAPH_APPS, pagerank_task,
                          simple_coloring_task, kcore_task, powergraph_task)
 from .mix import multiprogrammed_tasks
 from .churn import ChurnParams, churn_task
-from .streams import spec_access_batch
 
 __all__ = [
     "ChurnParams",
@@ -36,6 +35,5 @@ __all__ = [
     "power_law_graph",
     "powergraph_task",
     "simple_coloring_task",
-    "spec_access_batch",
     "spec_task",
 ]

@@ -129,6 +129,17 @@ class TestInvalidate:
         cache.invalidate(addr(0, 0))
         assert cache.fill(addr(0, 1)) is None   # no eviction needed
 
+    @pytest.mark.parametrize("method", ["fill", "fill_tag"])
+    def test_fill_takes_the_lowest_empty_way(self, method):
+        cache = small_cache(assoc=4, sets=4)
+        for tag in range(4):
+            cache.fill(addr(0, tag))
+        cache.invalidate(addr(0, 2))
+        cache.drop(addr(0, 1))
+        getattr(cache, method)(addr(0, 7))
+        assert [line and line.tag for line in cache._sets[0]] \
+            == [0, 7 * 4, None, 3 * 4]
+
 
 class TestReplacementPolicies:
     def test_fifo_ignores_hits(self):

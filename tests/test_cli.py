@@ -199,18 +199,6 @@ class TestObservabilityCli:
         assert "mem.ctrl.data_writes" in dump.metrics
         assert any(s["name"] == "exec.batch" for s in dump.spans)
 
-    def test_bench_emits_metrics_dump(self, tmp_path, capsys):
-        dump_path = tmp_path / "bench-metrics.jsonl"
-        assert main(["bench", "smoke", "--warmup", "0", "--repeat", "1",
-                     "--output-dir", str(tmp_path),
-                     "--emit-metrics", str(dump_path)]) == 0
-        from repro.obs import read_jsonl
-        with open(dump_path, encoding="utf-8") as stream:
-            dump = read_jsonl(stream)
-        assert dump.meta["command"] == "bench"
-        assert dump.meta["scenarios"] == ["smoke"]
-        assert any(s["name"].startswith("bench.") for s in dump.spans)
-
     def test_stats_renders_dump(self, tmp_path, capsys):
         dump_path = tmp_path / "metrics.jsonl"
         main(["compare", "--benchmark", "HMMER", "--scale", "0.1",
@@ -241,6 +229,43 @@ class TestObservabilityCli:
         args = build_parser().parse_args(
             ["figure", "fig12", "--spawn-local", "2"])
         assert args.spawn_local == 2
+
+
+class TestEvents:
+    """``repro events`` end to end: the flight-recorder log of one run
+    as canonical JSON-lines on standard output."""
+
+    ARGV = ["events", "--benchmark", "GCC", "--scale", "0.1", "--no-cache"]
+
+    @staticmethod
+    def exit_code(argv):
+        try:
+            return main(argv)
+        except SystemExit as error:     # argparse rejects unknown flags
+            return error.code
+
+    def events_out(self, capsys, *extra):
+        assert main([*self.ARGV, *extra]) == 0
+        return capsys.readouterr().out
+
+    def test_log_is_canonical_and_reproducible(self, capsys):
+        from repro.obs import EVENT_KINDS
+        first = self.events_out(capsys)
+        lines = first.splitlines()
+        assert lines
+        for line in lines:
+            assert json.loads(line)["kind"] in EVENT_KINDS
+        assert self.events_out(capsys) == first
+
+    def test_baseline_logs_no_shred(self, capsys):
+        out = self.events_out(capsys, "--baseline")
+        assert all(json.loads(line)["kind"] != "shred"
+                   for line in out.splitlines())
+
+    @pytest.mark.parametrize("extra", [["--engine", "batch"],
+                                       ["--benchmark", "STREAM"]])
+    def test_retired_stream_options_rejected(self, extra, capsys):
+        assert self.exit_code([*self.ARGV, *extra]) == 2
 
 
 class TestFlagSurface:
@@ -279,7 +304,6 @@ class TestFlagSurface:
 
     def test_emit_metrics_spelled_identically_everywhere(self):
         surfaces = [self.subparser("compare"), self.subparser("figure"),
-                    self.subparser("bench"),
                     self.subparser("worker", "serve"),
                     self.subparser("cluster", "serve")]
         helps = {self.flag(s, "--emit-metrics").help for s in surfaces}

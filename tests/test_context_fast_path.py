@@ -32,13 +32,31 @@ from repro.kernel import PageTable
 from repro.runtime.context import ExecutionContext
 from repro.sim import System
 
-from .test_hierarchy_bulk_equivalence import state_signature
-
 PAGE = 4096
 BLOCK = 64
 PAGES = 3
 BLOCKS = 2          # blocks used per page (keeps L1 hits and sharing common)
 TLB_ENTRIES = 4
+
+
+def state_signature(hierarchy: CacheHierarchy) -> list:
+    """Everything observable about the hierarchy's state and stats:
+    per-cache stats, the tag in every way (-1 when empty), recency
+    stamps, the hierarchy's counters and the coherence directory."""
+    out = []
+    for cache in [*hierarchy.l1, *hierarchy.l2, hierarchy.l3, hierarchy.l4]:
+        out.append((cache.stats.hits, cache.stats.misses,
+                    cache.stats.evictions, cache.stats.dirty_evictions,
+                    cache.stats.invalidations, cache.stats.fills,
+                    tuple(-1 if line is None else line.tag
+                          for ways in cache._sets for line in ways),
+                    tuple(cache.policy.stamps)))
+    out.append((hierarchy.zero_fills, hierarchy.memory_fetches,
+                hierarchy.writebacks))
+    out.append(tuple(sorted(
+        (address, entry.owner, entry.state.name, tuple(sorted(entry.sharers)))
+        for address, entry in hierarchy.directory._entries.items())))
+    return out
 
 
 # -- the reference: the context's bodies before the fast path ------------------

@@ -92,37 +92,6 @@ class TestFlush:
         assert [e.page_id for e in cache.flush()] == [1]
 
 
-class TestBulkOps:
-    def test_lookup_many_partitions(self):
-        cache = make_cache()
-        cache.fill(1, CounterBlock.fresh(4))
-        cache.fill(2, CounterBlock.fresh(4))
-        result = cache.lookup_many([1, 5, 2, 5, 1])
-        assert sorted(result.hits) == [1, 2]
-        assert result.misses == [5]          # deduped, first-probe order
-        # Every element counted as one probe: 3 hits, 2 misses.
-        assert cache.stats.hits == 3
-        assert cache.stats.misses == 2
-
-    def test_fill_many_returns_victims(self):
-        cache = make_cache(size=2 * 64, assoc=1)   # 2 sets, 1 way
-        victims = cache.fill_many([(0, CounterBlock.fresh(4)),
-                                   (2, CounterBlock.fresh(4))])
-        assert [v.page_id for v in victims] == [0]
-
-    def test_record_hits_bulk_accounting(self):
-        cache = make_cache()
-        cache.fill(3, CounterBlock.fresh(4))
-        cache.record_hits(3, 5)
-        assert cache.stats.hits == 5
-
-    def test_record_hits_requires_resident_line(self):
-        from repro.errors import ConfigError
-        cache = make_cache()
-        with pytest.raises(ConfigError):
-            cache.record_hits(3, 1)
-
-
 class TestGeometry:
     def test_len_tracks_entries(self):
         cache = make_cache()

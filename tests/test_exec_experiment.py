@@ -49,6 +49,12 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             Experiment("spec", policy="no-such-policy")
 
+    def test_no_engine_parameter(self):
+        # Every workload drives the machine one access at a time; there
+        # is no access-engine selection on an experiment.
+        with pytest.raises(TypeError):
+            Experiment("spec", engine="batch")
+
 
 class TestContentHash:
     def test_stable_within_process(self):
@@ -57,6 +63,11 @@ class TestContentHash:
     def test_name_excluded(self):
         assert gcc().content_hash() == \
             gcc().with_updates(name="other-label").content_hash()
+
+    def test_spec_hash_pinned(self):
+        # Cache keys and committed digests depend on this exact value.
+        assert spec_experiment("GCC").content_hash() == \
+            "990d2dfbd970d8e809fb5defb0a972180ac9c2eb854663aaed6559def24446cd"
 
     def test_every_content_field_matters(self):
         base = gcc()
@@ -98,6 +109,13 @@ class TestSerialization:
         assert clone.name == "labelled"
         assert clone.content_hash() == exp.content_hash()
 
+    def test_retired_engine_key_ignored(self):
+        # Documents written while experiments carried an access-engine
+        # field still deserialise to the same experiment.
+        document = gcc().to_dict()
+        document["engine"] = "scalar"
+        assert Experiment.from_dict(document) == gcc()
+
     def test_malformed_document(self):
         with pytest.raises(ExperimentError):
             Experiment.from_dict({"workload": "spec"})
@@ -121,62 +139,3 @@ class TestVariants:
         graph = powergraph_experiment("PAGERANK", num_nodes=300)
         assert graph.workload == "powergraph"
         assert graph.param("num_nodes") == 300
-
-
-class TestEngineField:
-    def test_default_is_scalar(self):
-        assert gcc().engine == "scalar"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ExperimentError, match="unknown access engine"):
-            Experiment("spec", engine="vliw")
-
-    def test_rejection_lists_valid_kinds(self):
-        with pytest.raises(ExperimentError,
-                           match="scalar, batch, vector"):
-            Experiment("spec", engine="vliw")
-
-    def test_vector_engine_specs_accepted(self):
-        for spec in ("vector", "vector:numpy", "vector:py"):
-            assert Experiment("spec", engine=spec).engine == spec
-
-    def test_scalar_engine_keeps_pre_engine_hashes(self):
-        # engine="scalar" must hash identically to a spec that predates
-        # the field entirely (cache entries stay addressable).
-        exp = gcc()
-        assert exp.content_hash() == \
-            exp.with_updates(engine="scalar").content_hash()
-
-    def test_batch_engine_changes_the_hash(self):
-        exp = Experiment("access-stream", params={"accesses": 10})
-        assert exp.content_hash() != \
-            exp.with_updates(engine="batch").content_hash()
-
-    def test_engine_round_trips_through_dict(self):
-        exp = Experiment("access-stream", params={"accesses": 10},
-                         engine="batch")
-        clone = Experiment.from_dict(exp.to_dict())
-        assert clone.engine == "batch"
-        assert clone.content_hash() == exp.content_hash()
-
-    def test_pre_engine_documents_deserialise_as_scalar(self):
-        document = gcc().to_dict()
-        del document["engine"]
-        assert Experiment.from_dict(document).engine == "scalar"
-
-    def test_non_engine_aware_workload_rejects_batch(self):
-        from repro.exec import execute_experiment
-        exp = spec_experiment("GCC", scale=0.1, engine="batch")
-        with pytest.raises(ExperimentError, match="engine-aware"):
-            execute_experiment(exp)
-
-    def test_access_stream_reports_are_engine_identical(self):
-        from repro.exec import execute_experiment
-        params = {"accesses": 800, "pages": 8, "seed": 2}
-        reports = [
-            execute_experiment(Experiment(
-                "access-stream", params=params, config=fast_config(),
-                engine=engine, name="stream"))
-            for engine in ("scalar", "batch")]
-        assert reports[0].to_dict() == reports[1].to_dict()
-        assert reports[0].extra["stream_accesses"] == 800.0

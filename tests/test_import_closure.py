@@ -4,14 +4,14 @@ Every ``repro figure`` run, registered cluster worker and benchmark
 sample starts a fresh interpreter and pays for whatever ``import repro``
 pulls in. The package roots therefore re-export only what a local run
 needs: the cluster, wire and worker modules (asyncio, sockets), the
-scrape server (``http.server``, ssl), the ``repro bench`` scenarios, the
-static analyzer and numpy are each imported where they are used.
+scrape server (``http.server``, ssl) and the static analyzer are each
+imported where they are used, and nothing in the package imports
+numpy.
 
 Each import runs in a fresh subprocess, because this process has
 everything loaded already.
 """
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -31,7 +31,6 @@ NOT_ON_THE_FIGURE_PATH = (
     "repro.exec.cluster",
     "repro.exec.worker",
     "repro.exec.wire",
-    "repro.exec.bench",
     "repro.obs.scrape",
     "repro.lint",
 )
@@ -65,12 +64,3 @@ def test_import_loads_only_the_simulator(module):
     assert module in loaded
     assert sorted(loaded.intersection(NOT_ON_THE_FIGURE_PATH)) == []
 
-
-@pytest.mark.skipif(importlib.util.find_spec("numpy") is None,
-                    reason="numpy not installed")
-def test_auto_kernel_still_picks_numpy():
-    # The deferred import must still find numpy on first use, not fall
-    # back to the pure-Python kernel.
-    out = run_fresh("from repro.sim.kernels import resolve_kernel\n"
-                    "print(resolve_kernel('auto').name)")
-    assert out.strip() == "numpy"

@@ -1,18 +1,15 @@
-"""The flight recorder: coalescing, sampling, report embedding, and
-the cross-engine identity contract (the same experiment must log the
-same events whichever access engine executed it)."""
+"""The flight recorder: coalescing, sampling, export, and embedding in
+the system report."""
 
 import io
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError
 from repro.obs import (EVENT_KINDS, EventRecorder, filter_events,
                        format_event, write_events_jsonl)
-from repro.sim import AccessBatch, System
+from repro.sim import System
 
 
 class TestEventRecorder:
@@ -125,24 +122,25 @@ class TestExport:
             == ["shred", "zero_fill"]
 
 
-def shred_heavy_batch(config, *, accesses=800, seed=11):
-    return AccessBatch.synthetic(
-        accesses, num_pages=10, page_size=config.kernel.page_size,
-        block_size=config.block_size, read_fraction=0.6, locality=0.8,
-        shred_fraction=0.1, epoch_length=64, seed=seed)
+def shred_heavy_system(config, *, pages=4):
+    """Store to every block of a few pages, shred them, then read them
+    back: each shred and each zero-filled read lands in the event log."""
+    system = System(config, shredder=True, name="events")
+    ctx = system.new_context(0)
+    size = pages * config.kernel.page_size
+    base = ctx.malloc(size)
+    for offset in range(0, size, config.block_size):
+        ctx.store_u64(base + offset, offset + 1)
+    ctx.shred(base, pages)
+    for offset in range(0, size, config.block_size):
+        ctx.load_u64(base + offset)
+    return system
 
 
 class TestReportEmbedding:
-    def run_system(self, config, batch, engine):
-        system = System(config, shredder=True, name="events", engine=engine)
-        system.access_engine().run(batch)
-        return system
-
     def test_events_reach_the_report_and_round_trip(self, tiny_config):
         from repro.sim.system import SystemReport
-        system = self.run_system(tiny_config, shred_heavy_batch(tiny_config),
-                                 "scalar")
-        report = system.report()
+        report = shred_heavy_system(tiny_config).report()
         kinds = {e["kind"] for e in report.events}
         assert "shred" in kinds and "zero_fill" in kinds
         for event in report.events:
@@ -153,8 +151,7 @@ class TestReportEmbedding:
         assert clone.to_dict() == report.to_dict()
 
     def test_obs_counters_published(self, tiny_config):
-        system = self.run_system(tiny_config, shred_heavy_batch(tiny_config),
-                                 "scalar")
+        system = shred_heavy_system(tiny_config)
         snapshot = system.metrics.snapshot()
         events = system.events
         assert snapshot["obs.events.emitted"]["value"] == events.emitted > 0
@@ -162,44 +159,7 @@ class TestReportEmbedding:
         assert snapshot["obs.events.dropped"]["value"] == events.dropped
 
     def test_reset_stats_discards_warmup_events(self, tiny_config):
-        system = self.run_system(tiny_config, shred_heavy_batch(tiny_config),
-                                 "scalar")
+        system = shred_heavy_system(tiny_config)
         assert system.events.recorded > 0
         system.reset_stats()
         assert system.report().events == []
-
-
-class TestEngineIdentity:
-    """The acceptance contract: for one experiment the flight-recorder
-    stream is byte-identical whichever engine executed it."""
-
-    def canonical(self, config, batch, engine):
-        system = System(config, shredder=True, name="identity",
-                        engine=engine)
-        system.access_engine().run(batch)
-        return "\n".join(format_event(e)
-                         for e in system.report().events)
-
-    @pytest.mark.parametrize("engine", ["batch", "vector"])
-    def test_shred_heavy_stream_matches_scalar(self, tiny_config, engine):
-        batch = shred_heavy_batch(tiny_config)
-        assert self.canonical(tiny_config, batch, engine) \
-            == self.canonical(tiny_config, batch, "scalar")
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 2**16),
-           shred_fraction=st.sampled_from([0.0, 0.05, 0.2]),
-           read_fraction=st.floats(0.2, 0.9),
-           accesses=st.integers(50, 400))
-    def test_random_streams_match_across_engines(
-            self, tiny_config_factory, seed, shred_fraction, read_fraction,
-            accesses):
-        config = tiny_config_factory()
-        batch = AccessBatch.synthetic(
-            accesses, num_pages=6, page_size=config.kernel.page_size,
-            block_size=config.block_size, read_fraction=read_fraction,
-            locality=0.75, shred_fraction=shred_fraction, epoch_length=32,
-            seed=seed)
-        scalar = self.canonical(config, batch, "scalar")
-        assert self.canonical(config, batch, "batch") == scalar
-        assert self.canonical(config, batch, "vector") == scalar

@@ -70,6 +70,12 @@ class TestSystemRun:
         with pytest.raises(SimulationError):
             system.new_context(99)
 
+    def test_no_engine_parameter(self, tiny_config):
+        # A system walks every access through the one cache hierarchy;
+        # there is no access-engine selection.
+        with pytest.raises(TypeError):
+            System(tiny_config, engine="batch")
+
 
 class TestReports:
     def test_report_fields(self, tiny_config):

@@ -20,7 +20,6 @@ from repro.sim import System
 
 #: Small parameters for every registered workload kind.
 PARAMS = {
-    "access-stream": {"accesses": 400, "pages": 8},
     "policy-ablation": {"pages": 2, "shreds_per_page": 3},
     "powergraph": {"app": "PAGERANK", "num_nodes": 60},
     "spec": {"benchmark": "GCC", "cores": 2, "scale": 0.01},

@@ -108,21 +108,3 @@ class TestChurnWorkload:
             return system.report().cycles
         assert run() == run()
 
-
-class TestAccessBatchRecording:
-    def test_spec_access_batch_builds_a_stream(self):
-        from repro.sim.batch import OP_READ, OP_WRITE
-        from repro.workloads import spec_access_batch
-        spec = SPEC_BENCHMARKS["GCC"].scaled(0.25)
-        batch = spec_access_batch(spec)
-        assert len(batch) > 0
-        assert set(batch.ops) <= {OP_READ, OP_WRITE}
-        assert all(address % 64 == 0 for address in batch.addresses)
-
-    def test_recording_is_deterministic(self):
-        from repro.workloads import spec_access_batch
-        spec = SPEC_BENCHMARKS["GCC"].scaled(0.25)
-        one = spec_access_batch(spec)
-        two = spec_access_batch(spec)
-        assert list(one.addresses) == list(two.addresses)
-        assert list(one.ops) == list(two.ops)

@@ -2,8 +2,8 @@
 """CI smoke test for the observability plane (docs/OBSERVABILITY.md).
 
 Spawns a dispatcher with two dial-out workers and drives one client
-batch of shred-heavy access-stream experiments through the cluster.
-Asserts:
+batch of section 4.2 shred-policy ablation experiments (two per shred
+policy) through the cluster. Asserts:
 
 * the merged trace on the client's default tracer is **one** timeline:
   the runner's ``exec.batch`` span parents every dispatcher
@@ -11,9 +11,9 @@ Asserts:
   ``exec.worker.task`` span, all under a single trace id, with the
   worker spans carrying distinct (non-client) pids so the trace-event
   export lays each process on its own lane;
-* the flight-recorder event log embedded in every report is
-  byte-identical between the serial reference run and the cluster run,
-  and across the scalar/batch/vector engines.
+* the serial reference run records every flight-recorder event kind,
+  and the event log and report of every task are byte-identical
+  between the serial reference run and the cluster run.
 
 Exits non-zero (with a one-line reason) on any violation.
 
@@ -23,22 +23,33 @@ Usage: PYTHONPATH=src python tools/trace_smoke.py
 import json
 import os
 import sys
+from dataclasses import replace
 
+from repro.config import bench_config
 from repro.exec import Experiment, Runner
 from repro.exec.cluster import ClusterBackend, ClusterServer
 from repro.exec.worker import registered_worker_pool
-from repro.obs import default_tracer, format_event, to_trace_events
+from repro.obs import (EVENT_KINDS, default_tracer, format_event,
+                       to_trace_events)
 
-TASKS = 6
+#: The shred policies of section 4.2. Together they record every event
+#: kind: increment-minors overflows minor counters and regenerates IVs,
+#: major-reset-minors zero-fills reads and un-shreds blocks on write.
+POLICIES = ("increment-minors", "increment-major", "major-reset-minors")
+TASKS = 2 * len(POLICIES)
+
+#: The configuration ``repro figure policies`` runs the ablation under.
+ABLATION_CONFIG = replace(bench_config().with_zeroing("shred"),
+                          functional=False)
 
 
-def stream_experiment(index, engine="scalar"):
+def ablation_experiment(index):
+    policy = POLICIES[index // 2]
     return Experiment(
-        workload="access-stream",
-        params={"source": "synthetic", "accesses": 3000, "pages": 24,
-                "shred_fraction": 0.1, "read_fraction": 0.6,
-                "epoch_length": 128, "seed": 40 + index},
-        engine=engine, name=f"trace-smoke-{index}-{engine}")
+        workload="policy-ablation",
+        params={"pages": 4 + 2 * (index % 2), "shreds_per_page": 80},
+        config=ABLATION_CONFIG, shredder=True, policy=policy,
+        name=f"trace-smoke-{index}-{policy}")
 
 
 def event_log(report):
@@ -51,21 +62,16 @@ def fail(reason):
 
 
 def main():
-    batch = [stream_experiment(i) for i in range(TASKS)]
+    batch = [ablation_experiment(i) for i in range(TASKS)]
     print("trace-smoke: serial reference run ...")
     serial = Runner(use_cache=False).run(batch)
-    if not any(report.events for report in serial):
-        return fail("shred-heavy run recorded no flight-recorder events")
-
-    for engine in ("batch", "vector"):
-        engined = Runner(use_cache=False).run(
-            [stream_experiment(i, engine) for i in range(TASKS)])
-        for index, (a, b) in enumerate(zip(serial, engined)):
-            if event_log(a) != event_log(b):
-                return fail(f"task {index}: {engine}-engine event log "
-                            f"diverged from scalar")
-    print("trace-smoke: event logs identical across "
-          "scalar/batch/vector engines")
+    kinds = {event["kind"] for report in serial for event in report.events}
+    missing = sorted(set(EVENT_KINDS) - kinds)
+    if missing:
+        return fail(f"policy ablation recorded no {', '.join(missing)} "
+                    f"events")
+    print(f"trace-smoke: serial run recorded all {len(EVENT_KINDS)} "
+          f"event kinds")
 
     tracer = default_tracer()
     before = len(tracer.records)
