@@ -1,15 +1,16 @@
 """Cache substrate: set-associative caches, MESI coherence, hierarchy.
 
 The paper's system (Table 1) has a 4-level hierarchy: private L1/L2 per
-core, shared L3/L4, 64 B blocks, LRU, MESI coherence. The hierarchy here
-is inclusive with back-invalidation; authoritative data for the whole
-hierarchy is kept at the last level (upper levels are tag-only), which
-preserves functional correctness and hit/miss timing while keeping the
-model fast. The counter (IV) cache is a specialised cache over per-page
-counter blocks.
+core, shared L3/L4, 64 B blocks, LRU, MESI coherence. Every level, and
+the counter cache, is one :class:`SetAssociativeCache`: an LRU tag store
+over flat arrays indexed by slot (``set * associativity + way``). The
+hierarchy is inclusive with back-invalidation; authoritative data for
+the whole hierarchy is kept at the last level (upper levels are
+tag-only), which preserves functional correctness and hit/miss timing
+while keeping the model fast. The counter (IV) cache is a specialised
+cache over per-page counter blocks.
 """
 
-from .replacement import ReplacementPolicy, LRUPolicy, FIFOPolicy, RandomPolicy, make_replacement
 from .cache import SetAssociativeCache, CacheStats
 from .coherence import MESIState, CoherenceDirectory
 from .hierarchy import (CacheHierarchy, HierarchyAccess, MemoryFetch,
@@ -21,14 +22,9 @@ __all__ = [
     "CacheStats",
     "CoherenceDirectory",
     "CounterCache",
-    "FIFOPolicy",
     "HierarchyAccess",
-    "LRUPolicy",
     "MESIState",
     "MemoryFetch",
     "PageInvalidation",
-    "RandomPolicy",
-    "ReplacementPolicy",
     "SetAssociativeCache",
-    "make_replacement",
 ]

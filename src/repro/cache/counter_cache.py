@@ -14,10 +14,10 @@ propagated to the NVM counter region by the owning controller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 from ..config import CacheConfig, CounterCacheConfig
-from .cache import SetAssociativeCache
+from .cache import CacheStats, SetAssociativeCache
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-import cycle
     from ..core.iv import CounterBlock
@@ -50,13 +50,18 @@ class CounterCache:
         self._block_size = config.block_size
 
     # Page ids are mapped onto synthetic block addresses so the generic
-    # set-associative machinery (sets, ways, LRU, stats) applies directly.
+    # set-associative machinery (sets, ways, LRU, stats) applies
+    # directly: a page id is its entry's block number.
     def _address(self, page_id: int) -> int:
         return page_id * self._block_size
 
     @property
-    def stats(self):
+    def stats(self) -> CacheStats:
         return self._cache.stats
+
+    def reset_stats(self) -> None:
+        """Zero the hit/miss/eviction counters; entries stay resident."""
+        self._cache.stats = CacheStats()
 
     @property
     def capacity_entries(self) -> int:
@@ -64,13 +69,13 @@ class CounterCache:
 
     def lookup(self, page_id: int) -> Optional[CounterBlock]:
         """Probe for a page's counters (counts hit/miss)."""
-        line = self._cache.lookup(self._address(page_id))
-        return None if line is None else line.payload
+        slot = self._cache.lookup(self._address(page_id))
+        return None if slot is None else self._cache.payloads[slot]
 
     def peek(self, page_id: int) -> Optional[CounterBlock]:
         """Probe without stats side effects."""
-        line = self._cache.peek(self._address(page_id))
-        return None if line is None else line.payload
+        slot = self._cache.peek(self._address(page_id))
+        return None if slot is None else self._cache.payloads[slot]
 
     def fill(self, page_id: int, block: CounterBlock, *,
              dirty: bool = False) -> Optional[CounterEviction]:
@@ -92,14 +97,18 @@ class CounterCache:
         return CounterEviction(page_id=page_id, block=evicted.payload,
                                dirty=evicted.dirty)
 
+    def entries(self) -> Iterator[Tuple[int, CounterBlock, bool]]:
+        """``(page_id, counters, dirty)`` for every resident entry, in
+        ascending page order. No stats or recency effects."""
+        cache = self._cache
+        for page_id in sorted(cache.slot_of):
+            slot = cache.slot_of[page_id]
+            yield page_id, cache.payloads[slot], cache.dirty[slot]
+
     def dirty_entries(self) -> List[Tuple[int, CounterBlock]]:
         """All dirty (page_id, counters) pairs — what a battery flush saves."""
-        dirty = []
-        for address in self._cache.resident_addresses():
-            line = self._cache.peek(address)
-            if line is not None and line.dirty:
-                dirty.append((address // self._block_size, line.payload))
-        return dirty
+        return [(page_id, block)
+                for page_id, block, dirty in self.entries() if dirty]
 
     def flush(self, sink: Optional[Callable[[int, CounterBlock], None]]
               = None) -> List[CounterEviction]:
@@ -118,15 +127,11 @@ class CounterCache:
             raise TypeError(
                 "CounterCache.flush(sink) was removed; call flush() and "
                 "persist the returned CounterEviction list instead")
-        flushed: List[CounterEviction] = []
-        for address in self._cache.resident_addresses():
-            line = self._cache.peek(address)
-            if line is not None and line.dirty:
-                page_id = address // self._block_size
-                line.dirty = False
-                flushed.append(CounterEviction(page_id=page_id,
-                                               block=line.payload,
-                                               dirty=True))
+        flushed = [CounterEviction(page_id=page_id, block=block, dirty=True)
+                   for page_id, block in self.dirty_entries()]
+        cache = self._cache
+        for eviction in flushed:
+            cache.dirty[cache.slot_of[eviction.page_id]] = False
         return flushed
 
     def __len__(self) -> int:

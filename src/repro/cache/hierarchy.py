@@ -102,20 +102,13 @@ class CacheHierarchy:
     def _private_contains(self, core: int, address: int) -> bool:
         return self.l1[core].contains(address) or self.l2[core].contains(address)
 
-    def _drop_private(self, core: int, address: int) -> None:
-        """Remove a block from one core's private caches (no writeback:
-        authoritative data is at L4)."""
-        self.l1[core].drop(address)
-        self.l2[core].drop(address)
-        self.directory.evicted(address, core)
-
     def _handle_l4_eviction(self, eviction: Eviction, now_ns: float) -> int:
         """Back-invalidate an L4 victim everywhere and write back if dirty."""
         address = eviction.address
-        self.l3.drop(address)
+        self.l3.invalidate(address)
         for core in self.directory.sharers_of(address):
-            self.l1[core].drop(address)
-            self.l2[core].drop(address)
+            self.l1[core].invalidate(address)
+            self.l2[core].invalidate(address)
         self.directory.invalidate_block(address)
         if eviction.dirty:
             self.writeback_handler(address, eviction.payload, now_ns)
@@ -126,9 +119,11 @@ class CacheHierarchy:
     def _install_private(self, core: int, address: int) -> None:
         """Fill the block's tag into the core's L1 and L2."""
         for cache in (self.l1[core], self.l2[core]):
-            victim = cache.fill_tag(address)
-            if victim >= 0 and not self._private_contains(core, victim):
-                self.directory.evicted(core=core, block_address=victim)
+            evicted = cache.fill(address)
+            if (evicted is not None
+                    and not self._private_contains(core, evicted.address)):
+                self.directory.evicted(core=core,
+                                       block_address=evicted.address)
 
     # -- the main access path ------------------------------------------------------
 
@@ -153,8 +148,8 @@ class CacheHierarchy:
         # private-cache hit; a load miss may downgrade a remote owner.
         if is_write:
             for other in self.directory.write(address, core):
-                self.l1[other].drop(address)
-                self.l2[other].drop(address)
+                self.l1[other].invalidate(address)
+                self.l2[other].invalidate(address)
 
         hit_level = None
         if self.l1[core].lookup(address) is not None:
@@ -163,7 +158,7 @@ class CacheHierarchy:
             latency += self.config.l2.latency_cycles
             if self.l2[core].lookup(address) is not None:
                 hit_level = "L2"
-                self.l1[core].fill_tag(address)
+                self.l1[core].fill(address)
             else:
                 if not is_write:
                     self.directory.read(address, core)
@@ -175,7 +170,7 @@ class CacheHierarchy:
                     latency += self.config.l4.latency_cycles
                     if self.l4.lookup(address) is not None:
                         hit_level = "L4"
-                        self.l3.fill_tag(address)
+                        self.l3.fill(address)
                         self._install_private(core, address)
                     else:
                         fetch = self.miss_handler(address, now_ns)
@@ -191,7 +186,7 @@ class CacheHierarchy:
                         evicted = self.l4.fill(address, payload)
                         if evicted is not None:
                             writeback_count += self._handle_l4_eviction(evicted, now_ns)
-                        self.l3.fill_tag(address)
+                        self.l3.fill(address)
                         self._install_private(core, address)
 
         if is_write and not self._private_contains(core, address):
@@ -199,8 +194,9 @@ class CacheHierarchy:
             self._install_private(core, address)
 
         result_data: Optional[bytes] = None
-        l4_line = self.l4.peek(address)
-        if l4_line is None:
+        l4 = self.l4
+        slot = l4.peek(address)
+        if slot is None:
             # The fill above guarantees residence; guard for safety.
             raise AddressError(f"block {address:#x} missing from L4 after fill")
         if is_write:
@@ -209,18 +205,19 @@ class CacheHierarchy:
                     offset, value = merge
                     if offset < 0 or offset + len(value) > self.block_size:
                         raise AddressError("merge write exceeds block bounds")
-                    base = l4_line.payload if l4_line.payload is not None \
-                        else self._zero_block
-                    l4_line.payload = (base[:offset] + bytes(value)
-                                       + base[offset + len(value):])
+                    base = l4.payloads[slot]
+                    if base is None:
+                        base = self._zero_block
+                    l4.payloads[slot] = (base[:offset] + bytes(value)
+                                         + base[offset + len(value):])
                 elif data is not None and len(data) == self.block_size:
-                    l4_line.payload = bytes(data)
+                    l4.payloads[slot] = bytes(data)
                 else:
                     raise AddressError("functional store needs a full block "
                                        "payload or a merge fragment")
-            l4_line.dirty = True
+            l4.dirty[slot] = True
         else:
-            result_data = l4_line.payload if self.functional else None
+            result_data = l4.payloads[slot] if self.functional else None
 
         return HierarchyAccess(address=address, is_write=is_write,
                                latency_cycles=latency, hit_level=hit_level,
@@ -242,11 +239,11 @@ class CacheHierarchy:
             return -1
         block = address // self.block_size
         l1 = self.l1[core]
-        location = l1._index.get(block)
-        if location is None:
+        slot = l1.slot_of.get(block)
+        if slot is None:
             return -1
-        l4_location = self.l4._index.get(block)
-        if l4_location is None:
+        l4_slot = self.l4.slot_of.get(block)
+        if l4_slot is None:
             return -1
         if is_write:
             if self.functional:
@@ -255,9 +252,10 @@ class CacheHierarchy:
             if (entry is None or entry.owner != core
                     or entry.state is not MESIState.MODIFIED):
                 return -1
-            self.l4._sets[l4_location[0]][l4_location[1]].dirty = True
+            self.l4.dirty[l4_slot] = True
         l1.stats.hits += 1
-        l1.policy.touch(location[0], location[1])
+        l1.clock += 1
+        l1.stamps[slot] = l1.clock
         return self.config.l1.latency_cycles
 
     # -- shred support ------------------------------------------------------------
@@ -274,10 +272,10 @@ class CacheHierarchy:
         for offset in range(0, page_size, self.block_size):
             address = page_address + offset
             for core in self.directory.invalidate_block(address):
-                self.l1[core].drop(address)
-                self.l2[core].drop(address)
+                self.l1[core].invalidate(address)
+                self.l2[core].invalidate(address)
                 result.private_invalidations += 1
-            self.l3.drop(address)
+            self.l3.invalidate(address)
             evicted = self.l4.invalidate(address)
             if evicted is not None:
                 result.blocks_invalidated += 1

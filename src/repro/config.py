@@ -36,6 +36,18 @@ def is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
 
 
+def _require_geometry(name: str, size_bytes: int, associativity: int,
+                      block_size: int) -> None:
+    """Reject a cache geometry that does not give at least one whole set."""
+    _require(is_power_of_two(block_size),
+             f"{name}: block size must be a power of two")
+    _require(associativity >= 1, f"{name}: associativity must be >= 1")
+    _require(size_bytes % (block_size * associativity) == 0,
+             f"{name}: size must be a multiple of block_size*associativity")
+    _require(size_bytes >= block_size * associativity,
+             f"{name}: needs at least one set")
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     """Geometry and latency of one set-associative cache level."""
@@ -49,11 +61,11 @@ class CacheConfig:
     shared: bool = False
 
     def __post_init__(self) -> None:
-        _require(is_power_of_two(self.block_size),
-                 f"{self.name}: block size must be a power of two")
-        _require(self.size_bytes % (self.block_size * self.associativity) == 0,
-                 f"{self.name}: size must be a multiple of block_size*associativity")
-        _require(self.associativity >= 1, f"{self.name}: associativity must be >= 1")
+        _require_geometry(self.name, self.size_bytes, self.associativity,
+                          self.block_size)
+        _require(self.replacement == "lru",
+                 f"{self.name}: replacement must be 'lru', the paper's "
+                 f"policy (got {self.replacement!r})")
         _require(self.latency_cycles >= 0, f"{self.name}: latency must be non-negative")
 
     @property
@@ -149,8 +161,8 @@ class CounterCacheConfig:
     def __post_init__(self) -> None:
         _require(self.write_policy in ("writeback", "writethrough"),
                  "counter cache write policy must be writeback or writethrough")
-        _require(self.size_bytes % (self.block_size * self.associativity) == 0,
-                 "counter cache size must be a multiple of block_size*associativity")
+        _require_geometry("counter cache", self.size_bytes,
+                          self.associativity, self.block_size)
 
 
 @dataclass(frozen=True)

@@ -181,10 +181,7 @@ class System:
         self.machine.hierarchy.check_inclusion()
         controller = self.machine.controller
         limit = (1 << self.config.encryption.minor_counter_bits) - 1
-        cache = controller.counter_cache
-        for address in cache._cache.resident_addresses():
-            line = cache._cache.peek(address)
-            counters = line.payload
+        for _, counters, _ in controller.counter_cache.entries():
             if counters is None:
                 continue
             for minor in counters.minors:
@@ -211,7 +208,7 @@ class System:
         for cache in [machine.hierarchy.l3, machine.hierarchy.l4,
                       *machine.hierarchy.l1, *machine.hierarchy.l2]:
             cache.stats = CacheStats()
-        machine.controller.counter_cache._cache.stats = CacheStats()
+        machine.controller.counter_cache.reset_stats()
         machine.hierarchy.zero_fills = 0
         machine.hierarchy.memory_fetches = 0
         machine.hierarchy.writebacks = 0

@@ -1,17 +1,14 @@
-"""Set-associative cache mechanics and replacement policies."""
+"""Set-associative LRU cache mechanics over the slot-indexed layout."""
 
 import pytest
 
-from repro.cache import (FIFOPolicy, LRUPolicy, RandomPolicy,
-                         SetAssociativeCache, make_replacement)
+from repro.cache import SetAssociativeCache
 from repro.config import CacheConfig
-from repro.errors import ConfigError
 
 
-def small_cache(assoc=2, sets=4, policy="lru"):
+def small_cache(assoc=2, sets=4):
     config = CacheConfig("T", size_bytes=64 * assoc * sets,
-                         associativity=assoc, latency_cycles=1,
-                         replacement=policy)
+                         associativity=assoc, latency_cycles=1)
     return SetAssociativeCache(config)
 
 
@@ -25,7 +22,9 @@ class TestLookupFill:
         cache = small_cache()
         assert cache.lookup(0) is None
         cache.fill(0)
-        assert cache.lookup(0) is not None
+        slot = cache.lookup(0)
+        assert slot == 0                   # set 0, way 0
+        assert cache.tags[slot] == 0
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
 
@@ -39,24 +38,25 @@ class TestLookupFill:
         cache = small_cache()
         cache.fill(0)
         # Any address within the block maps to the same line.
-        assert cache.lookup(63) is not None
+        slot = cache.lookup(63)
+        assert slot is not None and slot == cache.peek(0)
 
     def test_payload_stored(self):
         cache = small_cache()
         cache.fill(0, payload=b"hello")
-        assert cache.lookup(0).payload == b"hello"
+        assert cache.payloads[cache.lookup(0)] == b"hello"
 
     def test_refill_updates_payload(self):
         cache = small_cache()
         cache.fill(0, payload=b"a")
         cache.fill(0, payload=b"b")
-        assert cache.peek(0).payload == b"b"
+        assert cache.payloads[cache.peek(0)] == b"b"
 
     def test_refill_keeps_dirty(self):
         cache = small_cache()
         cache.fill(0, dirty=True)
         cache.fill(0, dirty=False)
-        assert cache.peek(0).dirty
+        assert cache.dirty[cache.peek(0)]
 
 
 class TestEviction:
@@ -107,14 +107,6 @@ class TestInvalidate:
         cache = small_cache()
         assert cache.invalidate(0) is None
 
-    def test_invalidate_range(self):
-        cache = small_cache(assoc=8, sets=8)
-        for i in range(8):
-            cache.fill(i * 64)
-        evicted = cache.invalidate_range(0, 4 * 64)
-        assert len(evicted) == 4
-        assert len(cache) == 4
-
     def test_flush_all_returns_dirty(self):
         cache = small_cache(assoc=8, sets=8)
         cache.fill(0, dirty=True)
@@ -129,42 +121,19 @@ class TestInvalidate:
         cache.invalidate(addr(0, 0))
         assert cache.fill(addr(0, 1)) is None   # no eviction needed
 
-    @pytest.mark.parametrize("method", ["fill", "fill_tag"])
+    @pytest.mark.parametrize("method", ["fill"])
     def test_fill_takes_the_lowest_empty_way(self, method):
         cache = small_cache(assoc=4, sets=4)
         for tag in range(4):
             cache.fill(addr(0, tag))
         cache.invalidate(addr(0, 2))
-        cache.drop(addr(0, 1))
+        cache.invalidate(addr(0, 1))
         getattr(cache, method)(addr(0, 7))
-        assert [line and line.tag for line in cache._sets[0]] \
-            == [0, 7 * 4, None, 3 * 4]
+        assert cache.tags[0:4] == [0, 7 * 4, None, 3 * 4]
+        assert cache.stamps[2] == 0        # an empty way keeps stamp 0
 
 
 class TestReplacementPolicies:
-    def test_fifo_ignores_hits(self):
-        cache = small_cache(assoc=2, sets=4, policy="fifo")
-        a, b, c = addr(0, 0), addr(0, 1), addr(0, 2)
-        cache.fill(a)
-        cache.fill(b)
-        cache.lookup(a)                    # hit must not refresh FIFO order
-        evicted = cache.fill(c)
-        assert evicted.address == a
-
-    def test_random_is_seeded(self):
-        a = RandomPolicy(seed=7)
-        b = RandomPolicy(seed=7)
-        choices_a = [a.victim(0, list(range(8))) for _ in range(20)]
-        choices_b = [b.victim(0, list(range(8))) for _ in range(20)]
-        assert choices_a == choices_b
-
-    def test_factory(self):
-        assert isinstance(make_replacement("lru"), LRUPolicy)
-        assert isinstance(make_replacement("fifo"), FIFOPolicy)
-        assert isinstance(make_replacement("random"), RandomPolicy)
-        with pytest.raises(ConfigError):
-            make_replacement("plru")
-
     def test_stats_rates(self):
         cache = small_cache()
         cache.lookup(0)

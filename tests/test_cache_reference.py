@@ -1,0 +1,352 @@
+"""``SetAssociativeCache`` against a transcription of its predecessor.
+
+The cache keeps one layout: flat tag, LRU-stamp, dirty and payload
+lists indexed by slot (``set * associativity + way``) and one dict from
+resident block number to slot. The design it replaced kept per-set
+lists of :class:`CacheLine` objects, an ``_index`` dict of ``(set,
+way)`` tuples, a per-set fill count and a separate LRU policy object
+with its own stamp array; :class:`ReferenceCache` and
+:class:`LRUPolicy` below transcribe it.
+
+Hypothesis drives both through random sequences of ``lookup``,
+``contains``, ``peek``, ``fill`` (with payload and dirty bit),
+``mark_dirty``, ``invalidate`` and ``flush_all`` on 1-4 sets of 1, 2, 4
+or 8 ways, over an address range three times the capacity. After every
+operation the return values, all six stats fields, the resident
+addresses, the length, the block-to-slot map and every way's tag, LRU
+stamp, dirty bit and payload must match. Two mutants of ``fill`` (a
+victim scan that breaks ties to the highest way, a refill that does not
+refresh recency) must fail the suite.
+"""
+
+from __future__ import annotations
+
+import inspect
+import textwrap
+from array import array
+from dataclasses import astuple, dataclass
+from typing import Any, Dict, List, Optional, Tuple
+
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from repro.cache import SetAssociativeCache
+from repro.cache import cache as cache_module
+from repro.cache.cache import CacheStats, Eviction
+from repro.config import CacheConfig
+
+BLOCK = 64
+
+
+# -- the reference: the cache before the slot-indexed layout --------------------
+
+@dataclass
+class CacheLine:
+    """One resident line: tag plus dirty bit and optional payload."""
+
+    tag: int
+    dirty: bool = False
+    payload: Any = None
+
+
+class LRUPolicy:
+    """Least-recently-used: victim is the way with the oldest touch.
+
+    A flat ``array('q')`` of stamps indexed ``set * assoc + way``: a
+    stamp of ``0`` means "never touched", and ties break on the lowest
+    way index.
+    """
+
+    def __init__(self) -> None:
+        self._clock = 0
+        self._assoc = 0
+        self.stamps = array("q")
+
+    def bind(self, num_sets: int, associativity: int) -> None:
+        self._assoc = associativity
+        self.stamps = array("q", bytes(8 * num_sets * associativity))
+
+    def touch(self, set_index: int, way: int) -> None:
+        self._clock += 1
+        self.stamps[set_index * self._assoc + way] = self._clock
+
+    def victim(self, set_index: int, ways: List[int]) -> int:
+        base = set_index * self._assoc
+        stamps = self.stamps
+        best = ways[0]
+        best_stamp = stamps[base + best]
+        for way in ways[1:]:
+            stamp = stamps[base + way]
+            if stamp < best_stamp:
+                best, best_stamp = way, stamp
+        return best
+
+    def forget(self, set_index: int, way: int) -> None:
+        self.stamps[set_index * self._assoc + way] = 0
+
+
+class ReferenceCache:
+    """Per-set ways of :class:`CacheLine` (``None`` when empty), the
+    ``_index`` of ``(set, way)`` slots and the ``_set_fill`` counts."""
+
+    def __init__(self, config: CacheConfig) -> None:
+        self.block_size = config.block_size
+        self.num_sets = config.num_sets
+        self.associativity = config.associativity
+        self.policy = LRUPolicy()
+        self.policy.bind(self.num_sets, self.associativity)
+        self.stats = CacheStats()
+        self._sets: List[List[Optional[CacheLine]]] = [
+            [None] * self.associativity for _ in range(self.num_sets)
+        ]
+        self._set_fill = array("i", bytes(4 * self.num_sets))
+        self._all_ways = list(range(self.associativity))
+        self._index: Dict[int, Tuple[int, int]] = {}
+
+    def _block_number(self, address: int) -> int:
+        return address // self.block_size
+
+    def _address_of(self, block_number: int) -> int:
+        return block_number * self.block_size
+
+    def contains(self, address: int) -> bool:
+        return self._block_number(address) in self._index
+
+    def lookup(self, address: int) -> Optional[CacheLine]:
+        block = self._block_number(address)
+        location = self._index.get(block)
+        if location is None:
+            self.stats.misses += 1
+            return None
+        set_index, way = location
+        line = self._sets[set_index][way]
+        self.stats.hits += 1
+        self.policy.touch(set_index, way)
+        return line
+
+    def peek(self, address: int) -> Optional[CacheLine]:
+        location = self._index.get(self._block_number(address))
+        if location is None:
+            return None
+        return self._sets[location[0]][location[1]]
+
+    def fill(self, address: int, payload: Any = None, *,
+             dirty: bool = False) -> Optional[Eviction]:
+        block = self._block_number(address)
+        existing = self._index.get(block)
+        if existing is not None:
+            set_index, way = existing
+            line = self._sets[set_index][way]
+            line.payload = payload
+            line.dirty = line.dirty or dirty
+            self.policy.touch(set_index, way)
+            return None
+
+        set_index = block % self.num_sets
+        ways = self._sets[set_index]
+
+        eviction = None
+        if self._set_fill[set_index] == self.associativity:
+            victim_way = self.policy.victim(set_index, self._all_ways)
+            victim = ways[victim_way]
+            self.stats.evictions += 1
+            if victim.dirty:
+                self.stats.dirty_evictions += 1
+            eviction = Eviction(address=victim.tag * self.block_size,
+                                dirty=victim.dirty, payload=victim.payload)
+            del self._index[victim.tag]
+            self.policy.forget(set_index, victim_way)
+            victim.tag = block
+            victim.dirty = dirty
+            victim.payload = payload
+        else:
+            victim_way = ways.index(None)
+            ways[victim_way] = CacheLine(tag=block, dirty=dirty,
+                                         payload=payload)
+            self._set_fill[set_index] += 1
+
+        self._index[block] = (set_index, victim_way)
+        self.policy.touch(set_index, victim_way)
+        self.stats.fills += 1
+        return eviction
+
+    def mark_dirty(self, address: int) -> None:
+        line = self.peek(address)
+        if line is not None:
+            line.dirty = True
+
+    def invalidate(self, address: int) -> Optional[Eviction]:
+        block = self._block_number(address)
+        location = self._index.pop(block, None)
+        if location is None:
+            return None
+        set_index, way = location
+        line = self._sets[set_index][way]
+        self._sets[set_index][way] = None
+        self._set_fill[set_index] -= 1
+        self.policy.forget(set_index, way)
+        self.stats.invalidations += 1
+        return Eviction(address=self._address_of(block), dirty=line.dirty,
+                        payload=line.payload)
+
+    def resident_addresses(self) -> List[int]:
+        return sorted(self._address_of(block) for block in self._index)
+
+    def flush_all(self) -> List[Eviction]:
+        dirty = []
+        for address in self.resident_addresses():
+            evicted = self.invalidate(address)
+            if evicted is not None and evicted.dirty:
+                dirty.append(evicted)
+        return dirty
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+
+# -- observing both ----------------------------------------------------------------
+
+def eviction_state(eviction: Optional[Eviction]) -> Optional[tuple]:
+    if eviction is None:
+        return None
+    return (eviction.address, eviction.dirty, eviction.payload)
+
+
+def line_state(cache: SetAssociativeCache, slot: Optional[int]):
+    """A line found by ``lookup``/``peek``: its slot, tag, dirty bit and
+    payload."""
+    if slot is None:
+        return None
+    return (slot, cache.tags[slot], cache.dirty[slot], cache.payloads[slot])
+
+
+def reference_line_state(ref: ReferenceCache, line: Optional[CacheLine]):
+    if line is None:
+        return None
+    set_index, way = ref._index[line.tag]
+    return (set_index * ref.associativity + way, line.tag, line.dirty,
+            line.payload)
+
+
+def apply(cache, op: tuple, describe_line):
+    kind, args = op[0], op[1:]
+    if kind == "fill":
+        address, payload, dirty = args
+        return eviction_state(cache.fill(address, payload, dirty=dirty))
+    if kind in ("lookup", "peek"):
+        return describe_line(getattr(cache, kind)(*args))
+    if kind == "invalidate":
+        return eviction_state(cache.invalidate(*args))
+    if kind == "flush_all":
+        return [eviction_state(e) for e in cache.flush_all()]
+    return getattr(cache, kind)(*args)          # contains, mark_dirty
+
+
+def observe(cache: SetAssociativeCache) -> tuple:
+    ways = [None if tag is None else (tag, dirty, payload)
+            for tag, dirty, payload in zip(cache.tags, cache.dirty,
+                                           cache.payloads)]
+    return (astuple(cache.stats), cache.resident_addresses(), len(cache),
+            dict(cache.slot_of), list(cache.tags), list(cache.stamps), ways)
+
+
+def observe_reference(ref: ReferenceCache) -> tuple:
+    lines = [line for ways in ref._sets for line in ways]
+    slots = {block: set_index * ref.associativity + way
+             for block, (set_index, way) in ref._index.items()}
+    ways = [None if line is None else (line.tag, line.dirty, line.payload)
+            for line in lines]
+    return (astuple(ref.stats), ref.resident_addresses(), len(ref), slots,
+            [None if line is None else line.tag for line in lines],
+            list(ref.policy.stamps), ways)
+
+
+def check_against_reference(num_sets: int, associativity: int,
+                            ops: List[tuple]) -> None:
+    config = CacheConfig("T", size_bytes=BLOCK * num_sets * associativity,
+                         associativity=associativity)
+    cache, ref = SetAssociativeCache(config), ReferenceCache(config)
+    assert observe(cache) == observe_reference(ref)
+    for step, op in enumerate(ops):
+        got = apply(cache, op, lambda slot: line_state(cache, slot))
+        want = apply(ref, op, lambda line: reference_line_state(ref, line))
+        assert got == want, (step, op)
+        assert observe(cache) == observe_reference(ref), (step, op)
+
+
+@st.composite
+def cases(draw):
+    num_sets = draw(st.integers(min_value=1, max_value=4))
+    associativity = draw(st.sampled_from([1, 2, 4, 8]))
+    span = 3 * num_sets * associativity * BLOCK
+    address = st.integers(min_value=0, max_value=span - 1)
+    fill = st.tuples(st.just("fill"), address,
+                     st.one_of(st.none(), st.integers(0, 3)), st.booleans())
+    op = st.one_of(
+        fill, fill, fill,           # listed thrice: fills drive eviction
+        st.tuples(st.sampled_from(["lookup", "lookup", "contains", "peek",
+                                   "mark_dirty", "invalidate"]), address),
+        st.tuples(st.just("flush_all")),
+    )
+    ops = draw(st.lists(op, max_size=80))
+    return num_sets, associativity, ops
+
+
+SUITE = settings(max_examples=300, deadline=None)
+
+
+@SUITE
+@given(case=cases())
+def test_matches_reference(case):
+    check_against_reference(*case)
+
+
+@pytest.mark.parametrize("associativity", [1, 2, 4, 8])
+def test_fills_past_capacity_in_every_geometry(associativity):
+    """Deterministic cover of the steady state: fills, hits and
+    invalidations over a working set twice the capacity."""
+    ops = []
+    for block in range(2 * 3 * associativity):
+        ops += [("fill", block * BLOCK, block % 3, block % 2 == 0),
+                ("lookup", (block // 2) * BLOCK)]
+        if block % 5 == 0:
+            ops.append(("invalidate", (block - 1) * BLOCK))
+    ops.append(("flush_all",))
+    check_against_reference(3, associativity, ops)
+
+
+# -- mutants of fill() must fail the suite -------------------------------------------
+
+#: name -> (fragment of ``SetAssociativeCache.fill``'s source, its mutation)
+MUTANTS = {
+    "victim-ties-to-highest-way": (
+        "slot = base + ways.index(min(ways))",
+        "slot = base + len(ways) - 1 - ways[::-1].index(min(ways))"),
+    "refill-keeps-old-recency": (
+        "stamps[slot] = self.clock\n        return None",
+        "return None"),
+}
+
+
+def mutated_fill(fragment: str, mutation: str):
+    """``SetAssociativeCache.fill`` recompiled with the first
+    ``fragment`` of its source replaced by ``mutation``."""
+    source = textwrap.dedent(inspect.getsource(SetAssociativeCache.fill))
+    assert fragment in source, f"mutation site {fragment!r} not in fill()"
+    namespace: Dict[str, Any] = {}
+    exec(source.replace(fragment, mutation, 1), dict(vars(cache_module)),
+         namespace)
+    return namespace["fill"]
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_suite_catches_mutant(mutant, monkeypatch):
+    """The property test, run as is except that it stops at the first
+    counterexample (no shrinking) and records none."""
+    monkeypatch.setattr(SetAssociativeCache, "fill",
+                        mutated_fill(*MUTANTS[mutant]))
+    search = settings(SUITE, phases=[Phase.generate], database=None)(
+        given(case=cases())(test_matches_reference.hypothesis.inner_test))
+    with pytest.raises(AssertionError):
+        search()

@@ -90,6 +90,39 @@ class TestValidation:
         with pytest.raises(ConfigError):
             CounterCacheConfig(write_policy="writearound")
 
+    @pytest.mark.parametrize("associativity", [0, -8])
+    def test_cache_associativity_below_one(self, associativity):
+        with pytest.raises(ConfigError, match="associativity"):
+            CacheConfig("X", size_bytes=1024, associativity=associativity)
+
+    @pytest.mark.parametrize("size_bytes", [0, -4096])
+    def test_cache_without_a_set(self, size_bytes):
+        with pytest.raises(ConfigError, match="at least one set"):
+            CacheConfig("X", size_bytes=size_bytes)
+
+    @pytest.mark.parametrize("replacement", ["plru", "fifo", "random"])
+    def test_cache_replacement_is_lru_only(self, replacement):
+        with pytest.raises(ConfigError, match="replacement"):
+            CacheConfig("X", size_bytes=4096, replacement=replacement)
+
+    @pytest.mark.parametrize("associativity", [0, -8])
+    def test_counter_cache_associativity_below_one(self, associativity):
+        with pytest.raises(ConfigError, match="associativity"):
+            CounterCacheConfig(associativity=associativity)
+
+    @pytest.mark.parametrize("size_bytes", [0, -4096])
+    def test_counter_cache_without_a_set(self, size_bytes):
+        with pytest.raises(ConfigError, match="at least one set"):
+            CounterCacheConfig(size_bytes=size_bytes)
+
+    def test_counter_cache_block_size(self):
+        with pytest.raises(ConfigError, match="power of two"):
+            CounterCacheConfig(size_bytes=48 * 8 * 16, block_size=48)
+
+    def test_one_set_is_enough(self):
+        assert CacheConfig("X", size_bytes=64, associativity=1).num_sets == 1
+        assert CounterCacheConfig(size_bytes=512).size_bytes == 512
+
     def test_mismatched_block_sizes(self):
         with pytest.raises(ConfigError):
             SystemConfig(l1=CacheConfig("L1", size_bytes=64 * KB,

@@ -41,16 +41,14 @@ TLB_ENTRIES = 4
 
 def state_signature(hierarchy: CacheHierarchy) -> list:
     """Everything observable about the hierarchy's state and stats:
-    per-cache stats, the tag in every way (-1 when empty), recency
+    per-cache stats, the tag in every way (``None`` when empty), LRU
     stamps, the hierarchy's counters and the coherence directory."""
     out = []
     for cache in [*hierarchy.l1, *hierarchy.l2, hierarchy.l3, hierarchy.l4]:
         out.append((cache.stats.hits, cache.stats.misses,
                     cache.stats.evictions, cache.stats.dirty_evictions,
                     cache.stats.invalidations, cache.stats.fills,
-                    tuple(-1 if line is None else line.tag
-                          for ways in cache._sets for line in ways),
-                    tuple(cache.policy.stamps)))
+                    tuple(cache.tags), tuple(cache.stamps)))
     out.append((hierarchy.zero_fills, hierarchy.memory_fetches,
                 hierarchy.writebacks))
     out.append(tuple(sorted(
@@ -175,9 +173,10 @@ class World:
     def signature(self):
         system = self.system
         hierarchy = system.machine.hierarchy
-        l4_lines = tuple((line.tag, line.dirty, line.payload)
-                         for ways in hierarchy.l4._sets
-                         for line in ways if line is not None)
+        l4 = hierarchy.l4
+        l4_lines = tuple((tag, l4.dirty[slot], l4.payloads[slot])
+                         for slot, tag in enumerate(l4.tags)
+                         if tag is not None)
         cores = [(asdict(core.stats), tuple(core._store_buffer))
                  for core in system.cores]
         tlbs = [None if ctx.tlb is None else
@@ -337,16 +336,18 @@ class TestTouchFastPathEquivalence:
 def mutant_without_owner_check(self, core, address, is_write):
     """``try_l1_hit`` minus the directory-owner check for stores."""
     block = address // self.block_size
-    location = self.l1[core]._index.get(block)
-    l4_location = self.l4._index.get(block)
-    if location is None or l4_location is None:
+    l1 = self.l1[core]
+    slot = l1.slot_of.get(block)
+    l4_slot = self.l4.slot_of.get(block)
+    if slot is None or l4_slot is None:
         return -1
     if is_write:
         if self.functional:
             return -1
-        self.l4._sets[l4_location[0]][l4_location[1]].dirty = True
-    self.l1[core].stats.hits += 1
-    self.l1[core].policy.touch(location[0], location[1])
+        self.l4.dirty[l4_slot] = True
+    l1.stats.hits += 1
+    l1.clock += 1
+    l1.stamps[slot] = l1.clock
     return self.config.l1.latency_cycles
 
 

@@ -1,6 +1,5 @@
 """Cross-cutting coverage: error hierarchy, package version, machine
-helpers, catalogue smoke runs, result records, DEUCE in timing mode,
-random replacement."""
+helpers, catalogue smoke runs, result records, DEUCE in timing mode."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -9,8 +8,7 @@ import pytest
 
 import repro
 from repro import errors
-from repro.config import CacheConfig, fast_config
-from repro.cache import SetAssociativeCache
+from repro.config import fast_config
 from repro.core import DeuceShredderController
 from repro.sim import System
 from repro.sim.results import RunResult
@@ -111,17 +109,6 @@ class TestDeuceTimingMode:
         assert result.data is None
         controller.shred_page(0)
         assert controller.fetch_block(0).zero_filled
-
-
-class TestRandomReplacementCache:
-    def test_cache_with_random_policy_works(self):
-        config = CacheConfig("R", size_bytes=64 * 2 * 4, associativity=2,
-                             replacement="random")
-        cache = SetAssociativeCache(config)
-        for tag in range(10):
-            cache.fill(tag * 4 * 64)     # same set, forced evictions
-        assert len(cache) <= 8
-        assert cache.stats.evictions >= 8
 
 
 class TestSystemDescribeIntegration:

@@ -21,10 +21,10 @@ class TestVerifyInvariants:
 
     def test_detects_counter_corruption(self, busy_system):
         cache = busy_system.machine.controller.counter_cache
-        addresses = cache._cache.resident_addresses()
-        assert addresses, "run must have touched counters"
-        line = cache._cache.peek(addresses[0])
-        line.payload.minors[0] = 9999
+        entries = list(cache.entries())
+        assert entries, "run must have touched counters"
+        _, counters, _ = entries[0]
+        counters.minors[0] = 9999
         with pytest.raises(SimulationError):
             busy_system.verify_invariants()
 
