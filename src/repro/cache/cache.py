@@ -18,8 +18,9 @@ stamp is below every resident stamp, so one lowest-stamp scan over a set
 and the LRU line otherwise.
 
 Evictions report the victim so the owner can write back dirty state;
-:meth:`SetAssociativeCache.invalidate` serves both clean drops
-(shredding, back-invalidation) and flushing.
+:meth:`SetAssociativeCache.invalidate` serves clean drops (shredding,
+back-invalidation) and :meth:`SetAssociativeCache.flush_all` clears the
+whole cache at once.
 """
 
 from __future__ import annotations
@@ -182,13 +183,22 @@ class SetAssociativeCache:
         return sorted(block * self.block_size for block in self.slot_of)
 
     def flush_all(self) -> List[Eviction]:
-        """Invalidate everything, returning dirty victims (ascending
-        address) for write-back."""
-        dirty = []
-        for address in self.resident_addresses():
-            evicted = self.invalidate(address)
-            if evicted.dirty:
-                dirty.append(evicted)
+        """Invalidate everything at once, returning dirty victims
+        (ascending address) for write-back."""
+        slot_of = self.slot_of
+        if not slot_of:
+            return []
+        dirty = [Eviction(block * self.block_size, True,
+                          self.payloads[slot_of[block]])
+                 for block in sorted(block for block, slot in slot_of.items()
+                                     if self.dirty[slot])]
+        slots = len(self.tags)
+        self.tags[:] = [None] * slots
+        self.stamps[:] = [0] * slots
+        self.dirty[:] = [False] * slots
+        self.payloads[:] = [None] * slots
+        self.stats.invalidations += len(slot_of)
+        slot_of.clear()
         return dirty
 
     def __len__(self) -> int:

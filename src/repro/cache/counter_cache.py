@@ -46,22 +46,24 @@ class CounterCache:
             block_size=config.block_size,
             latency_cycles=config.latency_cycles,
         )
-        self._cache = SetAssociativeCache(geometry)
+        #: the LRU tag store, keyed by page id: page ids are mapped onto
+        #: synthetic block addresses so the generic set-associative
+        #: machinery (sets, ways, LRU, stats) applies directly, and a
+        #: page id is its entry's block number (a ``slot_of`` key). The
+        #: controller's counter probe reads it in place.
+        self.lines = SetAssociativeCache(geometry)
         self._block_size = config.block_size
 
-    # Page ids are mapped onto synthetic block addresses so the generic
-    # set-associative machinery (sets, ways, LRU, stats) applies
-    # directly: a page id is its entry's block number.
     def _address(self, page_id: int) -> int:
         return page_id * self._block_size
 
     @property
     def stats(self) -> CacheStats:
-        return self._cache.stats
+        return self.lines.stats
 
     def reset_stats(self) -> None:
         """Zero the hit/miss/eviction counters; entries stay resident."""
-        self._cache.stats = CacheStats()
+        self.lines.stats = CacheStats()
 
     @property
     def capacity_entries(self) -> int:
@@ -69,29 +71,29 @@ class CounterCache:
 
     def lookup(self, page_id: int) -> Optional[CounterBlock]:
         """Probe for a page's counters (counts hit/miss)."""
-        slot = self._cache.lookup(self._address(page_id))
-        return None if slot is None else self._cache.payloads[slot]
+        slot = self.lines.lookup(self._address(page_id))
+        return None if slot is None else self.lines.payloads[slot]
 
     def peek(self, page_id: int) -> Optional[CounterBlock]:
         """Probe without stats side effects."""
-        slot = self._cache.peek(self._address(page_id))
-        return None if slot is None else self._cache.payloads[slot]
+        slot = self.lines.peek(self._address(page_id))
+        return None if slot is None else self.lines.payloads[slot]
 
     def fill(self, page_id: int, block: CounterBlock, *,
              dirty: bool = False) -> Optional[CounterEviction]:
         """Install a counter block; returns the victim if one was evicted."""
-        evicted = self._cache.fill(self._address(page_id), block, dirty=dirty)
+        evicted = self.lines.fill(self._address(page_id), block, dirty=dirty)
         if evicted is None:
             return None
         return CounterEviction(page_id=evicted.address // self._block_size,
                                block=evicted.payload, dirty=evicted.dirty)
 
     def mark_dirty(self, page_id: int) -> None:
-        self._cache.mark_dirty(self._address(page_id))
+        self.lines.mark_dirty(self._address(page_id))
 
     def invalidate(self, page_id: int) -> Optional[CounterEviction]:
         """Drop a page's counters (remote-core invalidation in Figure 6)."""
-        evicted = self._cache.invalidate(self._address(page_id))
+        evicted = self.lines.invalidate(self._address(page_id))
         if evicted is None:
             return None
         return CounterEviction(page_id=page_id, block=evicted.payload,
@@ -100,7 +102,7 @@ class CounterCache:
     def entries(self) -> Iterator[Tuple[int, CounterBlock, bool]]:
         """``(page_id, counters, dirty)`` for every resident entry, in
         ascending page order. No stats or recency effects."""
-        cache = self._cache
+        cache = self.lines
         for page_id in sorted(cache.slot_of):
             slot = cache.slot_of[page_id]
             yield page_id, cache.payloads[slot], cache.dirty[slot]
@@ -129,10 +131,10 @@ class CounterCache:
                 "persist the returned CounterEviction list instead")
         flushed = [CounterEviction(page_id=page_id, block=block, dirty=True)
                    for page_id, block in self.dirty_entries()]
-        cache = self._cache
+        cache = self.lines
         for eviction in flushed:
             cache.dirty[cache.slot_of[eviction.page_id]] = False
         return flushed
 
     def __len__(self) -> int:
-        return len(self._cache)
+        return len(self.lines)

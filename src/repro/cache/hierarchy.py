@@ -23,16 +23,18 @@ Shredding interacts with the hierarchy through
 
 Loads and stores take one walk, :meth:`CacheHierarchy.access`, one
 call per access; :meth:`CacheHierarchy.try_l1_hit` serves the pure L1
-hits of that walk in place.
+hits of that walk in place. The directory lists a core as a sharer of a
+block exactly while that core's L1 or L2 holds it, and tracks only
+blocks L4 holds (:meth:`CacheHierarchy.check_inclusion`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional, Set
 
 from ..config import SystemConfig
-from ..errors import AddressError
+from ..errors import AddressError, SimulationError
 from .cache import Eviction, SetAssociativeCache
 from .coherence import CoherenceDirectory, MESIState
 
@@ -96,34 +98,18 @@ class CacheHierarchy:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _align(self, address: int) -> int:
-        return address - (address % self.block_size)
-
-    def _private_contains(self, core: int, address: int) -> bool:
-        return self.l1[core].contains(address) or self.l2[core].contains(address)
-
     def _handle_l4_eviction(self, eviction: Eviction, now_ns: float) -> int:
         """Back-invalidate an L4 victim everywhere and write back if dirty."""
         address = eviction.address
         self.l3.invalidate(address)
-        for core in self.directory.sharers_of(address):
+        for core in self.directory.invalidate_block(address):
             self.l1[core].invalidate(address)
             self.l2[core].invalidate(address)
-        self.directory.invalidate_block(address)
         if eviction.dirty:
             self.writeback_handler(address, eviction.payload, now_ns)
             self.writebacks += 1
             return 1
         return 0
-
-    def _install_private(self, core: int, address: int) -> None:
-        """Fill the block's tag into the core's L1 and L2."""
-        for cache in (self.l1[core], self.l2[core]):
-            evicted = cache.fill(address)
-            if (evicted is not None
-                    and not self._private_contains(core, evicted.address)):
-                self.directory.evicted(core=core,
-                                       block_address=evicted.address)
 
     # -- the main access path ------------------------------------------------------
 
@@ -137,91 +123,126 @@ class CacheHierarchy:
         sub-block store as a read-modify-write of the cached copy.
         Returns the access latency in core cycles and, for loads in
         functional mode, the block's bytes.
+
+        One pass: the block number is computed once and each level's
+        ``slot_of`` probed once, top down. A miss below L2 fills the
+        missing shared levels, then L1 and L2; a block that leaves a
+        core's L1 or L2 and is in neither any more is reported to the
+        directory, so its sharers are exactly the cores that hold it.
         """
         if core < 0 or core >= self.num_cores:
             raise AddressError(f"no such core {core}")
-        address = self._align(address)
-        latency = self.config.l1.latency_cycles
+        block_size = self.block_size
+        block = address // block_size
+        address = block * block_size
+        directory = self.directory
+        l1 = self.l1[core]
+        l2 = self.l2[core]
+        latency = l1.latency_cycles
         writeback_count = 0
 
         # Coherence first: a store must gain exclusive ownership even on a
         # private-cache hit; a load miss may downgrade a remote owner.
         if is_write:
-            for other in self.directory.write(address, core):
+            for other in directory.write(address, core):
                 self.l1[other].invalidate(address)
                 self.l2[other].invalidate(address)
 
-        hit_level = None
-        if self.l1[core].lookup(address) is not None:
+        slot = l1.slot_of.get(block)
+        if slot is not None:
+            l1.stats.hits += 1
+            l1.clock += 1
+            l1.stamps[slot] = l1.clock
             hit_level = "L1"
         else:
-            latency += self.config.l2.latency_cycles
-            if self.l2[core].lookup(address) is not None:
+            l1.stats.misses += 1
+            latency += l2.latency_cycles
+            slot = l2.slot_of.get(block)
+            if slot is not None:
+                l2.stats.hits += 1
+                l2.clock += 1
+                l2.stamps[slot] = l2.clock
                 hit_level = "L2"
-                self.l1[core].fill(address)
             else:
+                l2.stats.misses += 1
                 if not is_write:
-                    self.directory.read(address, core)
-                latency += self.config.l3.latency_cycles
-                if self.l3.lookup(address) is not None:
+                    directory.read(address, core)
+                l3 = self.l3
+                latency += l3.latency_cycles
+                slot = l3.slot_of.get(block)
+                if slot is not None:
+                    l3.stats.hits += 1
+                    l3.clock += 1
+                    l3.stamps[slot] = l3.clock
                     hit_level = "L3"
-                    self._install_private(core, address)
                 else:
-                    latency += self.config.l4.latency_cycles
-                    if self.l4.lookup(address) is not None:
+                    l3.stats.misses += 1
+                    l4 = self.l4
+                    latency += l4.latency_cycles
+                    slot = l4.slot_of.get(block)
+                    if slot is not None:
+                        l4.stats.hits += 1
+                        l4.clock += 1
+                        l4.stamps[slot] = l4.clock
                         hit_level = "L4"
-                        self.l3.fill(address)
-                        self._install_private(core, address)
                     else:
+                        l4.stats.misses += 1
                         fetch = self.miss_handler(address, now_ns)
                         latency += self.config.cpu.ns_to_cycles(fetch.latency_ns)
-                        hit_level = "ZERO" if fetch.zero_filled else "MEM"
                         if fetch.zero_filled:
+                            hit_level = "ZERO"
                             self.zero_fills += 1
                         else:
+                            hit_level = "MEM"
                             self.memory_fetches += 1
-                        payload = fetch.data if self.functional else None
-                        if payload is None and self.functional:
-                            payload = self._zero_block
-                        evicted = self.l4.fill(address, payload)
+                        payload = None
+                        if self.functional:
+                            payload = fetch.data
+                            if payload is None:
+                                payload = self._zero_block
+                        evicted = l4.fill(address, payload)
                         if evicted is not None:
-                            writeback_count += self._handle_l4_eviction(evicted, now_ns)
-                        self.l3.fill(address)
-                        self._install_private(core, address)
-
-        if is_write and not self._private_contains(core, address):
-            # The store path above may have hit in shared levels only.
-            self._install_private(core, address)
+                            writeback_count = self._handle_l4_eviction(
+                                evicted, now_ns)
+                    l3.fill(address)
+            evicted = l1.fill(address)
+            if evicted is not None and \
+                    evicted.address // block_size not in l2.slot_of:
+                directory.evicted(evicted.address, core)
+            if hit_level != "L2":
+                evicted = l2.fill(address)
+                if evicted is not None and \
+                        evicted.address // block_size not in l1.slot_of:
+                    directory.evicted(evicted.address, core)
 
         result_data: Optional[bytes] = None
         l4 = self.l4
-        slot = l4.peek(address)
+        slot = l4.slot_of.get(block)
         if slot is None:
-            # The fill above guarantees residence; guard for safety.
+            # Inclusion guarantees residence; guard for safety.
             raise AddressError(f"block {address:#x} missing from L4 after fill")
         if is_write:
             if self.functional:
                 if merge is not None:
                     offset, value = merge
-                    if offset < 0 or offset + len(value) > self.block_size:
+                    if offset < 0 or offset + len(value) > block_size:
                         raise AddressError("merge write exceeds block bounds")
                     base = l4.payloads[slot]
                     if base is None:
                         base = self._zero_block
                     l4.payloads[slot] = (base[:offset] + bytes(value)
                                          + base[offset + len(value):])
-                elif data is not None and len(data) == self.block_size:
+                elif data is not None and len(data) == block_size:
                     l4.payloads[slot] = bytes(data)
                 else:
                     raise AddressError("functional store needs a full block "
                                        "payload or a merge fragment")
             l4.dirty[slot] = True
-        else:
-            result_data = l4.payloads[slot] if self.functional else None
+        elif self.functional:
+            result_data = l4.payloads[slot]
 
-        return HierarchyAccess(address=address, is_write=is_write,
-                               latency_cycles=latency, hit_level=hit_level,
-                               data=result_data, writebacks=writeback_count)
+        return HierarchyAccess(address, is_write, latency, hit_level,
+                               result_data, writeback_count)
 
     def try_l1_hit(self, core: int, address: int, is_write: bool) -> int:
         """Serve a pure L1 hit in place; ``-1`` when ``access()`` is needed.
@@ -267,31 +288,38 @@ class CacheHierarchy:
         With ``writeback=True`` (the baseline's non-temporal semantics)
         dirty L4 copies are flushed to memory; Silent Shredder passes
         ``False`` because the page's data is being destroyed anyway.
+        A block L4 does not hold is skipped: by inclusion no level
+        above holds it, and the directory tracks only cached blocks.
         """
         result = PageInvalidation()
-        for offset in range(0, page_size, self.block_size):
-            address = page_address + offset
+        block_size = self.block_size
+        resident = self.l4.slot_of
+        for address in range(page_address, page_address + page_size,
+                             block_size):
+            if address // block_size not in resident:
+                continue
             for core in self.directory.invalidate_block(address):
                 self.l1[core].invalidate(address)
                 self.l2[core].invalidate(address)
                 result.private_invalidations += 1
             self.l3.invalidate(address)
             evicted = self.l4.invalidate(address)
-            if evicted is not None:
-                result.blocks_invalidated += 1
-                if evicted.dirty and writeback:
-                    self.writeback_handler(address, evicted.payload, now_ns)
-                    self.writebacks += 1
-                    result.blocks_written_back += 1
+            result.blocks_invalidated += 1
+            if evicted.dirty and writeback:
+                self.writeback_handler(address, evicted.payload, now_ns)
+                self.writebacks += 1
+                result.blocks_written_back += 1
         return result
 
     def flush_all(self, now_ns: float = 0.0) -> int:
-        """Flush the entire hierarchy (dirty L4 lines written back)."""
+        """Flush the entire hierarchy (dirty L4 lines written back).
+
+        The tag-only L1-L3 hold nothing to write back and are cleared
+        wholesale; L4's dirty lines go to memory in ascending order.
+        """
+        for cache in (*self.l1, *self.l2, self.l3):
+            cache.flush_all()
         flushed = 0
-        for core in range(self.num_cores):
-            self.l1[core].flush_all()
-            self.l2[core].flush_all()
-        self.l3.flush_all()
         for eviction in self.l4.flush_all():
             self.writeback_handler(eviction.address, eviction.payload, now_ns)
             self.writebacks += 1
@@ -300,8 +328,13 @@ class CacheHierarchy:
         return flushed
 
     def check_inclusion(self) -> None:
-        """Raise if the L4-inclusion invariant is violated: every block
-        resident in any upper level must be resident in L4."""
+        """Raise if the hierarchy's residency invariants are violated.
+
+        Inclusion: every block resident in any upper level is resident
+        in L4. Directory residency: every directory entry names a block
+        L4 holds, and each block's sharers are exactly the cores whose
+        L1 or L2 holds it.
+        """
         resident_l4 = set(self.l4.resident_addresses())
         for cache in [self.l3, *self.l1, *self.l2]:
             for address in cache.resident_addresses():
@@ -309,4 +342,19 @@ class CacheHierarchy:
                     raise AddressError(
                         f"{cache.name}: block {address:#x} cached above a "
                         "non-resident L4 line (inclusion violated)")
-
+        holders: Dict[int, Set[int]] = {}
+        for core in range(self.num_cores):
+            for cache in (self.l1[core], self.l2[core]):
+                for address in cache.resident_addresses():
+                    holders.setdefault(address, set()).add(core)
+        for address in sorted(set(holders) | set(self.directory._entries)):
+            if address not in resident_l4:
+                raise SimulationError(
+                    f"directory tracks block {address:#x}, which L4 does "
+                    "not hold")
+            sharers = self.directory.sharers_of(address)
+            if sharers != holders.get(address, set()):
+                raise SimulationError(
+                    f"block {address:#x}: directory sharers "
+                    f"{sorted(sharers)} but held privately by "
+                    f"{sorted(holders.get(address, ()))}")

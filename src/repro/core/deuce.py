@@ -140,9 +140,7 @@ class DeuceShredderController(SilentShredderController):
         self._check_data_address(address)
         page_id = self.page_of(address)
         offset = self.offset_of(address)
-        fetch = self.get_counters(page_id, now)
-        counters, counter_latency, hit = \
-            fetch.counters, fetch.latency_ns, fetch.hit
+        counters, counter_latency, hit = self._probe_counters(page_id, now)
 
         if self.zero_semantics and counters.is_shredded(offset):
             self.stats.zero_fill_reads += 1
@@ -180,9 +178,7 @@ class DeuceShredderController(SilentShredderController):
             raise AddressError("functional store requires a full data block")
         page_id = self.page_of(address)
         offset = self.offset_of(address)
-        fetch = self.get_counters(page_id, now)
-        counters, counter_latency, hit = \
-            fetch.counters, fetch.latency_ns, fetch.hit
+        counters, counter_latency, hit = self._probe_counters(page_id, now)
 
         was_shredded = self.zero_semantics and counters.is_shredded(offset)
         old_plaintext = None

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from ..clock import DEFAULT_LATENCY_BUCKETS_NS, SimClock, resolve_time
 from ..config import SystemConfig
@@ -219,26 +219,44 @@ class SecureMemoryController:
         self.stats.counter_writebacks += 1
         return access.latency_ns + self._merkle_latency_ns
 
-    def _load_counters(self, page_id: int, now_ns: float) -> CounterFetch:
-        """Fetch a counter block from NVM, verifying integrity."""
+    def _probe_counters(self, page_id: int,
+                        now_ns: float) -> Tuple[CounterBlock, float, bool]:
+        """The one counter probe behind fetch, store and shred.
+
+        Returns ``(counters, latency_ns, hit)``. A hit refreshes the
+        entry's recency in the counter cache's slot lists; a miss loads
+        the counter block from NVM (verifying it against the Merkle
+        tree), fills the cache and persists a dirty victim.
+        """
+        lines = self.counter_cache.lines
+        slot = lines.slot_of.get(page_id)
+        if slot is not None:
+            lines.stats.hits += 1
+            lines.clock += 1
+            lines.stamps[slot] = lines.clock
+            self.stats.counter_hits += 1
+            return lines.payloads[slot], self._counter_latency_ns, True
+        if page_id < 0 or page_id >= self.num_pages:
+            raise AddressError(f"page id {page_id} out of range")
+        lines.stats.misses += 1
+        self.stats.counter_misses += 1
         access = self.mem.read_block(self._counter_address(page_id), now_ns)
         self.stats.counter_fetches += 1
-        latency = access.latency_ns + self._merkle_latency_ns
-        if not self.functional:
-            return CounterFetch(CounterBlock.fresh(self.blocks_per_page,
-                                                   self.minor_bits),
-                                latency, hit=False)
         raw = access.data
-        if self.merkle is not None:
+        if self.functional and self.merkle is not None:
             self.merkle.verify(page_id, raw)
-        if raw == bytes(self.block_size):
+        if self.functional and raw != self._zero_block:
+            counters = CounterBlock.unpack(raw, self.blocks_per_page,
+                                           self.minor_bits)
+        else:
             # Counter region never written for this page: fresh counters.
-            return CounterFetch(CounterBlock.fresh(self.blocks_per_page,
-                                                   self.minor_bits),
-                                latency, hit=False)
-        return CounterFetch(CounterBlock.unpack(raw, self.blocks_per_page,
-                                                self.minor_bits),
-                            latency, hit=False)
+            counters = CounterBlock.fresh(self.blocks_per_page,
+                                          self.minor_bits)
+        evicted = self.counter_cache.fill(page_id, counters)
+        if evicted is not None and evicted.dirty:
+            self._persist_counters(evicted.page_id, evicted.block, now_ns)
+        return (counters, self._counter_latency_ns
+                + (access.latency_ns + self._merkle_latency_ns), False)
 
     def get_counters(self, page_id: int, at: Optional[float] = None, *,
                      now_ns: Optional[float] = None) -> CounterFetch:
@@ -250,25 +268,18 @@ class SecureMemoryController:
         now = resolve_time(self.clock, at, now_ns)
         if page_id < 0 or page_id >= self.num_pages:
             raise AddressError(f"page id {page_id} out of range")
-        cached = self.counter_cache.lookup(page_id)
-        if cached is not None:
-            self.stats.counter_hits += 1
-            return CounterFetch(cached, self._counter_latency_ns, hit=True)
-        self.stats.counter_misses += 1
-        load = self._load_counters(page_id, now)
-        evicted = self.counter_cache.fill(page_id, load.counters)
-        if evicted is not None and evicted.dirty:
-            self._persist_counters(evicted.page_id, evicted.block, now)
-        return CounterFetch(load.counters,
-                            self._counter_latency_ns + load.latency_ns,
-                            hit=False)
+        return CounterFetch(*self._probe_counters(page_id, now))
 
     def _counters_updated(self, page_id: int, counters: CounterBlock,
                           now_ns: float) -> float:
-        """Record a counter mutation per the cache's write policy."""
+        """The one counter-update rule: write through to NVM, or mark the
+        page's resident entry dirty."""
         if self.counter_cache.write_through:
             return self._persist_counters(page_id, counters, now_ns)
-        self.counter_cache.mark_dirty(page_id)
+        lines = self.counter_cache.lines
+        slot = lines.slot_of.get(page_id)
+        if slot is not None:
+            lines.dirty[slot] = True
         return 0.0
 
     # -- data path -----------------------------------------------------------------
@@ -276,90 +287,89 @@ class SecureMemoryController:
     def fetch_block(self, address: int, at: Optional[float] = None, *,
                     now_ns: Optional[float] = None) -> AccessResult:
         """Serve an LLC miss: decrypt (or zero-fill) one data block."""
-        now = resolve_time(self.clock, at, now_ns)
-        self._check_data_address(address)
-        page_id = self.page_of(address)
-        offset = self.offset_of(address)
-        fetch = self.get_counters(page_id, now)
-        counters, counter_latency, hit = \
-            fetch.counters, fetch.latency_ns, fetch.hit
+        if at is None or now_ns is not None:
+            at = resolve_time(self.clock, at, now_ns)
+        block_size = self.block_size
+        if (address < 0 or address + block_size > self.data_capacity
+                or address % block_size):
+            self._check_data_address(address)
+        page_id = address // self.page_size
+        offset = address % self.page_size // block_size
+        counters, counter_latency, hit = self._probe_counters(page_id, at)
+        stats = self.stats
 
-        if self.zero_semantics and counters.is_shredded(offset):
+        if self.zero_semantics and counters.minors[offset] == MINOR_SHREDDED:
             # Figure 7, step 3b: the minor counter is zero, so no NVM
             # access happens; a zero-filled block goes straight up.
-            latency = counter_latency
             if self.events is not None:
-                self.events.emit("zero_fill", page_id, now)
-            self.stats.zero_fill_reads += 1
-            self.stats.record_read(latency)
-            return AccessResult(data=self._zero_block if self.functional else None,
-                                latency_ns=latency, zero_filled=True,
-                                counter_hit=hit)
-
-        access = self.mem.read_block(address, now + counter_latency)
-        self.stats.data_reads += 1
-        plaintext: Optional[bytes] = None
-        if self.functional:
-            if self.encrypted:
-                iv = self._iv(page_id, offset, counters)
-                plaintext = self.engine.decrypt(access.data, iv)
-            else:
-                plaintext = access.data
-        # Pad generation overlaps the NVM fetch; only the larger of the
-        # two plus the XOR is on the critical path (section 2.2).
-        latency = (counter_latency
-                   + max(access.latency_ns, self._pad_latency_ns)
-                   + self._xor_latency_ns)
-        self.stats.record_read(latency)
-        return AccessResult(data=plaintext, latency_ns=latency, counter_hit=hit)
+                self.events.emit("zero_fill", page_id, at)
+            stats.zero_fill_reads += 1
+            latency = counter_latency
+            data = self._zero_block if self.functional else None
+            zero_filled = True
+        else:
+            access = self.mem.read_block(address, at + counter_latency)
+            stats.data_reads += 1
+            data = None
+            if self.functional:
+                data = access.data
+                if self.encrypted:
+                    data = self.engine.decrypt(
+                        data, self._iv(page_id, offset, counters))
+            # Pad generation overlaps the NVM fetch; only the larger of
+            # the two plus the XOR is on the critical path (section 2.2).
+            latency = (counter_latency
+                       + max(access.latency_ns, self._pad_latency_ns)
+                       + self._xor_latency_ns)
+            zero_filled = False
+        stats.record_read(latency)
+        return AccessResult(data, latency, zero_filled, hit)
 
     def store_block(self, address: int, data: Optional[bytes] = None,
                     at: Optional[float] = None, *,
                     now_ns: Optional[float] = None) -> AccessResult:
         """Write back one data block: bump minor, encrypt, write NVM."""
-        now = resolve_time(self.clock, at, now_ns)
-        self._check_data_address(address)
-        if self.functional and (data is None or len(data) != self.block_size):
+        if at is None or now_ns is not None:
+            at = resolve_time(self.clock, at, now_ns)
+        block_size = self.block_size
+        if (address < 0 or address + block_size > self.data_capacity
+                or address % block_size):
+            self._check_data_address(address)
+        if self.functional and (data is None or len(data) != block_size):
             raise AddressError("functional store requires a full data block")
-        page_id = self.page_of(address)
-        offset = self.offset_of(address)
-        fetch = self.get_counters(page_id, now)
-        counters, counter_latency, hit = \
-            fetch.counters, fetch.latency_ns, fetch.hit
+        page_id = address // self.page_size
+        offset = address % self.page_size // block_size
+        counters, counter_latency, hit = self._probe_counters(page_id, at)
 
-        reencrypted = False
         if self.events is not None and self.zero_semantics \
-                and counters.is_shredded(offset):
+                and counters.minors[offset] == MINOR_SHREDDED:
             # First write into a shredded block: it stops reading as
             # zero from here on (the bump below takes the minor 0 -> 1).
-            self.events.emit("shredded_writeback", page_id, now,
+            self.events.emit("shredded_writeback", page_id, at,
                              block=offset)
         if counters.bump_minor(offset):
             if self.events is not None:
-                self.events.emit("minor_overflow", page_id, now,
+                self.events.emit("minor_overflow", page_id, at,
                                  block=offset)
             latency = self._reencrypt_page(page_id, counters,
-                                           {offset: data}, now)
+                                           {offset: data}, at)
             self.stats.reencryptions += 1
-            return AccessResult(data=None,
-                                latency_ns=counter_latency + latency,
-                                counter_hit=hit, reencrypted=True)
+            return AccessResult(None, counter_latency + latency, False, hit,
+                                True)
 
         ciphertext = None
         if self.functional:
+            ciphertext = data
             if self.encrypted:
-                iv = self._iv(page_id, offset, counters)
-                ciphertext = self.engine.encrypt(data, iv)
-            else:
-                ciphertext = data
+                ciphertext = self.engine.encrypt(
+                    data, self._iv(page_id, offset, counters))
         pad_ns = self._pad_latency_ns + self._xor_latency_ns
         access = self.mem.write_block(address, ciphertext,
-                                      now + counter_latency + pad_ns)
+                                      at + counter_latency + pad_ns)
         self.stats.data_writes += 1
-        counter_update_ns = self._counters_updated(page_id, counters, now)
+        counter_update_ns = self._counters_updated(page_id, counters, at)
         latency = counter_latency + pad_ns + access.latency_ns + counter_update_ns
-        return AccessResult(data=None, latency_ns=latency, counter_hit=hit,
-                            reencrypted=reencrypted)
+        return AccessResult(None, latency, False, hit)
 
     def _reencrypt_page(self, page_id: int, counters: CounterBlock,
                         replacements: Dict[int, Optional[bytes]],

@@ -63,8 +63,7 @@ class SilentShredderController(SecureMemoryController):
         """
         if page_id < 0 or page_id >= self.num_pages:
             raise AddressError(f"page id {page_id} out of range")
-        fetch = self.get_counters(page_id, now_ns)
-        counters, counter_latency = fetch.counters, fetch.latency_ns
+        counters, counter_latency, _ = self._probe_counters(page_id, now_ns)
         effect = self.policy.apply(counters)
         update_latency = self._counters_updated(page_id, counters, now_ns)
         self.stats.shreds += 1

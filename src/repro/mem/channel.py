@@ -58,18 +58,26 @@ class ChannelModel:
         banks; only the bus transfer slot serialises with other traffic
         on the channel.
         """
-        channel = self.channel_for(address)
+        channel = address // self.block_size % self.num_channels
+        free_at = self._free_at_ns
         cap_ns = self.max_queue_slots * self.transfer_ns
-        queue_delay = min(max(0.0, self._free_at_ns[channel] - now_ns), cap_ns)
-        start = now_ns + queue_delay
+        queue_delay = free_at[channel] - now_ns
+        if queue_delay > cap_ns:
+            queue_delay = cap_ns
         if queue_delay > 0:
             self.queued_requests += 1
             self.total_queue_delay_ns += queue_delay
+        else:
+            queue_delay = 0.0
+        start = now_ns + queue_delay
         # Back-pressure: the queue never holds more than max_queue_slots
         # of backlog relative to the most recent requester's clock.
-        self._free_at_ns[channel] = min(
-            max(self._free_at_ns[channel], start) + self.transfer_ns,
-            now_ns + cap_ns)
+        free = free_at[channel]
+        if start > free:
+            free = start
+        free += self.transfer_ns
+        limit = now_ns + cap_ns
+        free_at[channel] = free if free <= limit else limit
         self.busy_ns += self.transfer_ns
         self.total_requests += 1
         return start + self.transfer_ns + service_ns

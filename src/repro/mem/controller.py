@@ -12,7 +12,7 @@ device's lines before the channel/device access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 from ..clock import SimClock, resolve_time
 from ..config import NVMConfig
@@ -66,9 +66,7 @@ class MemoryController:
     # -- address remapping -------------------------------------------------
 
     def _physical_address(self, address: int) -> int:
-        """Apply wear levelling remap (identity when disabled)."""
-        if self.wear_leveler is None:
-            return address
+        """Apply the wear-levelling remap."""
         logical_line = address // self.block_size
         physical_line = self.wear_leveler.translate(logical_line)
         return physical_line * self.block_size
@@ -78,61 +76,48 @@ class MemoryController:
     def read_block(self, address: int, at: Optional[float] = None, *,
                    now_ns: Optional[float] = None) -> RawAccess:
         """Read one block; returns data plus end-to-end latency."""
-        now = resolve_time(self.clock, at, now_ns)
-        physical = self._physical_address(address)
-        data = self.device.read_block(physical)
+        if at is None or now_ns is not None:
+            at = resolve_time(self.clock, at, now_ns)
+        physical = (address if self.wear_leveler is None
+                    else self._physical_address(address))
+        device = self.device
+        data = device.read_block(physical)
         for snooper in self.snoopers:
             snooper.observe("read", address, data)
-        finish = self.channels.request(address, now,
-                                       self.device.read_latency_ns,
+        finish = self.channels.request(address, at, device.read_latency_ns,
                                        is_read=True)
-        latency = finish - now
-        self.stats.record_read(self.block_size, latency,
-                               self.device.read_energy_pj)
-        return RawAccess(data=data, latency_ns=latency, finish_ns=finish)
+        latency = finish - at
+        stats = self.stats
+        stats.reads += 1
+        stats.bytes_read += self.block_size
+        stats.total_read_latency_ns += latency
+        stats.read_energy_pj += device.read_energy_pj
+        return RawAccess(data, latency, finish)
 
     def write_block(self, address: int, data: Optional[bytes] = None,
                     at: Optional[float] = None, *,
                     now_ns: Optional[float] = None) -> RawAccess:
         """Write one block; returns the write's end-to-end latency."""
-        now = resolve_time(self.clock, at, now_ns)
-        physical = self._physical_address(address)
+        if at is None or now_ns is not None:
+            at = resolve_time(self.clock, at, now_ns)
+        physical = (address if self.wear_leveler is None
+                    else self._physical_address(address))
         for snooper in self.snoopers:
             snooper.observe("write", address, data)
-        bits = self.device.write_block(physical, data)
+        device = self.device
+        bits = device.write_block(physical, data)
         if self.wear_leveler is not None:
             self.wear_leveler.record_write(address // self.block_size)
-        finish = self.channels.request(address, now,
-                                       self.device.write_latency_ns,
+        finish = self.channels.request(address, at, device.write_latency_ns,
                                        is_read=False)
-        latency = finish - now
-        self.stats.record_write(self.block_size, bits, latency,
-                                self.device.write_energy_pj)
-        return RawAccess(data=None, latency_ns=latency, finish_ns=finish)
-
-    # -- grouped transactions ------------------------------------------------
-
-    def read_blocks(self, addresses: Sequence[int],
-                    at: Optional[float] = None, *,
-                    now_ns: Optional[float] = None) -> List[RawAccess]:
-        """Issue a group of reads, in order, sharing one issue time.
-
-        The channel model is stateful (each request advances its
-        channel's busy horizon), so the group is scheduled in sequence
-        exactly as the equivalent scalar calls would be — grouping
-        saves per-call time resolution, not simulated ordering.
-        """
-        now = resolve_time(self.clock, at, now_ns)
-        read = self.read_block
-        return [read(address, now) for address in addresses]
-
-    def write_blocks(self, writes: Sequence[Tuple[int, Optional[bytes]]],
-                     at: Optional[float] = None, *,
-                     now_ns: Optional[float] = None) -> List[RawAccess]:
-        """Issue a group of (address, data) writes in order at one time."""
-        now = resolve_time(self.clock, at, now_ns)
-        write = self.write_block
-        return [write(address, data, now) for address, data in writes]
+        latency = finish - at
+        stats = self.stats
+        stats.writes += 1
+        stats.bytes_written += self.block_size
+        stats.bits_written += bits
+        stats.total_write_latency_ns += latency
+        stats.write_energy_pj += device.write_energy_pj
+        return RawAccess(None, latency, finish)
 
     def check_block_address(self, address: int) -> None:
         if address % self.block_size != 0:

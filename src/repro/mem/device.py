@@ -49,9 +49,14 @@ class MemoryDevice:
 
     def read_block(self, address: int) -> bytes:
         """Read one line; updates timing/energy stats."""
-        self.check_block_address(address)
-        self.stats.record_read(self.block_size, self.read_latency_ns,
-                               self.read_energy_pj)
+        if (address < 0 or address + self.block_size > self.capacity_bytes
+                or address % self.block_size):
+            self.check_block_address(address)
+        stats = self.stats
+        stats.reads += 1
+        stats.bytes_read += self.block_size
+        stats.total_read_latency_ns += self.read_latency_ns
+        stats.read_energy_pj += self.read_energy_pj
         if not self.functional:
             return self._zero_line
         return self._lines.get(address, self._zero_line)
@@ -62,10 +67,16 @@ class MemoryDevice:
         Subclasses refine the bit-flip count (DCW / Flip-N-Write); the
         base device assumes every bit is programmed.
         """
-        self.check_block_address(address)
+        if (address < 0 or address + self.block_size > self.capacity_bytes
+                or address % self.block_size):
+            self.check_block_address(address)
         bits = self._store(address, data)
-        self.stats.record_write(self.block_size, bits, self.write_latency_ns,
-                                self.write_energy_pj)
+        stats = self.stats
+        stats.writes += 1
+        stats.bytes_written += self.block_size
+        stats.bits_written += bits
+        stats.total_write_latency_ns += self.write_latency_ns
+        stats.write_energy_pj += self.write_energy_pj
         return bits
 
     def _store(self, address: int, data: Optional[bytes]) -> int:

@@ -56,6 +56,12 @@ class NVMDevice(MemoryDevice):
         self.worn_out_lines = 0
         # Flip bits for FNW (one per 32-bit word), functional mode only.
         self._flip_state: Dict[int, int] = {}
+        # Timing mode programs the encrypted-diffusion average: half the
+        # bits under DCW/FNW (FNW's bound of half plus one flip bit per
+        # word never binds below that), every bit for naive writes.
+        total_bits = block_size * 8
+        self._timing_bits = (total_bits if write_scheme == "naive"
+                             else total_bits // 2)
 
     # -- write path --------------------------------------------------------
 
@@ -70,17 +76,7 @@ class NVMDevice(MemoryDevice):
                     f"{self.endurance_writes} writes")
 
         if not self.functional or data is None:
-            # Timing mode: assume the encrypted-diffusion average of half
-            # the bits changing under DCW/FNW, all bits for naive.
-            total_bits = self.block_size * 8
-            if self.write_scheme == "naive":
-                return total_bits
-            estimated = total_bits // 2
-            if self.write_scheme == "fnw":
-                # FNW bounds flips to half the word plus the flip bit.
-                estimated = min(estimated, (total_bits // 2)
-                                + self.block_size * 8 // FNW_WORD_BITS)
-            return estimated
+            return self._timing_bits
 
         old = self._lines.get(address, self._zero_line)
         bits = self._count_programmed_bits(address, old, data)

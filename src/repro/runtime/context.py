@@ -37,6 +37,8 @@ class ExecutionContext:
         self._issue_cycles = system.config.kernel.store_issue_cycles
         self._l4_bytes = system.config.l4.size_bytes
         self._zero_block = bytes(self.block_size)
+        #: a zero-block store's payload: a whole-block merge, or none
+        self._zero_merge = (0, self._zero_block) if self.functional else None
         self._hierarchy = self.machine.hierarchy
         # The process's own table serves fault-free translations directly
         # (emptied on exit, so a dead pid falls through to the kernel).
@@ -117,18 +119,19 @@ class ExecutionContext:
         effects, same latency); anything else takes the reference walk.
         """
         physical = self._translate(vaddr, write=write)
-        latency = self._hierarchy.try_l1_hit(self.core_id, physical, write)
+        hierarchy = self._hierarchy
+        latency = hierarchy.try_l1_hit(self.core_id, physical, write)
         if write:
             if latency < 0:
-                merge = (0, self._zero_block) if self.functional else None
-                latency = self.machine.store(
-                    self.core_id, physical, now_ns=self.core.now_ns,
-                    merge=merge).latency_cycles
+                latency = hierarchy.access(
+                    self.core_id, physical, True, None, self.core.now_ns,
+                    self._zero_merge).latency_cycles
             self.core.store(latency)
         else:
             if latency < 0:
-                latency = self.machine.load(self.core_id, physical,
-                                            self.core.now_ns).latency_cycles
+                latency = hierarchy.access(self.core_id, physical, False,
+                                           None, self.core.now_ns
+                                           ).latency_cycles
             self.core.load(latency)
 
     # -- bulk operations -----------------------------------------------------------------
@@ -156,7 +159,7 @@ class ExecutionContext:
                 # The write retires through the store buffer at its real
                 # completion latency, so sustained memset runs at NVM
                 # write bandwidth rather than issue rate.
-                self.machine.hierarchy.invalidate_page(
+                self._hierarchy.invalidate_page(
                     physical - physical % self.block_size, self.block_size,
                     writeback=False, now_ns=self.core.now_ns)
                 store = self.machine.controller.store_block(
@@ -165,10 +168,9 @@ class ExecutionContext:
                     self.core.now_ns)
                 self.core.store(store.latency_ns / self._cycle_ns)
             else:
-                merge = (0, self._zero_block) if self.functional else None
-                access = self.machine.store(self.core_id, physical,
-                                            now_ns=self.core.now_ns,
-                                            merge=merge)
+                access = self._hierarchy.access(self.core_id, physical, True,
+                                                None, self.core.now_ns,
+                                                self._zero_merge)
                 self.core.store(access.latency_cycles)
             position += self.block_size
         if nontemporal:

@@ -1,10 +1,12 @@
 """The 4-level hierarchy: hit levels, latencies, inclusion, invalidation."""
 
+from dataclasses import replace
 from typing import List, Optional
 
 import pytest
 
 from repro.cache import CacheHierarchy, MemoryFetch
+from repro.config import fast_config
 
 
 class FakeMemory:
@@ -200,3 +202,36 @@ class TestCoherenceIntegration:
         assert flushed == 1
         assert memory.writebacks == [0x6000]
         assert hierarchy.access(0, 0x6000, False).hit_level == "MEM"
+
+
+class TestDirectoryTracksPrivateResidency:
+    """A core stays a sharer exactly while its L1 or L2 holds the block."""
+
+    @staticmethod
+    def two_way_private(functional):
+        # One set of two ways in L1 and L2, so a third block evicts.
+        one_set = {"size_bytes": 2 * 64, "associativity": 2}
+        config = fast_config(functional=functional)
+        return replace(config, l1=replace(config.l1, **one_set),
+                       l2=replace(config.l2, **one_set))
+
+    @pytest.mark.parametrize("functional", [False, True])
+    def test_l2_hit_reports_the_l1_victim(self, functional):
+        """Core 0 loads A, B, A, C, B. C's fills evict B from L1 and A
+        from L2; the final L2 hit on B refills L1 over A, which then
+        lives in neither private level and must leave the directory."""
+        memory = FakeMemory()
+        hierarchy = CacheHierarchy(self.two_way_private(functional),
+                                   memory.miss_handler,
+                                   memory.writeback_handler)
+        a, b, c = 0x10000, 0x20000, 0x30000
+        for address in (a, b, a, c, b):
+            hierarchy.access(0, address, False)
+        assert not hierarchy.l1[0].contains(a)
+        assert not hierarchy.l2[0].contains(a)
+        assert hierarchy.directory.sharers_of(a) == set()
+        # So a later store from core 1 invalidates no one.
+        sent = hierarchy.directory.stats.invalidations_sent
+        hierarchy.access(1, a, True, data=bytes(64))
+        assert hierarchy.directory.stats.invalidations_sent == sent
+        hierarchy.check_inclusion()

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.config import bench_config
 from repro.errors import SimulationError
 from repro.sim import System
-from repro.workloads import SPEC_BENCHMARKS, spec_task
+from repro.workloads import SPEC_BENCHMARKS, multiprogrammed_tasks, spec_task
 
 
 @pytest.fixture
@@ -34,6 +35,38 @@ class TestVerifyInvariants:
         assert resident
         hierarchy.l4.invalidate(resident[0])     # break inclusion by hand
         with pytest.raises(Exception):
+            busy_system.verify_invariants()
+
+
+class TestDirectoryResidency:
+    """The directory lists exactly the cores whose L1 or L2 holds each
+    block, and only blocks L4 holds."""
+
+    def test_clean_after_multicore_run(self):
+        # Private L1 victims of L2 hits used to stay listed as sharers;
+        # this run ended with two such stale entries.
+        system = System(bench_config(), shredder=True)
+        system.run(multiprogrammed_tasks("MCF", 2, scale=0.2))
+        hierarchy = system.machine.hierarchy
+        assert hierarchy.directory._entries, "run must leave blocks cached"
+        system.verify_invariants()
+
+    def test_detects_private_line_dropped_behind_directory(self,
+                                                           busy_system):
+        hierarchy = busy_system.machine.hierarchy
+        address = hierarchy.l1[0].resident_addresses()[0]
+        assert hierarchy.directory.sharers_of(address) == {0}
+        hierarchy.l1[0].invalidate(address)      # no directory update
+        hierarchy.l2[0].invalidate(address)
+        with pytest.raises(SimulationError, match="sharers"):
+            busy_system.verify_invariants()
+
+    def test_detects_entry_for_block_missing_from_l4(self, busy_system):
+        hierarchy = busy_system.machine.hierarchy
+        cached = set(hierarchy.l4.resident_addresses())
+        address = next(a for a in range(0, 1 << 30, 64) if a not in cached)
+        hierarchy.directory.read(address, 0)     # tracked, never cached
+        with pytest.raises(SimulationError, match="L4 does not hold"):
             busy_system.verify_invariants()
 
 
