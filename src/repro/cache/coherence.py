@@ -1,8 +1,12 @@
 """MESI coherence directory over the per-core private caches.
 
-The coherence unit is one core's private L1+L2 pair. A directory entry
-tracks, per block, which cores hold it and in which MESI state. The
-directory serves three purposes in the reproduction:
+The coherence unit is one core's private L1+L2 pair. The directory
+keeps one int per tracked block, keyed by block address: the sharer
+bitmask (bit ``c`` set while core ``c`` holds the block) shifted left by
+two, OR'd with the state, where 0 = S, 1 = E and 2 = M. An E or M
+entry has exactly one sharer, its owner; an entry with no sharers is
+dropped, so INVALID is the absence of an entry. The directory serves
+three purposes in the reproduction:
 
 * correctness of multi-core sharing (single writer / multiple readers),
 * accounting of invalidation traffic, and
@@ -14,15 +18,13 @@ directory serves three purposes in the reproduction:
 from __future__ import annotations
 
 import enum
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Set
 
 from ..errors import SimulationError
 
-#: ``slots=True`` for the hot per-block entries on 3.10+; plain
-#: dataclasses on 3.9.
-_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
+#: the state field of an entry (its low two bits)
+SHARED, EXCLUSIVE, MODIFIED = 0, 1, 2
 
 
 class MESIState(enum.Enum):
@@ -32,13 +34,12 @@ class MESIState(enum.Enum):
     INVALID = "I"
 
 
-@dataclass(**_SLOTS)
-class DirectoryEntry:
-    """Who caches one block, and how."""
+_STATES = (MESIState.SHARED, MESIState.EXCLUSIVE, MESIState.MODIFIED)
 
-    sharers: Set[int] = field(default_factory=set)
-    owner: int = -1                      # core id with M/E, -1 when shared/none
-    state: MESIState = MESIState.INVALID
+
+def _cores(mask: int) -> List[int]:
+    """The core ids whose bits are set in ``mask``, ascending."""
+    return [core for core in range(mask.bit_length()) if mask >> core & 1]
 
 
 @dataclass
@@ -54,27 +55,18 @@ class CoherenceDirectory:
 
     def __init__(self, num_cores: int) -> None:
         self.num_cores = num_cores
-        self._entries: Dict[int, DirectoryEntry] = {}
+        #: block address -> sharer bitmask << 2 | state
+        self.entries: Dict[int, int] = {}
         self.stats = CoherenceStats()
 
-    def _entry(self, block_address: int) -> DirectoryEntry:
-        entry = self._entries.get(block_address)
-        if entry is None:
-            entry = DirectoryEntry()
-            self._entries[block_address] = entry
-        return entry
-
     def state_of(self, block_address: int, core: int) -> MESIState:
-        entry = self._entries.get(block_address)
-        if entry is None or core not in entry.sharers:
+        entry = self.entries.get(block_address, 0)
+        if not entry >> 2 >> core & 1:
             return MESIState.INVALID
-        if entry.owner == core:
-            return entry.state
-        return MESIState.SHARED
+        return _STATES[entry & 3]
 
     def sharers_of(self, block_address: int) -> Set[int]:
-        entry = self._entries.get(block_address)
-        return set(entry.sharers) if entry else set()
+        return set(_cores(self.entries.get(block_address, 0) >> 2))
 
     # -- processor-side events ------------------------------------------------
 
@@ -85,72 +77,67 @@ class CoherenceDirectory:
         owner supplying the data transitions to S; its dirty data is
         flushed to the shared levels by the hierarchy).
         """
-        entry = self._entry(block_address)
+        entry = self.entries.get(block_address, 0)
+        sharers = entry >> 2
+        bit = 1 << core
+        if sharers & bit:
+            return []
         downgraded: List[int] = []
-        if core in entry.sharers and (entry.owner == core or
-                                      entry.state is MESIState.SHARED):
-            return downgraded
-        if entry.owner >= 0 and entry.owner != core:
-            downgraded.append(entry.owner)
-            if entry.state is MESIState.MODIFIED:
+        if entry & 3:
+            downgraded.append(sharers.bit_length() - 1)
+            if entry & 3 == MODIFIED:
                 self.stats.writebacks_forced += 1
             self.stats.read_misses_served_by_owner += 1
-            entry.owner = -1
-            entry.state = MESIState.SHARED
-        entry.sharers.add(core)
-        if len(entry.sharers) == 1:
-            entry.owner = core
-            entry.state = MESIState.EXCLUSIVE
-        else:
-            entry.owner = -1
-            entry.state = MESIState.SHARED
+        self.entries[block_address] = (
+            bit << 2 | EXCLUSIVE if not sharers else (sharers | bit) << 2)
         return downgraded
 
     def write(self, block_address: int, core: int) -> List[int]:
         """Core ``core`` writes the block; returns cores to invalidate."""
-        entry = self._entry(block_address)
-        invalidate = [c for c in entry.sharers if c != core]
+        entry = self.entries.get(block_address, 0)
+        bit = 1 << core
+        others = entry >> 2 & ~bit
+        invalidate = _cores(others) if others else []
         if invalidate:
             self.stats.invalidations_sent += len(invalidate)
-        if entry.owner != core and entry.owner >= 0:
+        if entry & 3 and others:
             self.stats.ownership_transfers += 1
-        entry.sharers = {core}
-        entry.owner = core
-        entry.state = MESIState.MODIFIED
+        self.entries[block_address] = bit << 2 | MODIFIED
         return invalidate
 
     def evicted(self, block_address: int, core: int) -> None:
         """A private cache dropped its copy (eviction or invalidation)."""
-        entry = self._entries.get(block_address)
-        if entry is None:
+        entry = self.entries.get(block_address)
+        if entry is None or not entry >> 2 >> core & 1:
             return
-        entry.sharers.discard(core)
-        if entry.owner == core:
-            entry.owner = -1
-            entry.state = MESIState.SHARED if entry.sharers else MESIState.INVALID
-        if not entry.sharers:
-            del self._entries[block_address]
+        sharers = entry >> 2 & ~(1 << core)
+        if sharers:
+            # Only an S entry has a second sharer.
+            self.entries[block_address] = sharers << 2
+        else:
+            del self.entries[block_address]
 
     def invalidate_block(self, block_address: int) -> List[int]:
         """Drop the block everywhere (shred step 2); returns prior sharers."""
-        entry = self._entries.pop(block_address, None)
+        entry = self.entries.pop(block_address, None)
         if entry is None:
             return []
-        self.stats.invalidations_sent += len(entry.sharers)
-        return sorted(entry.sharers)
+        sharers = _cores(entry >> 2)
+        self.stats.invalidations_sent += len(sharers)
+        return sharers
 
     # -- invariant checking ------------------------------------------------------
 
     def check_invariants(self) -> None:
         """Raise if any entry violates the MESI single-writer invariant."""
-        for address, entry in self._entries.items():
-            if entry.state in (MESIState.MODIFIED, MESIState.EXCLUSIVE):
-                if entry.owner < 0 or len(entry.sharers) != 1:
-                    raise SimulationError(
-                        f"block {address:#x}: {entry.state.value} state with "
-                        f"sharers={sorted(entry.sharers)} owner={entry.owner}")
-            if entry.state is MESIState.SHARED and entry.owner >= 0:
-                raise SimulationError(
-                    f"block {address:#x}: SHARED but owner={entry.owner}")
-            if not entry.sharers:
+        for address, entry in self.entries.items():
+            sharers, state = entry >> 2, entry & 3
+            if not sharers:
                 raise SimulationError(f"block {address:#x}: empty entry retained")
+            if state > MODIFIED:
+                raise SimulationError(
+                    f"block {address:#x}: no such state {state}")
+            if state and sharers & (sharers - 1):
+                raise SimulationError(
+                    f"block {address:#x}: {_STATES[state].value} state with "
+                    f"sharers={_cores(sharers)}")

@@ -48,8 +48,8 @@ class CounterCache:
         )
         #: the LRU tag store, keyed by page id: page ids are mapped onto
         #: synthetic block addresses so the generic set-associative
-        #: machinery (sets, ways, LRU, stats) applies directly, and a
-        #: page id is its entry's block number (a ``slot_of`` key). The
+        #: machinery (sets, LRU, stats) applies directly, and a page id
+        #: is its entry's block number (a key of ``lines.sets``). The
         #: controller's counter probe reads it in place.
         self.lines = SetAssociativeCache(geometry)
         self._block_size = config.block_size
@@ -71,13 +71,15 @@ class CounterCache:
 
     def lookup(self, page_id: int) -> Optional[CounterBlock]:
         """Probe for a page's counters (counts hit/miss)."""
-        slot = self.lines.lookup(self._address(page_id))
-        return None if slot is None else self.lines.payloads[slot]
+        lines = self.lines
+        if not lines.lookup(self._address(page_id)):
+            return None
+        return lines.sets[page_id % lines.num_sets][page_id]
 
     def peek(self, page_id: int) -> Optional[CounterBlock]:
         """Probe without stats side effects."""
-        slot = self.lines.peek(self._address(page_id))
-        return None if slot is None else self.lines.payloads[slot]
+        lines = self.lines
+        return lines.sets[page_id % lines.num_sets].get(page_id)
 
     def fill(self, page_id: int, block: CounterBlock, *,
              dirty: bool = False) -> Optional[CounterEviction]:
@@ -103,14 +105,16 @@ class CounterCache:
         """``(page_id, counters, dirty)`` for every resident entry, in
         ascending page order. No stats or recency effects."""
         cache = self.lines
-        for page_id in sorted(cache.slot_of):
-            slot = cache.slot_of[page_id]
-            yield page_id, cache.payloads[slot], cache.dirty[slot]
+        sets, num_sets = cache.sets, cache.num_sets
+        for page_id in sorted(page for ways in sets for page in ways):
+            yield (page_id, sets[page_id % num_sets][page_id],
+                   page_id in cache.dirty)
 
     def dirty_entries(self) -> List[Tuple[int, CounterBlock]]:
         """All dirty (page_id, counters) pairs — what a battery flush saves."""
-        return [(page_id, block)
-                for page_id, block, dirty in self.entries() if dirty]
+        sets, num_sets = self.lines.sets, self.lines.num_sets
+        return [(page_id, sets[page_id % num_sets][page_id])
+                for page_id in sorted(self.lines.dirty)]
 
     def flush(self, sink: Optional[Callable[[int, CounterBlock], None]]
               = None) -> List[CounterEviction]:
@@ -131,9 +135,7 @@ class CounterCache:
                 "persist the returned CounterEviction list instead")
         flushed = [CounterEviction(page_id=page_id, block=block, dirty=True)
                    for page_id, block in self.dirty_entries()]
-        cache = self.lines
-        for eviction in flushed:
-            cache.dirty[cache.slot_of[eviction.page_id]] = False
+        self.lines.dirty.clear()
         return flushed
 
     def __len__(self) -> int:

@@ -23,9 +23,13 @@ Shredding interacts with the hierarchy through
 
 Loads and stores take one walk, :meth:`CacheHierarchy.access`, one
 call per access; :meth:`CacheHierarchy.try_l1_hit` serves the pure L1
-hits of that walk in place. The directory lists a core as a sharer of a
-block exactly while that core's L1 or L2 holds it, and tracks only
-blocks L4 holds (:meth:`CacheHierarchy.check_inclusion`).
+hits of that walk in place. The walk works on each level's set dicts
+directly: L4 fills through :meth:`SetAssociativeCache.fill` (its victim
+carries a payload and a dirty bit), while the tag-only L1-L3, which are
+never dirty, are filled and back-invalidated in place without building
+an :class:`~repro.cache.cache.Eviction`. The directory lists a core as a
+sharer of a block exactly while that core's L1 or L2 holds it, and
+tracks only blocks L4 holds (:meth:`CacheHierarchy.check_inclusion`).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import Callable, Dict, Optional, Set
 from ..config import SystemConfig
 from ..errors import AddressError, SimulationError
 from .cache import Eviction, SetAssociativeCache
-from .coherence import CoherenceDirectory, MESIState
+from .coherence import MODIFIED, CoherenceDirectory
 
 
 @dataclass
@@ -99,12 +103,24 @@ class CacheHierarchy:
     # -- helpers ---------------------------------------------------------------
 
     def _handle_l4_eviction(self, eviction: Eviction, now_ns: float) -> int:
-        """Back-invalidate an L4 victim everywhere and write back if dirty."""
+        """Back-invalidate an L4 victim everywhere and write back if dirty.
+
+        The victim leaves L3 and its sharers' L1 and L2 in place: the
+        tag-only levels hold no payload or dirty bit to report.
+        """
         address = eviction.address
-        self.l3.invalidate(address)
+        block = address // self.block_size
+        l3 = self.l3
+        ways = l3.sets[block % l3.num_sets]
+        if block in ways:
+            del ways[block]
+            l3.stats.invalidations += 1
         for core in self.directory.invalidate_block(address):
-            self.l1[core].invalidate(address)
-            self.l2[core].invalidate(address)
+            for cache in (self.l1[core], self.l2[core]):
+                ways = cache.sets[block % cache.num_sets]
+                if block in ways:
+                    del ways[block]
+                    cache.stats.invalidations += 1
         if eviction.dirty:
             self.writeback_handler(address, eviction.payload, now_ns)
             self.writebacks += 1
@@ -125,10 +141,15 @@ class CacheHierarchy:
         functional mode, the block's bytes.
 
         One pass: the block number is computed once and each level's
-        ``slot_of`` probed once, top down. A miss below L2 fills the
-        missing shared levels, then L1 and L2; a block that leaves a
-        core's L1 or L2 and is in neither any more is reported to the
-        directory, so its sharers are exactly the cores that hold it.
+        set probed once, top down; a hit re-inserts the block as its
+        set's most recent. A miss below L2 fills the missing shared
+        levels, then L1 and L2. L4 fills through
+        :meth:`SetAssociativeCache.fill` (its victim carries a payload
+        and a dirty bit); the tag-only L1-L3 are filled in place, each
+        full set dropping its first (LRU) block. An L3 victim is
+        dropped; a block that leaves a core's L1 or L2 and is in
+        neither any more is reported to the directory, so its sharers
+        are exactly the cores that hold it.
         """
         if core < 0 or core >= self.num_cores:
             raise AddressError(f"no such core {core}")
@@ -138,6 +159,7 @@ class CacheHierarchy:
         directory = self.directory
         l1 = self.l1[core]
         l2 = self.l2[core]
+        l4 = self.l4
         latency = l1.latency_cycles
         writeback_count = 0
 
@@ -148,20 +170,20 @@ class CacheHierarchy:
                 self.l1[other].invalidate(address)
                 self.l2[other].invalidate(address)
 
-        slot = l1.slot_of.get(block)
-        if slot is not None:
+        l1_ways = l1.sets[block % l1.num_sets]
+        if block in l1_ways:
+            del l1_ways[block]
+            l1_ways[block] = None
             l1.stats.hits += 1
-            l1.clock += 1
-            l1.stamps[slot] = l1.clock
             hit_level = "L1"
         else:
             l1.stats.misses += 1
             latency += l2.latency_cycles
-            slot = l2.slot_of.get(block)
-            if slot is not None:
+            l2_ways = l2.sets[block % l2.num_sets]
+            if block in l2_ways:
+                del l2_ways[block]
+                l2_ways[block] = None
                 l2.stats.hits += 1
-                l2.clock += 1
-                l2.stamps[slot] = l2.clock
                 hit_level = "L2"
             else:
                 l2.stats.misses += 1
@@ -169,21 +191,19 @@ class CacheHierarchy:
                     directory.read(address, core)
                 l3 = self.l3
                 latency += l3.latency_cycles
-                slot = l3.slot_of.get(block)
-                if slot is not None:
+                l3_ways = l3.sets[block % l3.num_sets]
+                if block in l3_ways:
+                    del l3_ways[block]
+                    l3_ways[block] = None
                     l3.stats.hits += 1
-                    l3.clock += 1
-                    l3.stamps[slot] = l3.clock
                     hit_level = "L3"
                 else:
                     l3.stats.misses += 1
-                    l4 = self.l4
                     latency += l4.latency_cycles
-                    slot = l4.slot_of.get(block)
-                    if slot is not None:
+                    l4_ways = l4.sets[block % l4.num_sets]
+                    if block in l4_ways:
+                        l4_ways[block] = l4_ways.pop(block)
                         l4.stats.hits += 1
-                        l4.clock += 1
-                        l4.stamps[slot] = l4.clock
                         hit_level = "L4"
                     else:
                         l4.stats.misses += 1
@@ -204,21 +224,32 @@ class CacheHierarchy:
                         if evicted is not None:
                             writeback_count = self._handle_l4_eviction(
                                 evicted, now_ns)
-                    l3.fill(address)
-            evicted = l1.fill(address)
-            if evicted is not None and \
-                    evicted.address // block_size not in l2.slot_of:
-                directory.evicted(evicted.address, core)
+                    if len(l3_ways) == l3.associativity:
+                        del l3_ways[next(iter(l3_ways))]
+                        l3.stats.evictions += 1
+                    l3_ways[block] = None
+                    l3.stats.fills += 1
+            if len(l1_ways) == l1.associativity:
+                victim = next(iter(l1_ways))
+                del l1_ways[victim]
+                l1.stats.evictions += 1
+                if victim not in l2.sets[victim % l2.num_sets]:
+                    directory.evicted(victim * block_size, core)
+            l1_ways[block] = None
+            l1.stats.fills += 1
             if hit_level != "L2":
-                evicted = l2.fill(address)
-                if evicted is not None and \
-                        evicted.address // block_size not in l1.slot_of:
-                    directory.evicted(evicted.address, core)
+                if len(l2_ways) == l2.associativity:
+                    victim = next(iter(l2_ways))
+                    del l2_ways[victim]
+                    l2.stats.evictions += 1
+                    if victim not in l1.sets[victim % l1.num_sets]:
+                        directory.evicted(victim * block_size, core)
+                l2_ways[block] = None
+                l2.stats.fills += 1
 
         result_data: Optional[bytes] = None
-        l4 = self.l4
-        slot = l4.slot_of.get(block)
-        if slot is None:
+        l4_ways = l4.sets[block % l4.num_sets]
+        if block not in l4_ways:
             # Inclusion guarantees residence; guard for safety.
             raise AddressError(f"block {address:#x} missing from L4 after fill")
         if is_write:
@@ -227,19 +258,19 @@ class CacheHierarchy:
                     offset, value = merge
                     if offset < 0 or offset + len(value) > block_size:
                         raise AddressError("merge write exceeds block bounds")
-                    base = l4.payloads[slot]
+                    base = l4_ways[block]
                     if base is None:
                         base = self._zero_block
-                    l4.payloads[slot] = (base[:offset] + bytes(value)
-                                         + base[offset + len(value):])
+                    l4_ways[block] = (base[:offset] + bytes(value)
+                                      + base[offset + len(value):])
                 elif data is not None and len(data) == block_size:
-                    l4.payloads[slot] = bytes(data)
+                    l4_ways[block] = bytes(data)
                 else:
                     raise AddressError("functional store needs a full block "
                                        "payload or a merge fragment")
-            l4.dirty[slot] = True
+            l4.dirty.add(block)
         elif self.functional:
-            result_data = l4.payloads[slot]
+            result_data = l4_ways[block]
 
         return HierarchyAccess(address, is_write, latency, hit_level,
                                result_data, writeback_count)
@@ -260,24 +291,22 @@ class CacheHierarchy:
             return -1
         block = address // self.block_size
         l1 = self.l1[core]
-        slot = l1.slot_of.get(block)
-        if slot is None:
+        ways = l1.sets[block % l1.num_sets]
+        if block not in ways:
             return -1
-        l4_slot = self.l4.slot_of.get(block)
-        if l4_slot is None:
+        l4 = self.l4
+        if block not in l4.sets[block % l4.num_sets]:
             return -1
         if is_write:
-            if self.functional:
+            # The entry must read "core is the only sharer, in M".
+            if self.functional or self.directory.entries.get(
+                    block * self.block_size) != 4 << core | MODIFIED:
                 return -1
-            entry = self.directory._entries.get(block * self.block_size)
-            if (entry is None or entry.owner != core
-                    or entry.state is not MESIState.MODIFIED):
-                return -1
-            self.l4.dirty[l4_slot] = True
+            l4.dirty.add(block)
+        del ways[block]
+        ways[block] = None
         l1.stats.hits += 1
-        l1.clock += 1
-        l1.stamps[slot] = l1.clock
-        return self.config.l1.latency_cycles
+        return l1.latency_cycles
 
     # -- shred support ------------------------------------------------------------
 
@@ -293,10 +322,12 @@ class CacheHierarchy:
         """
         result = PageInvalidation()
         block_size = self.block_size
-        resident = self.l4.slot_of
+        resident = self.l4
+        sets, num_sets = resident.sets, resident.num_sets
         for address in range(page_address, page_address + page_size,
                              block_size):
-            if address // block_size not in resident:
+            block = address // block_size
+            if block not in sets[block % num_sets]:
                 continue
             for core in self.directory.invalidate_block(address):
                 self.l1[core].invalidate(address)
@@ -315,7 +346,9 @@ class CacheHierarchy:
         """Flush the entire hierarchy (dirty L4 lines written back).
 
         The tag-only L1-L3 hold nothing to write back and are cleared
-        wholesale; L4's dirty lines go to memory in ascending order.
+        wholesale; L4's dirty lines go to memory in ascending order. The
+        directory's entries are cleared in place; its statistics, like
+        the caches', are kept.
         """
         for cache in (*self.l1, *self.l2, self.l3):
             cache.flush_all()
@@ -324,7 +357,7 @@ class CacheHierarchy:
             self.writeback_handler(eviction.address, eviction.payload, now_ns)
             self.writebacks += 1
             flushed += 1
-        self.directory = CoherenceDirectory(self.num_cores)
+        self.directory.entries.clear()
         return flushed
 
     def check_inclusion(self) -> None:
@@ -347,7 +380,7 @@ class CacheHierarchy:
             for cache in (self.l1[core], self.l2[core]):
                 for address in cache.resident_addresses():
                     holders.setdefault(address, set()).add(core)
-        for address in sorted(set(holders) | set(self.directory._entries)):
+        for address in sorted(set(holders) | set(self.directory.entries)):
             if address not in resident_l4:
                 raise SimulationError(
                     f"directory tracks block {address:#x}, which L4 does "

@@ -223,19 +223,19 @@ class SecureMemoryController:
                         now_ns: float) -> Tuple[CounterBlock, float, bool]:
         """The one counter probe behind fetch, store and shred.
 
-        Returns ``(counters, latency_ns, hit)``. A hit refreshes the
-        entry's recency in the counter cache's slot lists; a miss loads
+        Returns ``(counters, latency_ns, hit)``. A hit re-inserts the
+        entry as the most recent of its counter-cache set; a miss loads
         the counter block from NVM (verifying it against the Merkle
         tree), fills the cache and persists a dirty victim.
         """
         lines = self.counter_cache.lines
-        slot = lines.slot_of.get(page_id)
-        if slot is not None:
+        ways = lines.sets[page_id % lines.num_sets]
+        counters = ways.pop(page_id, None)    # a resident entry is never None
+        if counters is not None:
+            ways[page_id] = counters
             lines.stats.hits += 1
-            lines.clock += 1
-            lines.stamps[slot] = lines.clock
             self.stats.counter_hits += 1
-            return lines.payloads[slot], self._counter_latency_ns, True
+            return counters, self._counter_latency_ns, True
         if page_id < 0 or page_id >= self.num_pages:
             raise AddressError(f"page id {page_id} out of range")
         lines.stats.misses += 1
@@ -277,9 +277,8 @@ class SecureMemoryController:
         if self.counter_cache.write_through:
             return self._persist_counters(page_id, counters, now_ns)
         lines = self.counter_cache.lines
-        slot = lines.slot_of.get(page_id)
-        if slot is not None:
-            lines.dirty[slot] = True
+        if page_id in lines.sets[page_id % lines.num_sets]:
+            lines.dirty.add(page_id)
         return 0.0
 
     # -- data path -----------------------------------------------------------------

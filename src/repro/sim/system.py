@@ -197,6 +197,7 @@ class System:
         the warm-up methodology of section 5 (caches stay warm, the
         measured window starts clean)."""
         from ..cache.cache import CacheStats
+        from ..cache.coherence import CoherenceStats
         from ..core.secure_memory import SecureMemoryStats
         from ..kernel.kernel import KernelStats
         from ..kernel.zeroing import ZeroingStats
@@ -208,6 +209,7 @@ class System:
         for cache in [machine.hierarchy.l3, machine.hierarchy.l4,
                       *machine.hierarchy.l1, *machine.hierarchy.l2]:
             cache.stats = CacheStats()
+        machine.hierarchy.directory.stats = CoherenceStats()
         machine.controller.counter_cache.reset_stats()
         machine.hierarchy.zero_fills = 0
         machine.hierarchy.memory_fetches = 0

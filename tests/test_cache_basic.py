@@ -1,6 +1,4 @@
-"""Set-associative LRU cache mechanics over the slot-indexed layout."""
-
-import pytest
+"""Set-associative LRU cache mechanics over per-set recency dicts."""
 
 from repro.cache import SetAssociativeCache
 from repro.config import CacheConfig
@@ -20,11 +18,10 @@ def addr(set_index, tag, sets=4):
 class TestLookupFill:
     def test_miss_then_hit(self):
         cache = small_cache()
-        assert cache.lookup(0) is None
+        assert cache.lookup(0) is False
         cache.fill(0)
-        slot = cache.lookup(0)
-        assert slot == 0                   # set 0, way 0
-        assert cache.tags[slot] == 0
+        assert cache.lookup(0) is True
+        assert cache.sets[0] == {0: None}  # set 0 holds block 0
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
 
@@ -38,25 +35,26 @@ class TestLookupFill:
         cache = small_cache()
         cache.fill(0)
         # Any address within the block maps to the same line.
-        slot = cache.lookup(63)
-        assert slot is not None and slot == cache.peek(0)
+        assert cache.lookup(63)
+        assert cache.contains(0) and cache.contains(63)
+        assert len(cache) == 1
 
     def test_payload_stored(self):
         cache = small_cache()
         cache.fill(0, payload=b"hello")
-        assert cache.payloads[cache.lookup(0)] == b"hello"
+        assert cache.sets[0][0] == b"hello"
 
     def test_refill_updates_payload(self):
         cache = small_cache()
         cache.fill(0, payload=b"a")
         cache.fill(0, payload=b"b")
-        assert cache.payloads[cache.peek(0)] == b"b"
+        assert cache.sets[0][0] == b"b"
 
     def test_refill_keeps_dirty(self):
         cache = small_cache()
         cache.fill(0, dirty=True)
         cache.fill(0, dirty=False)
-        assert cache.dirty[cache.peek(0)]
+        assert cache.dirty == {0}
 
 
 class TestEviction:
@@ -121,16 +119,16 @@ class TestInvalidate:
         cache.invalidate(addr(0, 0))
         assert cache.fill(addr(0, 1)) is None   # no eviction needed
 
-    @pytest.mark.parametrize("method", ["fill"])
-    def test_fill_takes_the_lowest_empty_way(self, method):
+    def test_set_below_capacity_evicts_nothing_in_insertion_order(self):
         cache = small_cache(assoc=4, sets=4)
         for tag in range(4):
             cache.fill(addr(0, tag))
         cache.invalidate(addr(0, 2))
         cache.invalidate(addr(0, 1))
-        getattr(cache, method)(addr(0, 7))
-        assert cache.tags[0:4] == [0, 7 * 4, None, 3 * 4]
-        assert cache.stamps[2] == 0        # an empty way keeps stamp 0
+        assert cache.fill(addr(0, 7)) is None   # two ways free
+        assert cache.fill(addr(0, 1)) is None
+        assert list(cache.sets[0]) == [0, 3 * 4, 7 * 4, 1 * 4]
+        assert cache.stats.evictions == 0
 
 
 class TestReplacementPolicies:

@@ -110,7 +110,6 @@ class TestInvariants:
     def test_corrupted_state_detected(self):
         directory = CoherenceDirectory(2)
         directory.write(0x0, 0)
-        entry = directory._entries[0x0]
-        entry.sharers.add(1)       # corrupt: M with two sharers
+        directory.entries[0x0] |= 0b10 << 2   # corrupt: M with two sharers
         with pytest.raises(SimulationError):
             directory.check_invariants()

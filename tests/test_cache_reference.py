@@ -1,22 +1,23 @@
 """``SetAssociativeCache`` against a transcription of its predecessor.
 
-The cache keeps one layout: flat tag, LRU-stamp, dirty and payload
-lists indexed by slot (``set * associativity + way``) and one dict from
-resident block number to slot. The design it replaced kept per-set
-lists of :class:`CacheLine` objects, an ``_index`` dict of ``(set,
-way)`` tuples, a per-set fill count and a separate LRU policy object
-with its own stamp array; :class:`ReferenceCache` and
-:class:`LRUPolicy` below transcribe it.
+The cache keeps one layout: per set, an insertion-ordered dict from
+resident block number to payload, least recently used first, plus one
+set of dirty block numbers. The design it replaced kept per-set lists
+of :class:`CacheLine` objects, an ``_index`` dict of ``(set, way)``
+tuples, a per-set fill count and a separate LRU policy object with its
+own stamp array; :class:`ReferenceCache` and :class:`LRUPolicy` below
+transcribe it.
 
 Hypothesis drives both through random sequences of ``lookup``,
-``contains``, ``peek``, ``fill`` (with payload and dirty bit),
-``mark_dirty``, ``invalidate`` and ``flush_all`` on 1-4 sets of 1, 2, 4
-or 8 ways, over an address range three times the capacity. After every
-operation the return values, all six stats fields, the resident
-addresses, the length, the block-to-slot map and every way's tag, LRU
-stamp, dirty bit and payload must match. Two mutants of ``fill`` (a
-victim scan that breaks ties to the highest way, a refill that does not
-refresh recency) must fail the suite.
+``contains``, ``fill`` (with payload and dirty bit), ``mark_dirty``,
+``invalidate`` and ``flush_all`` on 1-4 sets of 1, 2, 4 or 8 ways, over
+an address range three times the capacity. After every operation the
+return values, all six stats fields, the resident addresses, the
+length, each set's recency order (for the reference: its resident tags
+sorted by LRU stamp), the dirty blocks and every payload must match.
+Mutants of ``fill`` and ``lookup`` (the victim is the set's most recent
+key, a refill or a hit that does not refresh recency, an eviction that
+forgets the dirty bit) must fail the suite.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import inspect
 import textwrap
 from array import array
 from dataclasses import astuple, dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -207,35 +208,60 @@ class ReferenceCache:
 
 # -- observing both ----------------------------------------------------------------
 
+AnyCache = Union[SetAssociativeCache, ReferenceCache]
+
+
+def recency_order(cache: AnyCache) -> List[List[int]]:
+    """Each set's resident block numbers, least recently used first: the
+    set's key order, or the reference's tags sorted by LRU stamp."""
+    if isinstance(cache, SetAssociativeCache):
+        return [list(ways) for ways in cache.sets]
+    stamps, assoc = cache.policy.stamps, cache.associativity
+    order = []
+    for set_index, ways in enumerate(cache._sets):
+        resident = [(stamps[set_index * assoc + way], line.tag)
+                    for way, line in enumerate(ways) if line is not None]
+        order.append([tag for _, tag in sorted(resident)])
+    return order
+
+
+def dirty_blocks(cache: AnyCache) -> List[int]:
+    if isinstance(cache, SetAssociativeCache):
+        return sorted(cache.dirty)
+    return sorted(block for block, (set_index, way) in cache._index.items()
+                  if cache._sets[set_index][way].dirty)
+
+
+def payloads(cache: AnyCache) -> Dict[int, Any]:
+    """Resident block number -> payload."""
+    if isinstance(cache, SetAssociativeCache):
+        return {block: payload for ways in cache.sets
+                for block, payload in ways.items()}
+    return {block: cache._sets[set_index][way].payload
+            for block, (set_index, way) in cache._index.items()}
+
+
+def render(cache: AnyCache) -> tuple:
+    """Everything observable about one cache of either design."""
+    return (astuple(cache.stats), recency_order(cache), dirty_blocks(cache),
+            payloads(cache))
+
+
 def eviction_state(eviction: Optional[Eviction]) -> Optional[tuple]:
     if eviction is None:
         return None
     return (eviction.address, eviction.dirty, eviction.payload)
 
 
-def line_state(cache: SetAssociativeCache, slot: Optional[int]):
-    """A line found by ``lookup``/``peek``: its slot, tag, dirty bit and
-    payload."""
-    if slot is None:
-        return None
-    return (slot, cache.tags[slot], cache.dirty[slot], cache.payloads[slot])
-
-
-def reference_line_state(ref: ReferenceCache, line: Optional[CacheLine]):
-    if line is None:
-        return None
-    set_index, way = ref._index[line.tag]
-    return (set_index * ref.associativity + way, line.tag, line.dirty,
-            line.payload)
-
-
-def apply(cache, op: tuple, describe_line):
+def apply(cache: AnyCache, op: tuple):
     kind, args = op[0], op[1:]
     if kind == "fill":
         address, payload, dirty = args
         return eviction_state(cache.fill(address, payload, dirty=dirty))
-    if kind in ("lookup", "peek"):
-        return describe_line(getattr(cache, kind)(*args))
+    if kind == "lookup":
+        hit = cache.lookup(*args)
+        return hit if isinstance(cache, SetAssociativeCache) else \
+            hit is not None
     if kind == "invalidate":
         return eviction_state(cache.invalidate(*args))
     if kind == "flush_all":
@@ -243,23 +269,8 @@ def apply(cache, op: tuple, describe_line):
     return getattr(cache, kind)(*args)          # contains, mark_dirty
 
 
-def observe(cache: SetAssociativeCache) -> tuple:
-    ways = [None if tag is None else (tag, dirty, payload)
-            for tag, dirty, payload in zip(cache.tags, cache.dirty,
-                                           cache.payloads)]
-    return (astuple(cache.stats), cache.resident_addresses(), len(cache),
-            dict(cache.slot_of), list(cache.tags), list(cache.stamps), ways)
-
-
-def observe_reference(ref: ReferenceCache) -> tuple:
-    lines = [line for ways in ref._sets for line in ways]
-    slots = {block: set_index * ref.associativity + way
-             for block, (set_index, way) in ref._index.items()}
-    ways = [None if line is None else (line.tag, line.dirty, line.payload)
-            for line in lines]
-    return (astuple(ref.stats), ref.resident_addresses(), len(ref), slots,
-            [None if line is None else line.tag for line in lines],
-            list(ref.policy.stamps), ways)
+def observe(cache: AnyCache) -> tuple:
+    return render(cache), cache.resident_addresses(), len(cache)
 
 
 def check_against_reference(num_sets: int, associativity: int,
@@ -267,12 +278,11 @@ def check_against_reference(num_sets: int, associativity: int,
     config = CacheConfig("T", size_bytes=BLOCK * num_sets * associativity,
                          associativity=associativity)
     cache, ref = SetAssociativeCache(config), ReferenceCache(config)
-    assert observe(cache) == observe_reference(ref)
+    assert observe(cache) == observe(ref)
     for step, op in enumerate(ops):
-        got = apply(cache, op, lambda slot: line_state(cache, slot))
-        want = apply(ref, op, lambda line: reference_line_state(ref, line))
+        got, want = apply(cache, op), apply(ref, op)
         assert got == want, (step, op)
-        assert observe(cache) == observe_reference(ref), (step, op)
+        assert observe(cache) == observe(ref), (step, op)
 
 
 @st.composite
@@ -285,11 +295,11 @@ def cases(draw):
                      st.one_of(st.none(), st.integers(0, 3)), st.booleans())
     op = st.one_of(
         fill, fill, fill,           # listed thrice: fills drive eviction
-        st.tuples(st.sampled_from(["lookup", "lookup", "contains", "peek",
+        st.tuples(st.sampled_from(["lookup", "lookup", "contains",
                                    "mark_dirty", "invalidate"]), address),
         st.tuples(st.just("flush_all")),
     )
-    ops = draw(st.lists(op, max_size=80))
+    ops = draw(st.lists(op, min_size=16, max_size=80))
     return num_sets, associativity, ops
 
 
@@ -316,36 +326,42 @@ def test_fills_past_capacity_in_every_geometry(associativity):
     check_against_reference(3, associativity, ops)
 
 
-# -- mutants of fill() must fail the suite -------------------------------------------
+# -- mutants of fill() and lookup() must fail the suite ----------------------------
 
-#: name -> (fragment of ``SetAssociativeCache.fill``'s source, its mutation)
+#: name -> (method, fragment of its source, the mutation)
 MUTANTS = {
-    "victim-ties-to-highest-way": (
-        "slot = base + ways.index(min(ways))",
-        "slot = base + len(ways) - 1 - ways[::-1].index(min(ways))"),
+    "victim-is-the-most-recent-key": (
+        "fill", "victim = next(iter(ways))", "victim = next(reversed(ways))"),
     "refill-keeps-old-recency": (
-        "stamps[slot] = self.clock\n        return None",
-        "return None"),
+        "fill", "if ways.pop(block, _ABSENT) is not _ABSENT:",
+        "if block in ways:"),
+    "hit-keeps-old-recency": (
+        "lookup", "payload = ways.pop(block, _ABSENT)",
+        "payload = ways.get(block, _ABSENT)"),
+    "eviction-forgets-dirty-bit": (
+        "fill", "victim_dirty = victim in self.dirty", "victim_dirty = False"),
 }
 
 
-def mutated_fill(fragment: str, mutation: str):
-    """``SetAssociativeCache.fill`` recompiled with the first
+def mutated(method: str, fragment: str, mutation: str):
+    """``SetAssociativeCache.<method>`` recompiled with the first
     ``fragment`` of its source replaced by ``mutation``."""
-    source = textwrap.dedent(inspect.getsource(SetAssociativeCache.fill))
-    assert fragment in source, f"mutation site {fragment!r} not in fill()"
+    source = textwrap.dedent(inspect.getsource(
+        getattr(SetAssociativeCache, method)))
+    assert fragment in source, f"mutation site {fragment!r} not in {method}()"
     namespace: Dict[str, Any] = {}
     exec(source.replace(fragment, mutation, 1), dict(vars(cache_module)),
          namespace)
-    return namespace["fill"]
+    return namespace[method]
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_suite_catches_mutant(mutant, monkeypatch):
     """The property test, run as is except that it stops at the first
     counterexample (no shrinking) and records none."""
-    monkeypatch.setattr(SetAssociativeCache, "fill",
-                        mutated_fill(*MUTANTS[mutant]))
+    method, fragment, mutation = MUTANTS[mutant]
+    monkeypatch.setattr(SetAssociativeCache, method,
+                        mutated(method, fragment, mutation))
     search = settings(SUITE, phases=[Phase.generate], database=None)(
         given(case=cases())(test_matches_reference.hypothesis.inner_test))
     with pytest.raises(AssertionError):

@@ -15,8 +15,8 @@ them running on both cores, so stores contend for M ownership, and
 reads share the Zero Page before COW writes) through two identical
 systems: one through the context's methods, one through the pre-fast-
 path bodies transcribed below. Reports, event logs, per-cache stats,
-LRU stamps, L4 dirty bits, the directory, core timing and TLBs must all
-match, and shredded blocks must miss L1 and read back as zeros
+each set's recency order, dirty blocks and payloads, the directory,
+core timing and TLBs must all match, and shredded blocks must miss L1 and read back as zeros
 (DESIGN.md §5 invariants 1-2).
 """
 
@@ -32,6 +32,10 @@ from repro.kernel import PageTable
 from repro.runtime.context import ExecutionContext
 from repro.sim import System
 
+from tests.test_cache_reference import render as render_cache
+from tests.test_directory_reference import render as render_directory
+from tests.test_directory_reference import tracked_blocks
+
 PAGE = 4096
 BLOCK = 64
 PAGES = 3
@@ -39,21 +43,19 @@ BLOCKS = 2          # blocks used per page (keeps L1 hits and sharing common)
 TLB_ENTRIES = 4
 
 
-def state_signature(hierarchy: CacheHierarchy) -> list:
-    """Everything observable about the hierarchy's state and stats:
-    per-cache stats, the tag in every way (``None`` when empty), LRU
-    stamps, the hierarchy's counters and the coherence directory."""
-    out = []
-    for cache in [*hierarchy.l1, *hierarchy.l2, hierarchy.l3, hierarchy.l4]:
-        out.append((cache.stats.hits, cache.stats.misses,
-                    cache.stats.evictions, cache.stats.dirty_evictions,
-                    cache.stats.invalidations, cache.stats.fills,
-                    tuple(cache.tags), tuple(cache.stamps)))
+def state_signature(hierarchy) -> list:
+    """Everything observable about a hierarchy's state and stats (the
+    cache and directory classes of either design): per cache, its stats,
+    each set's recency order, its dirty blocks and payloads; the
+    hierarchy's counters; the directory's stats, and each tracked
+    block's sharers and every core's MESI state."""
+    out = [render_cache(cache) for cache in
+           [*hierarchy.l1, *hierarchy.l2, hierarchy.l3, hierarchy.l4]]
     out.append((hierarchy.zero_fills, hierarchy.memory_fetches,
                 hierarchy.writebacks))
-    out.append(tuple(sorted(
-        (address, entry.owner, entry.state.name, tuple(sorted(entry.sharers)))
-        for address, entry in hierarchy.directory._entries.items())))
+    directory = hierarchy.directory
+    out.append(render_directory(directory, tracked_blocks(directory),
+                                hierarchy.num_cores))
     return out
 
 
@@ -173,10 +175,6 @@ class World:
     def signature(self):
         system = self.system
         hierarchy = system.machine.hierarchy
-        l4 = hierarchy.l4
-        l4_lines = tuple((tag, l4.dirty[slot], l4.payloads[slot])
-                         for slot, tag in enumerate(l4.tags)
-                         if tag is not None)
         cores = [(asdict(core.stats), tuple(core._store_buffer))
                  for core in system.cores]
         tlbs = [None if ctx.tlb is None else
@@ -189,7 +187,6 @@ class World:
             "report": system.report().to_dict(),
             "events": system.events.snapshot(),
             "hierarchy": state_signature(hierarchy),
-            "l4_lines": l4_lines,
             "cores": cores,
             "tlbs": tlbs,
             "kernel": asdict(system.kernel.stats),
@@ -336,19 +333,18 @@ class TestTouchFastPathEquivalence:
 def mutant_without_owner_check(self, core, address, is_write):
     """``try_l1_hit`` minus the directory-owner check for stores."""
     block = address // self.block_size
-    l1 = self.l1[core]
-    slot = l1.slot_of.get(block)
-    l4_slot = self.l4.slot_of.get(block)
-    if slot is None or l4_slot is None:
+    l1, l4 = self.l1[core], self.l4
+    ways = l1.sets[block % l1.num_sets]
+    if block not in ways or block not in l4.sets[block % l4.num_sets]:
         return -1
     if is_write:
         if self.functional:
             return -1
-        self.l4.dirty[l4_slot] = True
+        l4.dirty.add(block)
+    del ways[block]
+    ways[block] = None
     l1.stats.hits += 1
-    l1.clock += 1
-    l1.stamps[slot] = l1.clock
-    return self.config.l1.latency_cycles
+    return l1.latency_cycles
 
 
 def mutant_ignoring_permissions(self, vaddr, write):

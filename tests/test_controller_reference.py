@@ -11,7 +11,9 @@ classes below transcribe that chain; a controller becomes the
 reference by swapping its own, its device's, its memory controller's
 and its channel model's classes for them, so both sides share every
 piece of state-holding construction (the wear leveller and its
-move hook included).
+move hook included), and by replacing its counter cache with
+:class:`ReferenceCounterCache`, which runs on the way-and-stamp
+``test_cache_reference.ReferenceCache``.
 
 Hypothesis drives a reference and a current controller, baseline and
 Silent Shredder, in timing and functional mode, through random
@@ -23,8 +25,8 @@ an attached bus snooper. After every operation the returned
 ``AccessResult``/``RawAccess``/``CounterFetch`` fields, the
 ``SecureMemoryStats`` (latency buckets included), the device's and the
 memory controller's ``MemoryStats``, the channel's queue state, the
-NVM cells, wear map and flip bits, the counter cache's entries, stats
-and LRU stamps, the Merkle root, the event log, the snooper's records
+NVM cells, wear map and flip bits, the counter cache's entries, stats,
+each set's recency order and dirty blocks, the Merkle root, the event log, the snooper's records
 and the Start-Gap registers must match. Mutants of the datapath must
 fail the suite.
 """
@@ -42,7 +44,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.clock import resolve_time
-from repro.config import KB, CounterCacheConfig, NVMConfig, fast_config
+from repro.cache.counter_cache import CounterEviction
+from repro.config import (KB, CacheConfig, CounterCacheConfig, NVMConfig,
+                          fast_config)
 from repro.core import SecureMemoryController, SilentShredderController
 from repro.core.iv import CounterBlock
 from repro.core.secure_memory import AccessResult, CounterFetch
@@ -53,6 +57,9 @@ from repro.mem import (BusSnooper, ChannelModel, MemoryController,
 from repro.mem.controller import RawAccess
 from repro.mem.nvm import FNW_WORD_BITS
 from repro.obs.events import EventRecorder
+
+from tests.test_cache_reference import ReferenceCache
+from tests.test_cache_reference import render as render_cache
 
 BLOCK = 64
 PAGE = 4 * KB
@@ -301,6 +308,70 @@ class ReferenceDatapath:
                             counter_reencrypted=effect.reencrypted)
 
 
+class ReferenceCounterCache:
+    """The counter cache before the one-pass rewrite, on the transcribed
+    way-and-stamp cache: every probe goes through ``lookup``/``peek``."""
+
+    def __init__(self, config: CounterCacheConfig) -> None:
+        self.config = config
+        self.latency_cycles = config.latency_cycles
+        self.write_through = config.write_policy == "writethrough"
+        self.lines = ReferenceCache(CacheConfig(
+            name="CounterCache", size_bytes=config.size_bytes,
+            associativity=config.associativity,
+            block_size=config.block_size,
+            latency_cycles=config.latency_cycles))
+        self._block_size = config.block_size
+
+    def _address(self, page_id):
+        return page_id * self._block_size
+
+    @property
+    def stats(self):
+        return self.lines.stats
+
+    def lookup(self, page_id):
+        line = self.lines.lookup(self._address(page_id))
+        return None if line is None else line.payload
+
+    def peek(self, page_id):
+        line = self.lines.peek(self._address(page_id))
+        return None if line is None else line.payload
+
+    def fill(self, page_id, block, *, dirty=False):
+        evicted = self.lines.fill(self._address(page_id), block, dirty=dirty)
+        if evicted is None:
+            return None
+        return CounterEviction(page_id=evicted.address // self._block_size,
+                               block=evicted.payload, dirty=evicted.dirty)
+
+    def mark_dirty(self, page_id):
+        self.lines.mark_dirty(self._address(page_id))
+
+    def entries(self):
+        for address in self.lines.resident_addresses():
+            line = self.lines.peek(address)
+            yield address // self._block_size, line.payload, line.dirty
+
+    def dirty_entries(self):
+        return [(page_id, block)
+                for page_id, block, dirty in self.entries() if dirty]
+
+    def flush(self):
+        flushed = []
+        for address in self.lines.resident_addresses():
+            line = self.lines.peek(address)
+            if line.dirty:
+                line.dirty = False
+                flushed.append(CounterEviction(
+                    page_id=address // self._block_size, block=line.payload,
+                    dirty=True))
+        return flushed
+
+    def __len__(self):
+        return len(self.lines)
+
+
 class ReferenceSecure(ReferenceDatapath, SecureMemoryController):
     pass
 
@@ -332,6 +403,7 @@ def build(config, *, shredder: bool, snooper: bool, reference: bool):
         controller.device.__class__ = ReferenceNVMDevice
         controller.mem.__class__ = ReferenceMemoryController
         controller.mem.channels.__class__ = ReferenceChannel
+        controller.counter_cache = ReferenceCounterCache(config.counter_cache)
     if snooper:
         controller.mem.snoopers.append(BusSnooper())
     return controller
@@ -339,7 +411,6 @@ def build(config, *, shredder: bool, snooper: bool, reference: bool):
 
 def observe(controller) -> tuple:
     device, mem = controller.device, controller.mem
-    lines = controller.counter_cache.lines
     leveler = mem.wear_leveler
     return (
         astuple(controller.stats),
@@ -348,7 +419,7 @@ def observe(controller) -> tuple:
         dict(device._flip_state),
         [(page, counters.major, tuple(counters.minors), dirty)
          for page, counters, dirty in controller.counter_cache.entries()],
-        astuple(lines.stats), tuple(lines.tags), tuple(lines.stamps),
+        render_cache(controller.counter_cache.lines),
         None if controller.merkle is None else
         (controller.merkle.root, controller.merkle.updates,
          controller.merkle.verifications),
@@ -496,10 +567,11 @@ def test_overflow_eviction_and_queue_cap(shredder, functional):
 MUTANTS = {
     "store-forgets-mark-dirty": (
         SecureMemoryController, "_counters_updated",
-        "lines.dirty[slot] = True", "pass"),
+        "lines.dirty.add(page_id)", "pass"),
     "counter-hit-keeps-old-recency": (
         SecureMemoryController, "_probe_counters",
-        "lines.stamps[slot] = lines.clock", "pass"),
+        "counters = ways.pop(page_id, None)",
+        "counters = ways.get(page_id)"),
     "channel-drops-queue-cap": (
         ChannelModel, "request", "queue_delay = cap_ns", "pass"),
     "device-write-skips-bit-count": (

@@ -1,23 +1,29 @@
 """``CacheHierarchy``'s one-pass walk against a transcription of the
-chained walk it replaced.
+chained walk it replaced, run on the transcribed cache and directory.
 
 :class:`ReferenceHierarchy` below transcribes the hierarchy before the
 one-pass rewrite: ``access`` through ``lookup`` and ``_install_private``,
 ``_handle_l4_eviction`` over ``sharers_of``, ``invalidate_page`` over
-every block of the page, and ``flush_all`` invalidating line by line.
-The only change is the stale-sharer fix: an L2 hit now reports its L1
-victim to the directory when neither private level still holds it.
+every block of the page, ``try_l1_hit`` and ``flush_all`` invalidating
+line by line. Its caches are ``test_cache_reference.ReferenceCache``
+(ways, LRU stamps and ``CacheLine`` objects) and its directory is
+``test_directory_reference.ReferenceDirectory`` (``DirectoryEntry``
+objects), so no class of the code under test takes part. Two fixes are
+applied to it: an L2 hit reports its L1 victim to the directory when
+neither private level still holds it, and ``flush_all`` clears the
+directory's entries but keeps its statistics.
 
 Hypothesis drives both hierarchies, on 1-4 cores, in timing and
 functional mode and with small L1-L4 geometries so evictions and
 back-invalidations are frequent, through random loads, stores (full
 block and ``merge``), ``invalidate_page`` with and without write-back,
 ``try_l1_hit`` and ``flush_all``. After every operation the return
-values, the sequence of ``miss_handler``/``writeback_handler`` calls,
-``state_signature`` (per-cache stats, tags, LRU stamps, the
-hierarchy's counters, the directory) and every L4 line's dirty bit and
-payload must match, and the residency invariants must hold. Mutants of
-the walk must fail the suite.
+values, the sequence of ``miss_handler``/``writeback_handler`` calls
+and ``state_signature`` (per cache: stats, each set's recency order,
+dirty blocks and payloads; the hierarchy's counters; the directory's
+stats, and every tracked block's sharers and per-core MESI state) must
+match, and the residency invariants must hold. Mutants of the walk must
+fail the suite.
 """
 
 from __future__ import annotations
@@ -31,13 +37,16 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from repro.cache import CacheHierarchy, MemoryFetch, PageInvalidation
+from repro.cache import (CacheHierarchy, MemoryFetch, MESIState,
+                         PageInvalidation)
 from repro.cache import hierarchy as hierarchy_module
 from repro.cache.hierarchy import HierarchyAccess
 from repro.config import CacheConfig, CPUConfig, fast_config
 from repro.errors import AddressError, ReproError
 
+from tests.test_cache_reference import ReferenceCache
 from tests.test_context_fast_path import state_signature
+from tests.test_directory_reference import ReferenceDirectory
 
 BLOCK = 64
 PAGE = 4 * BLOCK           # invalidate_page granule in these tests
@@ -46,7 +55,7 @@ BLOCKS = 24                # address range, in blocks (6 pages)
 
 # -- the reference: the chained walk before the one-pass rewrite -----------------
 
-def reference_cache_flush(cache) -> list:
+def reference_cache_flush(cache: ReferenceCache) -> list:
     """``SetAssociativeCache.flush_all`` before the wholesale clear."""
     dirty = []
     for address in cache.resident_addresses():
@@ -56,7 +65,24 @@ def reference_cache_flush(cache) -> list:
     return dirty
 
 
-class ReferenceHierarchy(CacheHierarchy):
+class ReferenceHierarchy:
+    def __init__(self, config, miss_handler, writeback_handler) -> None:
+        self.config = config
+        self.block_size = config.block_size
+        self.num_cores = config.cpu.num_cores
+        self.miss_handler = miss_handler
+        self.writeback_handler = writeback_handler
+        self.l1 = [ReferenceCache(config.l1) for _ in range(self.num_cores)]
+        self.l2 = [ReferenceCache(config.l2) for _ in range(self.num_cores)]
+        self.l3 = ReferenceCache(config.l3)
+        self.l4 = ReferenceCache(config.l4)
+        self.directory = ReferenceDirectory(self.num_cores)
+        self._zero_block = bytes(self.block_size)
+        self.functional = config.functional
+        self.zero_fills = 0
+        self.memory_fetches = 0
+        self.writebacks = 0
+
     def _align(self, address: int) -> int:
         return address - (address % self.block_size)
 
@@ -144,9 +170,8 @@ class ReferenceHierarchy(CacheHierarchy):
             self._install_private(core, address)
 
         result_data = None
-        l4 = self.l4
-        slot = l4.peek(address)
-        if slot is None:
+        line = self.l4.peek(address)
+        if line is None:
             raise AddressError(f"block {address:#x} missing from L4 after fill")
         if is_write:
             if self.functional:
@@ -154,22 +179,43 @@ class ReferenceHierarchy(CacheHierarchy):
                     offset, value = merge
                     if offset < 0 or offset + len(value) > self.block_size:
                         raise AddressError("merge write exceeds block bounds")
-                    base = l4.payloads[slot]
+                    base = line.payload
                     if base is None:
                         base = self._zero_block
-                    l4.payloads[slot] = (base[:offset] + bytes(value)
-                                         + base[offset + len(value):])
+                    line.payload = (base[:offset] + bytes(value)
+                                    + base[offset + len(value):])
                 elif data is not None and len(data) == self.block_size:
-                    l4.payloads[slot] = bytes(data)
+                    line.payload = bytes(data)
                 else:
                     raise AddressError("functional store needs a full block "
                                        "payload or a merge fragment")
-            l4.dirty[slot] = True
+            line.dirty = True
         else:
-            result_data = l4.payloads[slot] if self.functional else None
+            result_data = line.payload if self.functional else None
         return HierarchyAccess(address=address, is_write=is_write,
                                latency_cycles=latency, hit_level=hit_level,
                                data=result_data, writebacks=writeback_count)
+
+    def try_l1_hit(self, core, address, is_write):
+        if not 0 <= core < self.num_cores:
+            return -1
+        address = self._align(address)
+        l1 = self.l1[core]
+        if not l1.contains(address):
+            return -1
+        line = self.l4.peek(address)
+        if line is None:
+            return -1
+        if is_write:
+            if self.functional:
+                return -1
+            entry = self.directory._entries.get(address)
+            if (entry is None or entry.owner != core
+                    or entry.state is not MESIState.MODIFIED):
+                return -1
+            line.dirty = True
+        l1.lookup(address)
+        return self.config.l1.latency_cycles
 
     def invalidate_page(self, page_address, page_size, *, writeback,
                         now_ns=0.0):
@@ -200,7 +246,8 @@ class ReferenceHierarchy(CacheHierarchy):
             self.writeback_handler(eviction.address, eviction.payload, now_ns)
             self.writebacks += 1
             flushed += 1
-        self.directory = type(self.directory)(self.num_cores)
+        # The statistics-lifetime fix: entries go, statistics stay.
+        self.directory._entries.clear()
         return flushed
 
 
@@ -237,13 +284,6 @@ def make_config(cores: int, functional: bool, geometry: tuple):
                    cpu=CPUConfig(num_cores=cores),
                    l1=level("L1", l1_sets, 2), l2=level("L2", l2_sets, 8),
                    l3=level("L3", l3_sets, 25), l4=level("L4", l4_sets, 35))
-
-
-def observe(hierarchy: CacheHierarchy) -> tuple:
-    l4 = hierarchy.l4
-    lines = tuple((tag, l4.dirty[slot], l4.payloads[slot])
-                  for slot, tag in enumerate(l4.tags) if tag is not None)
-    return state_signature(hierarchy), lines
 
 
 def describe(result: Any) -> Any:
@@ -289,7 +329,7 @@ def check_against_reference(cores: int, functional: bool, geometry: tuple,
         got, want = describe(apply(walk, op)), describe(apply(ref, op))
         assert got == want, (step, op)
         assert memories[0].calls == memories[1].calls, (step, op)
-        assert observe(walk) == observe(ref), (step, op)
+        assert state_signature(walk) == state_signature(ref), (step, op)
         try:
             walk.check_inclusion()
         except ReproError as error:
@@ -361,17 +401,27 @@ def test_sharing_and_eviction_storm(functional):
 #: name -> (method, fragment of its source, the mutation)
 MUTANTS = {
     "l4-hit-skips-l3-fill": (
-        "access", "l3.fill(address)\n",
-        "(l3.fill(address) if hit_level != 'L4' else None)\n"),
+        "access", "l3_ways[block] = None\n" + " " * 16 + "l3.stats.fills",
+        "if hit_level != 'L4': l3_ways[block] = None\n" + " " * 16
+        + "l3.stats.fills"),
+    "l3-fill-never-evicts": (
+        "access", "if len(l3_ways) == l3.associativity:", "if False:"),
     "l1-victim-left-in-directory": (
-        "access", "evicted.address // block_size not in l2.slot_of",
-        "False"),
+        "access", "if victim not in l2.sets[victim % l2.num_sets]:",
+        "if False:"),
+    "l2-victim-left-in-directory": (
+        "access", "if victim not in l1.sets[victim % l1.num_sets]:",
+        "if False:"),
+    "l4-victim-stays-in-l3": (
+        "_handle_l4_eviction", "ways = l3.sets[block % l3.num_sets]",
+        "ways = {}"),
     "invalidate-skips-on-l3-residency": (
-        "invalidate_page", "resident = self.l4.slot_of",
-        "resident = self.l3.slot_of"),
+        "invalidate_page", "resident = self.l4", "resident = self.l3"),
     "flush-keeps-the-directory": (
-        "flush_all", "self.directory = CoherenceDirectory(self.num_cores)",
-        "pass"),
+        "flush_all", "self.directory.entries.clear()", "pass"),
+    "flush-resets-directory-stats": (
+        "flush_all", "self.directory.entries.clear()",
+        "self.directory = CoherenceDirectory(self.num_cores)"),
 }
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.config import bench_config
+from repro.cache.coherence import CoherenceStats
+from repro.config import bench_config, fast_config
 from repro.errors import SimulationError
 from repro.sim import System
 from repro.workloads import SPEC_BENCHMARKS, multiprogrammed_tasks, spec_task
@@ -48,7 +49,7 @@ class TestDirectoryResidency:
         system = System(bench_config(), shredder=True)
         system.run(multiprogrammed_tasks("MCF", 2, scale=0.2))
         hierarchy = system.machine.hierarchy
-        assert hierarchy.directory._entries, "run must leave blocks cached"
+        assert hierarchy.directory.entries, "run must leave blocks cached"
         system.verify_invariants()
 
     def test_detects_private_line_dropped_behind_directory(self,
@@ -93,6 +94,38 @@ class TestResetStats:
         ctx.touch(base, write=True)
         report = system.report()
         assert report.shreds == 1      # only the measured window counted
+
+
+class TestDirectoryStatsLifetime:
+    """The directory's statistics live as long as the caches': a flush
+    keeps them, a stats reset zeroes them."""
+
+    @staticmethod
+    def share_then_store(system, address):
+        hierarchy = system.machine.hierarchy
+        hierarchy.access(0, address, False)
+        hierarchy.access(1, address, False)      # core 0 downgraded
+        hierarchy.access(0, address, True)       # core 1 invalidated
+        assert hierarchy.directory.stats == CoherenceStats(
+            invalidations_sent=1, read_misses_served_by_owner=1)
+
+    def test_flush_all_keeps_directory_stats(self):
+        system = System(fast_config(functional=False))
+        self.share_then_store(system, 0x1000)
+        hierarchy = system.machine.hierarchy
+        hierarchy.flush_all()
+        assert hierarchy.directory.sharers_of(0x1000) == set()
+        assert hierarchy.directory.stats == CoherenceStats(
+            invalidations_sent=1, read_misses_served_by_owner=1)
+
+    def test_reset_stats_zeroes_directory_stats(self):
+        system = System(fast_config(functional=False))
+        self.share_then_store(system, 0x2000)
+        system.reset_stats()
+        hierarchy = system.machine.hierarchy
+        assert hierarchy.l1[0].stats.accesses == 0
+        assert hierarchy.directory.stats == CoherenceStats()
+        assert hierarchy.directory.sharers_of(0x2000) == {0}
 
 
 class TestDumpStats:
