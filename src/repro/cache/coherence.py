@@ -27,6 +27,13 @@ from ..errors import SimulationError
 SHARED, EXCLUSIVE, MODIFIED = 0, 1, 2
 
 
+def owned_entry(core: int) -> int:
+    """The entry of a block that ``core`` alone holds, in M: what a
+    store by ``core`` leaves behind, and what lets its next store skip
+    the ownership upgrade."""
+    return 1 << core << 2 | MODIFIED
+
+
 class MESIState(enum.Enum):
     MODIFIED = "M"
     EXCLUSIVE = "E"

@@ -22,12 +22,13 @@ Shredding interacts with the hierarchy through
 :meth:`CacheHierarchy.invalidate_page` (step 2 of Figure 6).
 
 Loads and stores take one walk, :meth:`CacheHierarchy.access`, one
-call per access; :meth:`CacheHierarchy.try_l1_hit` serves the pure L1
-hits of that walk in place. The walk works on each level's set dicts
-directly: L4 fills through :meth:`SetAssociativeCache.fill` (its victim
-carries a payload and a dirty bit), while the tag-only L1-L3, which are
-never dirty, are filled and back-invalidated in place without building
-an :class:`~repro.cache.cache.Eviction`. The directory lists a core as a
+call per access (the execution context's ``touch`` applies the pure L1
+hits of that walk to the set dicts itself). The walk works on each
+level's set dicts directly: L4 fills through
+:meth:`SetAssociativeCache.fill` (its victim carries a payload and a
+dirty bit), while the tag-only L1-L3, which are never dirty, are filled
+and back-invalidated in place without building an
+:class:`~repro.cache.cache.Eviction`. The directory lists a core as a
 sharer of a block exactly while that core's L1 or L2 holds it, and
 tracks only blocks L4 holds (:meth:`CacheHierarchy.check_inclusion`).
 """
@@ -40,7 +41,7 @@ from typing import Callable, Dict, Optional, Set
 from ..config import SystemConfig
 from ..errors import AddressError, SimulationError
 from .cache import Eviction, SetAssociativeCache
-from .coherence import MODIFIED, CoherenceDirectory
+from .coherence import CoherenceDirectory
 
 
 @dataclass
@@ -274,39 +275,6 @@ class CacheHierarchy:
 
         return HierarchyAccess(address, is_write, latency, hit_level,
                                result_data, writeback_count)
-
-    def try_l1_hit(self, core: int, address: int, is_write: bool) -> int:
-        """Serve a pure L1 hit in place; ``-1`` when ``access()`` is needed.
-
-        A pure hit is an access whose reference walk touches nothing but
-        the L1 line's stats and recency (and, for a store, the L4 dirty
-        bit): the block is resident in ``core``'s L1 and in L4, and a
-        store additionally finds ``core`` the directory's MODIFIED owner
-        (so ``directory.write`` is a no-op). Functional stores are never
-        served here; their payload merge belongs to ``access()``. On a
-        hit this applies exactly ``access()``'s effects and returns the
-        L1 latency in cycles; on ``-1`` nothing has changed.
-        """
-        if not 0 <= core < self.num_cores:
-            return -1
-        block = address // self.block_size
-        l1 = self.l1[core]
-        ways = l1.sets[block % l1.num_sets]
-        if block not in ways:
-            return -1
-        l4 = self.l4
-        if block not in l4.sets[block % l4.num_sets]:
-            return -1
-        if is_write:
-            # The entry must read "core is the only sharer, in M".
-            if self.functional or self.directory.entries.get(
-                    block * self.block_size) != 4 << core | MODIFIED:
-                return -1
-            l4.dirty.add(block)
-        del ways[block]
-        ways[block] = None
-        l1.stats.hits += 1
-        return l1.latency_cycles
 
     # -- shred support ------------------------------------------------------------
 

@@ -46,9 +46,6 @@ class Core:
     def now_ns(self) -> float:
         return self.stats.cycles * self._cycle_ns
 
-    def _advance(self, cycles: float) -> None:
-        self.stats.cycles += cycles
-
     # -- instruction classes ----------------------------------------------------
 
     def compute(self, instructions: int) -> None:
@@ -56,14 +53,14 @@ class Core:
         if instructions <= 0:
             return
         self.stats.instructions += instructions
-        self._advance(instructions * self._cpi)
+        self.stats.cycles += instructions * self._cpi
 
     def load(self, latency_cycles: float) -> None:
         """Retire one load that stalled for ``latency_cycles``."""
         self.stats.instructions += 1
         self.stats.loads += 1
         self.stats.load_stall_cycles += latency_cycles
-        self._advance(self._cpi + latency_cycles)
+        self.stats.cycles += self._cpi + latency_cycles
 
     def store(self, latency_cycles: float) -> None:
         """Retire one store through the store buffer.
@@ -71,19 +68,21 @@ class Core:
         The store occupies a buffer entry until ``latency_cycles`` from
         now; the core stalls only when the buffer is full.
         """
-        self.stats.instructions += 1
-        self.stats.stores += 1
-        now = self.now_ns
-        while self._store_buffer and self._store_buffer[0] <= now:
-            self._store_buffer.popleft()
-        if len(self._store_buffer) >= self._store_buffer_size:
-            oldest = self._store_buffer.popleft()
-            stall_cycles = max(0.0, (oldest - now) / self._cycle_ns)
-            self.stats.store_stall_cycles += stall_cycles
-            self._advance(stall_cycles)
-            now = self.now_ns
-        self._store_buffer.append(now + latency_cycles * self._cycle_ns)
-        self._advance(self._cpi)
+        stats = self.stats
+        stats.instructions += 1
+        stats.stores += 1
+        cycle_ns = self._cycle_ns
+        now = stats.cycles * cycle_ns
+        buffer = self._store_buffer
+        while buffer and buffer[0] <= now:
+            buffer.popleft()
+        if len(buffer) >= self._store_buffer_size:
+            stall_cycles = max(0.0, (buffer.popleft() - now) / cycle_ns)
+            stats.store_stall_cycles += stall_cycles
+            stats.cycles += stall_cycles
+            now = stats.cycles * cycle_ns
+        buffer.append(now + latency_cycles * cycle_ns)
+        stats.cycles += self._cpi
 
     def stall(self, cycles: float, *, fault: bool = False) -> None:
         """Stall without retiring an instruction (page faults etc.)."""
@@ -91,7 +90,7 @@ class Core:
             return
         if fault:
             self.stats.fault_cycles += cycles
-        self._advance(cycles)
+        self.stats.cycles += cycles
 
     def drain_stores(self) -> None:
         """Wait for every outstanding store (an sfence at task end)."""
@@ -101,5 +100,5 @@ class Core:
         if last > self.now_ns:
             stall_cycles = (last - self.now_ns) / self._cycle_ns
             self.stats.store_stall_cycles += stall_cycles
-            self._advance(stall_cycles)
+            self.stats.cycles += stall_cycles
         self._store_buffer.clear()

@@ -30,7 +30,9 @@ class PageTable:
 
     def __init__(self, page_size: int) -> None:
         self.page_size = page_size
-        self._entries: Dict[int, PageTableEntry] = {}
+        #: vpn -> entry. Mutated in place only, never replaced: the
+        #: execution context's ``touch`` probes it directly.
+        self.entries: Dict[int, PageTableEntry] = {}
 
     def vpn_of(self, vaddr: int) -> int:
         if vaddr < 0:
@@ -39,17 +41,17 @@ class PageTable:
 
     def map(self, vpn: int, ppn: int, *, writable: bool = True,
             zero_page: bool = False) -> None:
-        self._entries[vpn] = PageTableEntry(ppn=ppn, writable=writable,
-                                            zero_page=zero_page)
+        self.entries[vpn] = PageTableEntry(ppn=ppn, writable=writable,
+                                           zero_page=zero_page)
 
     def unmap(self, vpn: int) -> PageTableEntry:
-        entry = self._entries.pop(vpn, None)
+        entry = self.entries.pop(vpn, None)
         if entry is None:
             raise PageFaultError(f"vpn {vpn} was not mapped")
         return entry
 
     def lookup(self, vpn: int) -> Optional[PageTableEntry]:
-        return self._entries.get(vpn)
+        return self.entries.get(vpn)
 
     def resolve(self, vaddr: int, write: bool) -> Optional[PageTableEntry]:
         """The entry that serves this access without a fault, or None.
@@ -59,14 +61,14 @@ class PageTable:
         free: a None result leaves fault handling (and the rejection of
         negative addresses, which are never mapped) to the kernel.
         """
-        entry = self._entries.get(vaddr // self.page_size)
+        entry = self.entries.get(vaddr // self.page_size)
         if entry is not None and (entry.writable or not write):
             return entry
         return None
 
     def translate(self, vaddr: int, *, write: bool) -> int:
         """Resolve a virtual address, raising on any fault condition."""
-        entry = self._entries.get(self.vpn_of(vaddr))
+        entry = self.entries.get(self.vpn_of(vaddr))
         if entry is None:
             raise PageFaultError(f"unmapped address {vaddr:#x}")
         if write and not entry.writable:
@@ -74,14 +76,14 @@ class PageTable:
         return entry.ppn * self.page_size + (vaddr % self.page_size)
 
     def mapped_vpns(self) -> Iterator[Tuple[int, PageTableEntry]]:
-        return iter(sorted(self._entries.items()))
+        return iter(sorted(self.entries.items()))
 
     def clear(self) -> None:
         """Drop every mapping (process teardown)."""
-        self._entries.clear()
+        self.entries.clear()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __contains__(self, vpn: int) -> bool:
-        return vpn in self._entries
+        return vpn in self.entries

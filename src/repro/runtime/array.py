@@ -31,30 +31,33 @@ class SimArray:
         self.base = ctx.malloc(length * self.ELEMENT_SIZE)
         self._shadow: List[int] = [0] * length
 
-    def _addr(self, index: int) -> int:
-        if index < 0 or index >= self.length:
-            raise IndexError(f"{self.name}[{index}] out of range "
-                             f"(length {self.length})")
-        return self.base + index * self.ELEMENT_SIZE
+    def _out_of_range(self, index: int) -> IndexError:
+        return IndexError(f"{self.name}[{index}] out of range "
+                          f"(length {self.length})")
 
     def __len__(self) -> int:
         return self.length
 
     def __getitem__(self, index: int) -> int:
-        address = self._addr(index)
-        if self.ctx.functional:
-            value = self.ctx.load_u64(address)
-            return value
-        self.ctx.touch(address, write=False)
+        if not 0 <= index < self.length:
+            raise self._out_of_range(index)
+        ctx = self.ctx
+        address = self.base + index * self.ELEMENT_SIZE
+        if ctx.functional:
+            return ctx.load_u64(address)
+        ctx.touch(address, False)
         return self._shadow[index]
 
     def __setitem__(self, index: int, value: int) -> None:
-        address = self._addr(index)
+        if not 0 <= index < self.length:
+            raise self._out_of_range(index)
+        ctx = self.ctx
+        address = self.base + index * self.ELEMENT_SIZE
         self._shadow[index] = value & (1 << 64) - 1
-        if self.ctx.functional:
-            self.ctx.store_u64(address, value)
+        if ctx.functional:
+            ctx.store_u64(address, value)
         else:
-            self.ctx.touch(address, write=True)
+            ctx.touch(address, True)
 
     def fill(self, value: int) -> None:
         """Sequential full-array initialisation (a write-once pass)."""
@@ -77,7 +80,7 @@ class SimArray:
         if not self.ctx.functional:
             raise SimulationError("verify() requires functional mode")
         for index in range(0, self.length, max(1, sample_stride)):
-            stored = self.ctx.load_u64(self._addr(index))
+            stored = self.ctx.load_u64(self.base + index * self.ELEMENT_SIZE)
             if stored != self._shadow[index]:
                 raise SimulationError(
                     f"{self.name}[{index}]: memory has {stored}, "

@@ -25,6 +25,8 @@ class ExecutionContext:
     """
 
     def __init__(self, system, pid: int, core_id: int) -> None:
+        if not 0 <= core_id < len(system.cores):
+            raise SimulationError(f"no core {core_id}")
         self.machine = system.machine
         self.kernel = system.kernel
         self.pid = pid
@@ -34,12 +36,13 @@ class ExecutionContext:
         self.page_size = system.config.kernel.page_size
         self.functional = self.machine.functional
         self._cycle_ns = system.config.cpu.cycle_ns
+        self._cpi = self.core.config.base_cpi
         self._issue_cycles = system.config.kernel.store_issue_cycles
         self._l4_bytes = system.config.l4.size_bytes
         self._zero_block = bytes(self.block_size)
         #: a zero-block store's payload: a whole-block merge, or none
         self._zero_merge = (0, self._zero_block) if self.functional else None
-        self._hierarchy = self.machine.hierarchy
+        hierarchy = self._hierarchy = self.machine.hierarchy
         # The process's own table serves fault-free translations directly
         # (emptied on exit, so a dead pid falls through to the kernel).
         self._page_table = self.kernel.page_table(pid)
@@ -52,6 +55,23 @@ class ExecutionContext:
                            huge_span=huge_span)
             self._tlb_penalty = system.config.cpu.tlb_miss_penalty_cycles
             self.kernel.register_tlb(pid, self.core, self.tlb)
+        # touch() serves an L1 hit in place from these. Each container
+        # is mutated in place and never replaced; statistics are reached
+        # through their owners on every call, because
+        # System.reset_stats replaces the stats objects.
+        from ..cache.coherence import owned_entry
+        self._l1 = hierarchy.l1[core_id]
+        self._l1_sets = self._l1.sets
+        self._l1_num_sets = self._l1.num_sets
+        self._l4_sets = hierarchy.l4.sets
+        self._l4_num_sets = hierarchy.l4.num_sets
+        self._l4_dirty = hierarchy.l4.dirty
+        self._directory_entries = hierarchy.directory.entries
+        self._owned = owned_entry(core_id)
+        # With a TLB every translation takes _translate: the probe then
+        # reads an empty dict.
+        self._page_entries = (self._page_table.entries if self.tlb is None
+                              else {})
 
     # -- memory management -------------------------------------------------------
 
@@ -112,27 +132,54 @@ class ExecutionContext:
                                     now_ns=self.core.now_ns, merge=merge)
         self.core.store(access.latency_cycles)
 
-    def touch(self, vaddr: int, *, write: bool) -> None:
+    def touch(self, vaddr: int, write: bool) -> None:
         """Block-granularity timing access without data semantics.
 
-        A pure L1 hit is served in place by the hierarchy's probe (same
-        effects, same latency); anything else takes the reference walk.
+        The common case is served here, in place. With no TLB, a page
+        whose entry allows the access translates from the process's page
+        table. An L1 hit whose reference walk would change only the L1
+        line's recency and hit count, and for a store the L4 line's dirty
+        bit, is applied to the set dicts directly. That needs the block
+        in this core's L1 and in L4; a store also needs timing mode
+        (functional stores merge a payload) and this core as the
+        block's only sharer, in M (else the store must upgrade). A TLB,
+        a fault or anything else takes ``_translate`` and
+        ``CacheHierarchy.access``; the effects and latency are the same.
         """
-        physical = self._translate(vaddr, write=write)
-        hierarchy = self._hierarchy
-        latency = hierarchy.try_l1_hit(self.core_id, physical, write)
-        if write:
-            if latency < 0:
-                latency = hierarchy.access(
-                    self.core_id, physical, True, None, self.core.now_ns,
-                    self._zero_merge).latency_cycles
-            self.core.store(latency)
+        page_size = self.page_size
+        entry = self._page_entries.get(vaddr // page_size)
+        if entry is not None and (entry.writable or not write):
+            physical = entry.ppn * page_size + vaddr % page_size
         else:
-            if latency < 0:
-                latency = hierarchy.access(self.core_id, physical, False,
-                                           None, self.core.now_ns
-                                           ).latency_cycles
-            self.core.load(latency)
+            physical = self._translate(vaddr, write=write)
+        block_size = self.block_size
+        block = physical // block_size
+        l1_ways = self._l1_sets[block % self._l1_num_sets]
+        if (block in l1_ways
+                and block in self._l4_sets[block % self._l4_num_sets]
+                and (not write or not self.functional
+                     and self._directory_entries.get(block * block_size)
+                     == self._owned)):
+            if write:
+                self._l4_dirty.add(block)
+            del l1_ways[block]
+            l1_ways[block] = None
+            l1 = self._l1
+            l1.stats.hits += 1
+            latency = l1.latency_cycles
+        else:
+            latency = self._hierarchy.access(
+                self.core_id, physical, write, None, self.core.now_ns,
+                self._zero_merge if write else None).latency_cycles
+        if write:
+            self.core.store(latency)
+            return
+        # Retire the load: Core.load, in place.
+        stats = self.core.stats
+        stats.instructions += 1
+        stats.loads += 1
+        stats.load_stall_cycles += latency
+        stats.cycles += self._cpi + latency
 
     # -- bulk operations -----------------------------------------------------------------
 
@@ -212,8 +259,12 @@ class ExecutionContext:
     # -- compute ------------------------------------------------------------------------------
 
     def compute(self, instructions: int) -> None:
-        """Retire non-memory instructions (ALU work between accesses)."""
-        self.core.compute(instructions)
+        """Retire non-memory instructions (ALU work between accesses):
+        ``Core.compute``, in place."""
+        if instructions > 0:
+            stats = self.core.stats
+            stats.instructions += instructions
+            stats.cycles += instructions * self._cpi
 
     def shred(self, vaddr: int, num_pages: int) -> None:
         """Section 7.2 syscall: bulk zero-init via the shred command."""

@@ -63,10 +63,10 @@ class TraceRecorder:
         self.events.append(TraceEvent(op="store", address=vaddr, value=value))
         self.ctx.store_u64(vaddr, value)
 
-    def touch(self, vaddr: int, *, write: bool) -> None:
+    def touch(self, vaddr: int, write: bool) -> None:
         self.events.append(TraceEvent(op="touch_w" if write else "touch_r",
                                       address=vaddr))
-        self.ctx.touch(vaddr, write=write)
+        self.ctx.touch(vaddr, write)
 
     def memset(self, vaddr: int, size: int, **kwargs) -> None:
         self.events.append(TraceEvent(op="memset", address=vaddr, value=size))

@@ -16,7 +16,7 @@ outside reference goes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional
 
@@ -376,6 +376,9 @@ class System:
                            self.machine.hierarchy.l3,
                            self.machine.hierarchy.l4]],
             title="[caches, core 0 private + shared]"))
+        sections.append(render_table(
+            [asdict(self.machine.hierarchy.directory.stats)],
+            title="[coherence]"))
         ctl = self.machine.controller.stats
         sections.append(render_table([{
             "data_reads": ctl.data_reads, "data_writes": ctl.data_writes,

@@ -10,25 +10,33 @@ property that shapes the memory access stream of graph analytics
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Tuple
 
 from ..errors import SimulationError
 
+#: how many generated graphs :func:`power_law_graph` keeps per process
+GRAPH_MEMO_SIZE = 8
 
-@dataclass
+
+@dataclass(frozen=True)
 class Graph:
-    """Immutable CSR-style graph: offsets + flattened adjacency."""
+    """Immutable CSR-style graph: offsets + flattened adjacency.
+
+    Frozen, with tuple fields: :func:`power_law_graph` hands the same
+    instance to every caller that asks for the same graph.
+    """
 
     num_nodes: int
-    offsets: List[int]            # length num_nodes + 1
-    edges: List[int]              # length offsets[-1]
+    offsets: Tuple[int, ...]      # length num_nodes + 1
+    edges: Tuple[int, ...]        # length offsets[-1]
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, node: int) -> List[int]:
+    def neighbors(self, node: int) -> Tuple[int, ...]:
         return self.edges[self.offsets[node]:self.offsets[node + 1]]
 
     def degree(self, node: int) -> int:
@@ -55,7 +63,17 @@ def power_law_graph(num_nodes: int, edges_per_node: int = 4,
     Every new node attaches to ``edges_per_node`` existing nodes with
     probability proportional to current degree, yielding the power-law
     degree skew of social/rating graphs.
+
+    The graph is a function of the three arguments, so a process builds
+    each one once: the last :data:`GRAPH_MEMO_SIZE` graphs are kept and
+    shared (a :class:`Graph` cannot be changed).
     """
+    return _memo_power_law_graph(num_nodes, edges_per_node, seed)
+
+
+@lru_cache(maxsize=GRAPH_MEMO_SIZE)
+def _memo_power_law_graph(num_nodes: int, edges_per_node: int,
+                          seed: int) -> Graph:
     if num_nodes < 2:
         raise SimulationError("graph needs at least two nodes")
     edges_per_node = max(1, min(edges_per_node, num_nodes - 1))
@@ -84,6 +102,7 @@ def power_law_graph(num_nodes: int, edges_per_node: int = 4,
     for node in range(num_nodes):
         edges.extend(sorted(adjacency[node]))
         offsets.append(len(edges))
-    graph = Graph(num_nodes=num_nodes, offsets=offsets, edges=edges)
+    graph = Graph(num_nodes=num_nodes, offsets=tuple(offsets),
+                  edges=tuple(edges))
     graph.check()
     return graph

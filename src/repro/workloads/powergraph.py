@@ -21,6 +21,7 @@ from ..runtime import ExecutionContext, SimArray
 from .graphs import Graph, power_law_graph
 
 FIXED_ONE = 1 << 32           # Q32.32 fixed-point 1.0
+#: accesses between two yields of a task to the scheduler
 YIELD_EVERY = 256
 
 
@@ -34,6 +35,8 @@ def _build_csr(ctx: ExecutionContext, graph: Graph):
 
 
 def _yielding(counter: List[int]) -> bool:
+    """Count one access; true every ``YIELD_EVERY``-th, when the task
+    yields to the scheduler."""
     counter[0] += 1
     if counter[0] >= YIELD_EVERY:
         counter[0] = 0
@@ -49,6 +52,7 @@ def pagerank_task(graph: Graph, iterations: int = 3, damping: float = 0.85):
 
     def task(ctx: ExecutionContext) -> Iterator[None]:
         counter = [0]
+        graph_offsets = graph.offsets
         offsets, edges = _build_csr(ctx, graph)
         yield
         ranks = SimArray(ctx, graph.num_nodes, name="ranks")
@@ -64,7 +68,8 @@ def pagerank_task(graph: Graph, iterations: int = 3, damping: float = 0.85):
                 acc = 0
                 for position in range(start, end):
                     neighbor = edges[position]
-                    degree = graph.degree(neighbor)
+                    degree = (graph_offsets[neighbor + 1]
+                              - graph_offsets[neighbor])
                     contribution = ranks[neighbor] // max(degree, 1)
                     acc += contribution
                     ctx.compute(30)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List
 
 from ..runtime import ExecutionContext
+from .powergraph import _yielding
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,7 @@ def spec_task(params: SpecParams):
         base = ctx.malloc(params.alloc_pages * page_size)
 
         written_blocks: List[int] = []
-        ops_since_yield = 0
-
-        def maybe_yield():
-            nonlocal ops_since_yield
-            ops_since_yield += 1
-            if ops_since_yield >= 256:
-                ops_since_yield = 0
-                return True
-            return False
+        counter = [0]
 
         # ---- initialization phase: first-touch and populate pages ----
         for page in range(params.alloc_pages):
@@ -95,7 +88,7 @@ def spec_task(params: SpecParams):
                 ctx.compute(params.compute_per_op)
                 if i < distinct:
                     written_blocks.append(addr)
-                if maybe_yield():
+                if _yielding(counter):
                     yield
 
             # Read-back: mostly of what was written, partly of pristine
@@ -109,7 +102,7 @@ def spec_task(params: SpecParams):
                     block = rng.randrange(distinct)
                 ctx.touch(page_base + block * block_size, write=False)
                 ctx.compute(params.compute_per_op)
-                if maybe_yield():
+                if _yielding(counter):
                     yield
 
         # ---- steady phase: locality-driven access to populated data ----
@@ -119,7 +112,7 @@ def spec_task(params: SpecParams):
                 is_write = rng.random() < params.steady_write_ratio
                 ctx.touch(addr, write=is_write)
                 ctx.compute(params.compute_per_op)
-                if maybe_yield():
+                if _yielding(counter):
                     yield
         yield
 

@@ -285,21 +285,35 @@ def check_against_reference(num_sets: int, associativity: int,
         assert observe(cache) == observe(ref), (step, op)
 
 
+#: the operation mix, one entry per share: fills drive eviction and
+#: lookups the recency order, and a flush empties every set, so it is
+#: rare (``st.one_of`` would give each distinct branch an equal share)
+OP_MIX = (["fill"] * 7 + ["lookup"] * 4
+          + ["contains", "mark_dirty", "invalidate", "flush_all"])
+
+
 @st.composite
 def cases(draw):
     num_sets = draw(st.integers(min_value=1, max_value=4))
     associativity = draw(st.sampled_from([1, 2, 4, 8]))
-    span = 3 * num_sets * associativity * BLOCK
-    address = st.integers(min_value=0, max_value=span - 1)
-    fill = st.tuples(st.just("fill"), address,
-                     st.one_of(st.none(), st.integers(0, 3)), st.booleans())
-    op = st.one_of(
-        fill, fill, fill,           # listed thrice: fills drive eviction
-        st.tuples(st.sampled_from(["lookup", "lookup", "contains",
-                                   "mark_dirty", "invalidate"]), address),
-        st.tuples(st.just("flush_all")),
-    )
-    ops = draw(st.lists(op, min_size=16, max_size=80))
+    # An address is a set, one of the blocks that map to it, and a byte
+    # in the block, so that addresses collide in sets and sets overflow.
+    address = st.builds(
+        lambda set_index, k, byte: (set_index + k * num_sets) * BLOCK + byte,
+        st.integers(0, num_sets - 1), st.integers(0, 3 * associativity - 1),
+        st.integers(0, BLOCK - 1))
+
+    def op(kind: str):
+        if kind == "fill":
+            return st.tuples(st.just(kind), address,
+                             st.one_of(st.none(), st.integers(0, 3)),
+                             st.booleans())
+        if kind == "flush_all":
+            return st.just((kind,))
+        return st.tuples(st.just(kind), address)
+
+    ops = draw(st.lists(st.sampled_from(OP_MIX).flatmap(op),
+                        min_size=16, max_size=80))
     return num_sets, associativity, ops
 
 

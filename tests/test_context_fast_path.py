@@ -1,34 +1,40 @@
 """``ExecutionContext.touch`` fast path vs the reference walk.
 
-``touch`` serves two common cases without the full reference chain:
+``touch`` serves two common cases in place, without the reference chain:
 
-* with no TLB, a present, permission-compatible page-table entry is
-  resolved in the context (``PageTable.resolve``) instead of through
+* with no TLB, a present, permission-compatible entry of the process's
+  page-table dict translates the address instead of
   ``Kernel.translate``;
-* a pure L1 hit is applied in place by ``CacheHierarchy.try_l1_hit``
-  instead of ``CacheHierarchy.access``.
+* a pure L1 hit is applied to the L1 and L4 set dicts (and, for a
+  store, the L4 dirty set) instead of ``CacheHierarchy.access``, and
+  the load retires into ``core.stats`` instead of ``Core.load``.
 
 Both shortcuts must be step-identical to the reference chain. These
 tests drive random interleavings of touches, 8-byte loads and stores,
-shreds, ``munmap`` and re-touch on two cores and two processes (one of
-them running on both cores, so stores contend for M ownership, and
-reads share the Zero Page before COW writes) through two identical
-systems: one through the context's methods, one through the pre-fast-
-path bodies transcribed below. Reports, event logs, per-cache stats,
-each set's recency order, dirty blocks and payloads, the directory,
-core timing and TLBs must all match, and shredded blocks must miss L1 and read back as zeros
-(DESIGN.md §5 invariants 1-2).
+shreds, ``munmap``, re-touch and ``System.reset_stats`` on two cores and
+two processes (one of them running on both cores, so stores contend for
+M ownership, and reads share the Zero Page before COW writes) through
+two identical systems: one through the context's methods, one through
+the pre-fast-path bodies transcribed below. Reports, event logs,
+per-cache stats, each set's recency order, dirty blocks and payloads,
+the directory, core timing and TLBs must all match, and shredded blocks
+must miss L1 and read back as zeros (DESIGN.md §5 invariants 1-2).
+Mutants of ``touch`` must fail the suite.
 """
 
+import inspect
+import textwrap
 from dataclasses import asdict, replace
+from typing import Any, Dict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from repro.cache import CacheHierarchy
+from repro.cache.coherence import owned_entry
 from repro.errors import SimulationError
 from repro.kernel import PageTable
+from repro.runtime import context as context_module
 from repro.runtime.context import ExecutionContext
 from repro.sim import System
 
@@ -166,6 +172,9 @@ class World:
         if kind == "shred":
             ctx.shred(self.vaddr(ctx, op[2], 0), 1)
             return None
+        if kind == "reset":
+            self.system.reset_stats()
+            return None
         assert kind == "munmap"
         kernel = self.system.kernel
         kernel.munmap(ctx.pid, self.regions[ctx.pid])
@@ -196,7 +205,7 @@ class World:
 
 def check_shredded_page(world, ctx, page):
     """After a shred: no cache holds the frame, so the next access to
-    any of its blocks misses L1 (the probe declines, side-effect free)."""
+    any of its blocks misses L1 and takes the walk."""
     entry = world.system.kernel.processes[ctx.pid].page_table.lookup(
         world.vaddr(ctx, page, 0) // PAGE)
     if entry is None or entry.zero_page:
@@ -207,7 +216,7 @@ def check_shredded_page(world, ctx, page):
         assert not hierarchy.l4.contains(address)
         for core in range(hierarchy.num_cores):
             assert not hierarchy.l1[core].contains(address)
-            assert hierarchy.try_l1_hit(core, address, False) == -1
+            assert not hierarchy.l2[core].contains(address)
 
 
 def run_pair(config, ops_list):
@@ -253,16 +262,24 @@ def assert_equivalent(config, ops_list):
 CTX = st.integers(min_value=0, max_value=2)
 PAGE_ST = st.integers(min_value=0, max_value=PAGES - 1)
 BLOCK_ST = st.integers(min_value=0, max_value=BLOCKS - 1)
-TOUCH = st.tuples(st.just("touch"), CTX, PAGE_ST, BLOCK_ST, st.booleans(),
-                  st.integers(min_value=1, max_value=4))   # back-to-back reps
-OPS = st.lists(st.one_of(
-    TOUCH, TOUCH,           # listed twice: touches are half of all ops
-    st.tuples(st.just("load"), CTX, PAGE_ST, BLOCK_ST),
-    st.tuples(st.just("store"), CTX, PAGE_ST, BLOCK_ST,
-              st.integers(min_value=1, max_value=2**64 - 1)),
-    st.tuples(st.just("shred"), CTX, PAGE_ST),
-    st.tuples(st.just("munmap"), CTX),
-), min_size=20, max_size=80)
+TOUCH_ARGS = (CTX, PAGE_ST, BLOCK_ST, st.booleans(),
+              st.integers(min_value=1, max_value=4))      # back-to-back reps
+#: the op mix, one entry per share (``st.one_of`` would give each
+#: distinct branch an equal share): touches lead, and the ops that drop
+#: cached state or statistics (shred, munmap, reset) are rare, so that
+#: sharing patterns live long enough to matter
+OP_MIX = (["touch"] * 6 + ["load"] * 2 + ["store"] * 2
+          + ["shred", "munmap", "reset"])
+OP_ARGS = {"touch": TOUCH_ARGS, "load": (CTX, PAGE_ST, BLOCK_ST),
+           "store": (CTX, PAGE_ST, BLOCK_ST,
+                     st.integers(min_value=1, max_value=2**64 - 1)),
+           "shred": (CTX, PAGE_ST), "munmap": (CTX,), "reset": (CTX,)}
+OPS = st.lists(st.sampled_from(OP_MIX).flatmap(
+    lambda kind: st.tuples(st.just(kind), *OP_ARGS[kind])),
+    min_size=20, max_size=80)
+ZEROING = st.sampled_from(["shred", "temporal", "nontemporal"])
+
+SUITE = settings(max_examples=40, deadline=None)
 
 
 @pytest.mark.parametrize("functional", [False, True],
@@ -270,9 +287,8 @@ OPS = st.lists(st.one_of(
 @pytest.mark.parametrize("tlb_entries", [0, TLB_ENTRIES],
                          ids=["no-tlb", "tlb"])
 class TestTouchFastPathEquivalence:
-    @settings(max_examples=40, deadline=None)
-    @given(ops_list=OPS,
-           zeroing=st.sampled_from(["shred", "temporal", "nontemporal"]))
+    @SUITE
+    @given(ops_list=OPS, zeroing=ZEROING)
     def test_random_interleavings_match_reference(
             self, tiny_config_factory, tlb_entries, functional, ops_list,
             zeroing):
@@ -330,26 +346,34 @@ class TestTouchFastPathEquivalence:
 
 # -- the shortcuts are taken, and a broken shortcut is caught ------------------------
 
-def mutant_without_owner_check(self, core, address, is_write):
-    """``try_l1_hit`` minus the directory-owner check for stores."""
-    block = address // self.block_size
-    l1, l4 = self.l1[core], self.l4
-    ways = l1.sets[block % l1.num_sets]
-    if block not in ways or block not in l4.sets[block % l4.num_sets]:
-        return -1
-    if is_write:
-        if self.functional:
-            return -1
-        l4.dirty.add(block)
-    del ways[block]
-    ways[block] = None
-    l1.stats.hits += 1
-    return l1.latency_cycles
+#: name -> (fragment of ``ExecutionContext.touch``'s source, the mutation)
+MUTANTS = {
+    # A store hit that skips the "only sharer, in M" check.
+    "store-hit-skips-owner-check": ("== self._owned", "!= -1"),
+    # The page-table probe serves writes to read-only (Zero Page) entries.
+    "probe-ignores-permissions": ("(entry.writable or not write)", "True"),
+    # The load retires into the CoreStats the context first saw, which
+    # System.reset_stats replaces.
+    "stale-core-stats": (
+        "stats = self.core.stats",
+        "stats = self.__dict__.setdefault('_stats', self.core.stats)"),
+}
+
+
+def mutated_touch(fragment: str, mutation: str):
+    """``ExecutionContext.touch`` recompiled with the first ``fragment``
+    of its source replaced by ``mutation``."""
+    source = textwrap.dedent(inspect.getsource(ExecutionContext.touch))
+    assert fragment in source, f"mutation site {fragment!r} not in touch()"
+    namespace: Dict[str, Any] = {}
+    exec(source.replace(fragment, mutation, 1), dict(vars(context_module)),
+         namespace)
+    return namespace["touch"]
 
 
 def mutant_ignoring_permissions(self, vaddr, write):
     """``PageTable.resolve`` that serves writes to read-only entries."""
-    return self._entries.get(vaddr // self.page_size)
+    return self.entries.get(vaddr // self.page_size)
 
 
 #: core 0 writes, core 1 reads (core 0 keeps its L1 copy as a sharer),
@@ -365,6 +389,22 @@ READ_THEN_WRITE = [("touch", 0, 1, 0, False, 1),
                    ("store", 0, 1, 0, 0x5A5A),
                    ("load", 1, 2, 0)]
 
+#: a read maps the Zero Page read-only and caches it in L1; a touch
+#: store must COW-fault instead of hitting the Zero Page's block.
+TOUCH_READ_THEN_WRITE = [("touch", 0, 1, 0, False, 2),
+                         ("touch", 0, 1, 0, True, 2)]
+
+#: a load hit after a stats reset must count in the new statistics.
+TOUCH_RESET_TOUCH = [("touch", 0, 0, 0, False, 2), ("reset", 0),
+                     ("touch", 0, 0, 0, False, 2)]
+
+#: mutant -> an op list on which it diverges from the reference (the
+#: owner-check mutant's is PING_PONG, below)
+WITNESSES = {
+    "probe-ignores-permissions": TOUCH_READ_THEN_WRITE,
+    "stale-core-stats": TOUCH_RESET_TOUCH,
+}
+
 
 def diverges(config, ops_list):
     fast, ref, traces = run_pair(config, ops_list)
@@ -377,26 +417,37 @@ class TestFastPathIsExercised:
         config = make_config(tiny_config_factory, tlb_entries=0,
                              functional=False)
         world = World(config, FastOps)
-        calls = {"translate": 0, "access": 0}
+        calls = {"translate": 0, "access": 0, "resolve": 0, "load": 0,
+                 "store": 0}
         kernel = world.system.kernel
         hierarchy = world.system.machine.hierarchy
-        real_translate, real_access = kernel.translate, hierarchy.access
+        core = world.system.cores[0]
+        table = kernel.page_table(world.contexts[0].pid)
+        real = {"translate": kernel.translate, "access": hierarchy.access,
+                "resolve": table.resolve, "load": core.load,
+                "store": core.store}
 
-        def counting_translate(*args, **kwargs):
-            calls["translate"] += 1
-            return real_translate(*args, **kwargs)
+        def counting(name):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real[name](*args, **kwargs)
+            return call
 
-        def counting_access(*args, **kwargs):
-            calls["access"] += 1
-            return real_access(*args, **kwargs)
-
-        monkeypatch.setattr(kernel, "translate", counting_translate)
-        monkeypatch.setattr(hierarchy, "access", counting_access)
+        monkeypatch.setattr(kernel, "translate", counting("translate"))
+        monkeypatch.setattr(hierarchy, "access", counting("access"))
+        monkeypatch.setattr(table, "resolve", counting("resolve"))
+        monkeypatch.setattr(core, "load", counting("load"))
+        monkeypatch.setattr(core, "store", counting("store"))
         world.apply(("touch", 0, 0, 0, True, 5))
         world.apply(("touch", 0, 0, 0, False, 5))
-        # One COW fault, one reference walk; the other nine are hits.
-        assert calls == {"translate": 1, "access": 1}
+        # One COW fault (whose translation probes the table in
+        # _translate and in Kernel.translate), one reference walk; the
+        # other nine are hits. Loads retire in place, stores through the
+        # core's store buffer.
+        assert calls == {"translate": 1, "access": 1, "resolve": 2,
+                         "load": 0, "store": 5}
         assert hierarchy.l1[0].stats.hits == 9
+        assert core.stats.loads == 5 and core.stats.stores == 5
 
     @pytest.mark.parametrize("tlb_entries", [0, TLB_ENTRIES])
     def test_suite_catches_a_missing_owner_check(self, tiny_config_factory,
@@ -404,8 +455,8 @@ class TestFastPathIsExercised:
         config = make_config(tiny_config_factory, tlb_entries=tlb_entries,
                              functional=False)
         assert not diverges(config, PING_PONG)
-        monkeypatch.setattr(CacheHierarchy, "try_l1_hit",
-                            mutant_without_owner_check)
+        monkeypatch.setattr(ExecutionContext, "touch", mutated_touch(
+            *MUTANTS["store-hit-skips-owner-check"]))
         assert diverges(config, PING_PONG)
 
     def test_suite_catches_a_permission_blind_table(self, tiny_config_factory,
@@ -419,32 +470,134 @@ class TestFastPathIsExercised:
         with pytest.raises(AssertionError):
             run_pair(config, READ_THEN_WRITE)
 
+    @pytest.mark.parametrize("mutant", sorted(WITNESSES))
+    def test_witness_catches_mutant(self, tiny_config_factory, monkeypatch,
+                                    mutant):
+        config = make_config(tiny_config_factory, tlb_entries=0,
+                             functional=False)
+        assert not diverges(config, WITNESSES[mutant])
+        monkeypatch.setattr(ExecutionContext, "touch",
+                            mutated_touch(*MUTANTS[mutant]))
+        assert diverges(config, WITNESSES[mutant])
+
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_suite_catches_mutant(self, tiny_config_factory, monkeypatch,
+                                  mutant):
+        """The timing-mode, no-TLB property test, except that it stops
+        at the first counterexample (no shrinking), records none, and
+        may draw up to 500 examples: a store-ownership ping-pong can take
+        a few dozen to come up."""
+        monkeypatch.setattr(ExecutionContext, "touch",
+                            mutated_touch(*MUTANTS[mutant]))
+
+        @settings(SUITE, max_examples=500, phases=[Phase.generate],
+                  database=None)
+        @given(ops_list=OPS, zeroing=ZEROING)
+        def search(ops_list, zeroing):
+            assert_equivalent(make_config(tiny_config_factory, tlb_entries=0,
+                                          functional=False, zeroing=zeroing),
+                              ops_list)
+
+        with pytest.raises(AssertionError):
+            search()
+
 
 class TestProbeDeclinesWithoutSideEffects:
-    @pytest.mark.parametrize("functional", [False, True])
-    def test_declines(self, tiny_config_factory, functional):
-        config = make_config(tiny_config_factory, tlb_entries=0,
-                             functional=functional)
+    """Each access the in-place hit must refuse (the reason read through
+    ``contains`` and the directory) takes exactly one reference walk."""
+
+    @staticmethod
+    def prepared(config):
         system = System(config, shredder=True)
         ctx = system.new_context(0)
+        on_1 = ExecutionContext(system, ctx.pid, 1)
         base = system.kernel.mmap(ctx.pid, 2 * PAGE).start
-        ctx.touch(base, write=False)              # Zero Page, E at core 0
-        ctx.touch(base + PAGE, write=True)        # private, M at core 0
-        zero_block = system.kernel.zero_page_ppn * PAGE
-        private = ctx._translate(base + PAGE, write=False)
-        cases = [(1, private, False),             # not in core 1's L1
-                 (1, private, True),
-                 (0, private + PAGE, False),      # not resident at all
-                 (-1, private, False),            # no such core
-                 (2, private, False),
-                 (0, zero_block, True)]           # E, not M: needs upgrade
+        vaddrs = {"M": base + BLOCK, "E": base + 2 * BLOCK,
+                  "S": base + PAGE + 3 * BLOCK, "absent": base + 4 * BLOCK}
+        ctx.touch(vaddrs["M"], True)          # private, M at core 0
+        ctx.touch(vaddrs["E"], False)         # private, E at core 0
+        ctx.touch(vaddrs["S"], True)
+        on_1.touch(vaddrs["S"], False)        # shared by cores 0 and 1
+        return system, ctx, on_1, vaddrs
+
+    @pytest.mark.parametrize("functional", [False, True])
+    def test_declines(self, tiny_config_factory, functional, monkeypatch):
+        config = make_config(tiny_config_factory, tlb_entries=0,
+                             functional=functional)
+        cases = [(1, "M", False),             # not in core 1's L1
+                 (1, "M", True),
+                 (0, "absent", False),        # not resident at all
+                 (0, "E", True),              # E, not M: needs upgrade
+                 (0, "S", True)]              # S, not M: invalidates core 1
         if functional:
-            cases.append((0, private, True))      # payload merge needed
+            cases.append((0, "M", True))      # payload merge needed
+        for core, name, write in cases:
+            system, ctx, on_1, vaddrs = self.prepared(config)
+            context = (ctx, on_1)[core]
+            hierarchy = system.machine.hierarchy
+            physical = ctx._translate(vaddrs[name], write=False)
+            address = physical - physical % BLOCK
+            entry = hierarchy.directory.entries.get(address)
+            resident = (hierarchy.l1[core].contains(address)
+                        and hierarchy.l4.contains(address))
+            assert not resident or write and (
+                functional or entry != owned_entry(core)), (core, name)
+            walks = []
+            real_access = hierarchy.access
+            monkeypatch.setattr(hierarchy, "access", lambda *args: walks.append(
+                args[:3]) or real_access(*args))
+            context.touch(vaddrs[name], write)
+            assert walks == [(core, physical, write)], (core, name, write)
+            system.verify_invariants()
+
+    def test_hits_when_nothing_declines(self, tiny_config_factory,
+                                        monkeypatch):
+        """The control: in timing mode the M block's store, and every
+        resident block's load on core 0, is served in place."""
+        config = make_config(tiny_config_factory, tlb_entries=0,
+                             functional=False)
+        system, ctx, _, vaddrs = self.prepared(config)
         hierarchy = system.machine.hierarchy
-        before = state_signature(hierarchy)
-        for core, address, write in cases:
-            assert hierarchy.try_l1_hit(core, address, write) == -1
-        assert state_signature(hierarchy) == before
+        monkeypatch.setattr(hierarchy, "access", None)
+        ctx.touch(vaddrs["M"], True)
+        for name in ("M", "E", "S"):
+            ctx.touch(vaddrs[name], False)
+        assert hierarchy.l1[0].stats.hits == 4
+
+
+# -- a context outlives a statistics reset ------------------------------------------
+
+@pytest.mark.parametrize("tlb_entries", [0, TLB_ENTRIES])
+def test_context_survives_stats_reset(tiny_config_factory, tlb_entries):
+    """``System.reset_stats`` replaces every stats object; a context made
+    before it must count its next hit, load and compute in the new ones,
+    while time keeps flowing."""
+    config = make_config(tiny_config_factory, tlb_entries=tlb_entries,
+                         functional=False)
+    system = System(config, shredder=True)
+    ctx = system.new_context(0)
+    base = ctx.malloc(PAGE)
+    ctx.touch(base, False)                    # a fault and a walk
+    core, l1 = system.cores[0], system.machine.hierarchy.l1[0]
+    before = core.stats.cycles
+    system.reset_stats()
+    ctx.touch(base, False)                    # an L1 hit, served in place
+    ctx.compute(3)
+    assert core.stats.loads == 1
+    assert l1.stats.hits == 1 and l1.stats.misses == 0
+    assert core.stats.instructions == 4
+    assert core.stats.cycles > before
+
+
+def test_context_needs_a_core_of_the_system(tiny_config_factory):
+    """The in-place hit reads the context's own core's L1: a core id
+    outside the system is refused when the context is made."""
+    system = System(make_config(tiny_config_factory, tlb_entries=0,
+                                functional=False), shredder=True)
+    pid = system.new_context(0).pid
+    for core_id in (-1, len(system.cores)):
+        with pytest.raises(SimulationError, match="no core"):
+            ExecutionContext(system, pid, core_id)
 
 
 # -- a dead process stays dead ------------------------------------------------------

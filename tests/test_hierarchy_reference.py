@@ -4,9 +4,9 @@ chained walk it replaced, run on the transcribed cache and directory.
 :class:`ReferenceHierarchy` below transcribes the hierarchy before the
 one-pass rewrite: ``access`` through ``lookup`` and ``_install_private``,
 ``_handle_l4_eviction`` over ``sharers_of``, ``invalidate_page`` over
-every block of the page, ``try_l1_hit`` and ``flush_all`` invalidating
-line by line. Its caches are ``test_cache_reference.ReferenceCache``
-(ways, LRU stamps and ``CacheLine`` objects) and its directory is
+every block of the page, and ``flush_all`` invalidating line by line.
+Its caches are ``test_cache_reference.ReferenceCache`` (ways, LRU
+stamps and ``CacheLine`` objects) and its directory is
 ``test_directory_reference.ReferenceDirectory`` (``DirectoryEntry``
 objects), so no class of the code under test takes part. Two fixes are
 applied to it: an L2 hit reports its L1 victim to the directory when
@@ -17,9 +17,9 @@ Hypothesis drives both hierarchies, on 1-4 cores, in timing and
 functional mode and with small L1-L4 geometries so evictions and
 back-invalidations are frequent, through random loads, stores (full
 block and ``merge``), ``invalidate_page`` with and without write-back,
-``try_l1_hit`` and ``flush_all``. After every operation the return
-values, the sequence of ``miss_handler``/``writeback_handler`` calls
-and ``state_signature`` (per cache: stats, each set's recency order,
+and ``flush_all``. After every operation the return values, the
+sequence of ``miss_handler``/``writeback_handler`` calls and
+``state_signature`` (per cache: stats, each set's recency order,
 dirty blocks and payloads; the hierarchy's counters; the directory's
 stats, and every tracked block's sharers and per-core MESI state) must
 match, and the residency invariants must hold. Mutants of the walk must
@@ -37,8 +37,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from repro.cache import (CacheHierarchy, MemoryFetch, MESIState,
-                         PageInvalidation)
+from repro.cache import CacheHierarchy, MemoryFetch, PageInvalidation
 from repro.cache import hierarchy as hierarchy_module
 from repro.cache.hierarchy import HierarchyAccess
 from repro.config import CacheConfig, CPUConfig, fast_config
@@ -196,27 +195,6 @@ class ReferenceHierarchy:
                                latency_cycles=latency, hit_level=hit_level,
                                data=result_data, writebacks=writeback_count)
 
-    def try_l1_hit(self, core, address, is_write):
-        if not 0 <= core < self.num_cores:
-            return -1
-        address = self._align(address)
-        l1 = self.l1[core]
-        if not l1.contains(address):
-            return -1
-        line = self.l4.peek(address)
-        if line is None:
-            return -1
-        if is_write:
-            if self.functional:
-                return -1
-            entry = self.directory._entries.get(address)
-            if (entry is None or entry.owner != core
-                    or entry.state is not MESIState.MODIFIED):
-                return -1
-            line.dirty = True
-        l1.lookup(address)
-        return self.config.l1.latency_cycles
-
     def invalidate_page(self, page_address, page_size, *, writeback,
                         now_ns=0.0):
         result = PageInvalidation()
@@ -310,9 +288,6 @@ def apply(hierarchy: CacheHierarchy, op: tuple) -> Any:
         _, page, writeback, now = op
         return hierarchy.invalidate_page(page * PAGE, PAGE,
                                          writeback=writeback, now_ns=now)
-    if kind == "try_l1_hit":
-        _, core, block, write = op
-        return hierarchy.try_l1_hit(core, block * BLOCK, write)
     assert kind == "flush_all"
     return hierarchy.flush_all(op[1])
 
@@ -358,7 +333,6 @@ def cases(draw):
         st.tuples(st.just("invalidate_page"),
                   st.integers(min_value=0, max_value=BLOCKS * BLOCK // PAGE),
                   st.booleans(), now),
-        st.tuples(st.just("try_l1_hit"), core, block, st.booleans()),
         st.tuples(st.just("flush_all"), now),
     )
     ops = draw(st.lists(op, min_size=20, max_size=80))
@@ -388,7 +362,6 @@ def test_sharing_and_eviction_storm(functional):
                         None if i % 2 else 8))
         else:
             ops.append(("load", core, block, float(i)))
-        ops.append(("try_l1_hit", (core + 1) % 4, block, i % 5 == 0))
         if i % 17 == 0:
             ops.append(("invalidate_page", block * BLOCK // PAGE, i % 2 == 0,
                         float(i)))

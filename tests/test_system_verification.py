@@ -131,9 +131,25 @@ class TestDirectoryStatsLifetime:
 class TestDumpStats:
     def test_sections_present(self, busy_system):
         text = busy_system.dump_stats()
-        for section in ("[cpu]", "[caches", "[secure memory controller]",
-                        "[nvm device]", "[kernel]"):
+        for section in ("[cpu]", "[caches", "[coherence]",
+                        "[secure memory controller]", "[nvm device]",
+                        "[kernel]"):
             assert section in text
+
+    def test_coherence_section_reads_the_directory(self):
+        system = System(fast_config(functional=False))
+        TestDirectoryStatsLifetime.share_then_store(system, 0x3000)
+        system.machine.hierarchy.access(1, 0x3000, False)  # owner serves
+        stats = system.machine.hierarchy.directory.stats
+        assert stats == CoherenceStats(invalidations_sent=1,
+                                       writebacks_forced=1,
+                                       read_misses_served_by_owner=2)
+        lines = system.dump_stats().split("\n\n")
+        section = next(s for s in lines if s.startswith("[coherence]"))
+        header, _, values = section.splitlines()[1:]
+        assert dict(zip(header.split(), values.split())) == {
+            "invalidations_sent": "1", "ownership_transfers": "0",
+            "writebacks_forced": "1", "read_misses_served_by_owner": "2"}
 
     def test_dump_reflects_activity(self, busy_system):
         text = busy_system.dump_stats()

@@ -1,12 +1,16 @@
 """Trace recording, serialisation and cross-system replay."""
 
 import io
+from dataclasses import asdict
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.runtime import TraceEvent, TraceRecorder, load_trace, replay_trace
 from repro.sim import System
+from repro.workloads.graphs import power_law_graph
+from repro.workloads.powergraph import pagerank_task
+from repro.workloads.spec import SpecParams, spec_task
 
 
 def record_sample(system):
@@ -115,3 +119,40 @@ class TestReplay:
         with pytest.raises(SimulationError):
             replay_trace(system.new_context(0),
                          [TraceEvent(op="load", address=0x999999)])
+
+
+class TestRecordingWorkloads:
+    """Workload tasks run through a recorder as through a context, and
+    replaying what it logged retires the same stream on a fresh system."""
+
+    @staticmethod
+    def record_and_replay(config, task):
+        def fresh():
+            return System(config.with_zeroing("shred"), shredder=True)
+        source = fresh()
+        recorder = TraceRecorder(source.new_context(0))
+        for _ in task(recorder):
+            pass
+        target = fresh()
+        replay_trace(target.new_context(0), recorder.events)
+        assert (asdict(target.cores[0].stats)
+                == asdict(source.cores[0].stats))
+        assert target.report() == source.report()
+        return recorder.events
+
+    def test_spec_task(self, timing_config):
+        params = SpecParams(name="tiny", alloc_pages=4,
+                            init_writes_per_page=8, init_read_fraction=0.5,
+                            untouched_read_fraction=0.25, steady_ops=64,
+                            steady_write_ratio=0.3, compute_per_op=5)
+        events = self.record_and_replay(timing_config, spec_task(params))
+        ops = [event.op for event in events]
+        assert ops.count("malloc") == 1
+        assert {"touch_r", "touch_w", "compute"} <= set(ops)
+
+    def test_simarray_task(self, timing_config):
+        """A timing-mode SimArray touches through the recorder."""
+        task = pagerank_task(power_law_graph(32, 3, seed=1), iterations=1)
+        events = self.record_and_replay(timing_config, task)
+        ops = {event.op for event in events}
+        assert {"malloc", "touch_r", "touch_w", "compute"} <= ops

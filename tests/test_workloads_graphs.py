@@ -1,11 +1,14 @@
 """Graph generator and the PowerGraph application algorithms."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import System
 from repro.workloads import (Graph, kcore_task, pagerank_task, power_law_graph,
                              powergraph_task, simple_coloring_task)
+from repro.workloads.graphs import GRAPH_MEMO_SIZE
 
 
 class TestPowerLawGraph:
@@ -43,9 +46,43 @@ class TestPowerLawGraph:
     def test_graph_check_rejects_corruption(self):
         graph = power_law_graph(10, 2, seed=1)
         bad = Graph(num_nodes=10, offsets=graph.offsets,
-                    edges=[99] * len(graph.edges))
+                    edges=(99,) * len(graph.edges))
         with pytest.raises(SimulationError):
             bad.check()
+
+
+class TestGraphReuse:
+    """A process builds each graph once and shares the frozen instance."""
+
+    def test_equal_arguments_return_the_same_instance(self):
+        graph = power_law_graph(80, 3, seed=4)
+        assert power_law_graph(80, 3, 4) is graph
+        assert power_law_graph(num_nodes=80, edges_per_node=3,
+                               seed=4) is graph
+        assert power_law_graph(80, 3, seed=5) is not graph
+
+    def test_fields_are_tuples(self):
+        graph = power_law_graph(80, 3, seed=4)
+        assert isinstance(graph.offsets, tuple)
+        assert isinstance(graph.edges, tuple)
+        assert isinstance(graph.neighbors(0), tuple)
+
+    def test_fields_cannot_be_assigned(self):
+        graph = power_law_graph(80, 3, seed=4)
+        for name, value in (("num_nodes", 1), ("offsets", (0,)),
+                            ("edges", ())):
+            with pytest.raises(FrozenInstanceError):
+                setattr(graph, name, value)
+
+    def test_memo_is_bounded(self):
+        """Only the last GRAPH_MEMO_SIZE graphs are kept: one asked for
+        again after that many others is built anew (and equal)."""
+        first = power_law_graph(30, 2, seed=1000)
+        for seed in range(1001, 1001 + GRAPH_MEMO_SIZE):
+            power_law_graph(30, 2, seed=seed)
+        again = power_law_graph(30, 2, seed=1000)
+        assert again is not first
+        assert again == first
 
 
 @pytest.fixture
