@@ -15,12 +15,12 @@ Commands
     Run an experiment worker: a dial-out worker registered with an
     experiment cluster dispatcher.
 ``cluster serve`` / ``status`` / ``drain`` / ``shutdown`` / ``keygen``
-    Run and administer the long-lived multi-tenant experiment cluster
+    Run and administer the long-lived experiment cluster
     (``repro.exec.cluster``); see ``docs/SERVICE.md``.
 ``top``
     Live cluster introspection: poll a dispatcher's status endpoint
-    and refresh per-client queue depth, throughput, worker health, and
-    cache hit rate in-terminal.
+    and refresh queue depth, worker health, and cache hit rate
+    in-terminal.
 ``events``
     Run one workload and print its flight-recorder event log (shreds,
     zero-fill elisions, counter overflows, ...) as canonical
@@ -89,43 +89,30 @@ def _runner_context(args: argparse.Namespace):
     """The execution engine for a CLI invocation, with lifecycle.
 
     ``--backend SPEC`` picks any backend by spec string (grammar in
-    :mod:`repro.exec.spec`); ``--spawn-local N`` runs an ephemeral
-    experiment cluster — an in-process dispatcher, N forked registered
-    workers and a cluster client — and tears it down afterwards;
-    otherwise ``--jobs`` picks serial or a local fork pool. On exit,
+    :mod:`repro.exec.spec`); otherwise ``--jobs`` picks serial or a
+    local fork pool. On exit,
     ``--emit-metrics PATH`` writes the run's merged registry
     (simulation metrics folded in from every completed report, plus
     batch telemetry) and recorded spans as a JSON-lines dump.
     """
     from .obs import MetricsRegistry, default_tracer, write_jsonl
-    backend = args.backend
-    if backend and args.spawn_local:
-        raise BackendError("pass at most one of --backend, --spawn-local")
     metrics = MetricsRegistry()
-    with contextlib.ExitStack() as stack:
-        if args.spawn_local:
-            from .exec.cluster import ClusterBackend, ClusterServer
-            from .exec.worker import registered_worker_pool
-            server = stack.enter_context(ClusterServer())
-            stack.enter_context(
-                registered_worker_pool(args.spawn_local, server.endpoint))
-            backend = ClusterBackend(server.address)
-        if backend:
-            runner = Runner(backend=backend, use_cache=not args.no_cache,
-                            progress=_cli_progress, metrics=metrics)
-        else:
-            progress = _cli_progress if args.jobs > 1 else None
-            runner = Runner(jobs=args.jobs, use_cache=not args.no_cache,
-                            progress=progress, metrics=metrics)
-        yield runner
-        if args.emit_metrics:
-            with open(args.emit_metrics, "w") as stream:
-                write_jsonl(metrics.snapshot(), stream,
-                            spans=default_tracer().snapshot(),
-                            meta={"command": args.command,
-                                  "backend": runner.backend.describe()})
-            print(f"(metrics written to {args.emit_metrics})",
-                  file=sys.stderr)
+    if args.backend:
+        runner = Runner(backend=args.backend, use_cache=not args.no_cache,
+                        progress=_cli_progress, metrics=metrics)
+    else:
+        progress = _cli_progress if args.jobs > 1 else None
+        runner = Runner(jobs=args.jobs, use_cache=not args.no_cache,
+                        progress=progress, metrics=metrics)
+    yield runner
+    if args.emit_metrics:
+        with open(args.emit_metrics, "w") as stream:
+            write_jsonl(metrics.snapshot(), stream,
+                        spans=default_tracer().snapshot(),
+                        meta={"command": args.command,
+                              "backend": runner.backend.describe()})
+        print(f"(metrics written to {args.emit_metrics})",
+              file=sys.stderr)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -214,12 +201,6 @@ def _cmd_worker_serve(args: argparse.Namespace) -> int:
         print(f"repro worker {line}", flush=True)
 
     metrics = MetricsRegistry()
-    scrape = None
-    if args.metrics_port is not None:
-        from .obs.scrape import start_metrics_server
-        scrape = start_metrics_server(metrics, host=args.host,
-                                      port=args.metrics_port)
-        announce(f"metrics on http://{scrape.endpoint}/metrics")
     served = 0
     try:
         served = run_registered_worker(
@@ -229,8 +210,6 @@ def _cmd_worker_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:   # pragma: no cover - interactive only
         pass
     finally:
-        if scrape is not None:
-            scrape.close()
         if args.emit_metrics:
             with open(args.emit_metrics, "w") as stream:
                 write_jsonl(metrics.snapshot(), stream,
@@ -265,21 +244,12 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
                            heartbeat_timeout=args.heartbeat_timeout)
     host, port = server.start()
     print(f"repro cluster listening on {host}:{port}", flush=True)
-    scrape = None
-    if args.metrics_port is not None:
-        from .obs.scrape import start_metrics_server
-        scrape = start_metrics_server(server.dispatcher.metrics,
-                                      host=args.host, port=args.metrics_port)
-        print(f"repro cluster metrics on http://{scrape.endpoint}/metrics",
-              flush=True)
     try:
         server.wait()
     except KeyboardInterrupt:   # pragma: no cover - interactive only
         pass
     finally:
         server.close()
-        if scrape is not None:
-            scrape.close()
         if args.emit_metrics:
             from .obs import write_jsonl
             with open(args.emit_metrics, "w") as stream:
@@ -330,13 +300,8 @@ def _cmd_cluster_keygen(args: argparse.Namespace) -> int:
 # events)
 # ---------------------------------------------------------------------------
 
-def _render_top(status: dict, previous: dict, elapsed: float) -> str:
-    """One ``repro top`` frame from a dispatcher status document.
-
-    ``previous`` maps client names to their ``completed`` count at the
-    last poll; with ``elapsed`` seconds between polls that yields a
-    per-client completion throughput.
-    """
+def _render_top(status: dict) -> str:
+    """One ``repro top`` frame from a dispatcher status document."""
     lines = []
     cache = status.get("cache") or {}
     hits = int(cache.get("hits", 0))
@@ -363,16 +328,6 @@ def _render_top(status: dict, previous: dict, elapsed: float) -> str:
         lines.append(f"  {worker.get('name', '?'):24s} "
                      f"completed={worker.get('completed', 0):<6d} "
                      f"{health:12s} {' '.join(flags) or 'idle'}")
-    clients = status.get("clients") or []
-    lines.append(f"clients ({len(clients)}):")
-    for client in clients:
-        name = str(client.get("name", "?"))
-        completed = int(client.get("completed", 0))
-        delta = completed - int(previous.get(name, completed))
-        rate = f"{delta / elapsed:6.1f}/s" if elapsed > 0 else "      -"
-        lines.append(f"  {name:24s} weight={client.get('weight', 1):<3d} "
-                     f"queued={client.get('queued', 0):<6d} "
-                     f"done={completed:<6d} {rate}")
     return "\n".join(lines)
 
 
@@ -381,21 +336,14 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
     from .exec.cluster import cluster_status
     auth = _cluster_auth(args)
-    previous: dict = {}
-    last_poll = None
     shown = 0
     clear = sys.stdout.isatty()
     while True:
         status = cluster_status(args.address, auth=auth)
-        now = time.monotonic()
-        elapsed = (now - last_poll) if last_poll is not None else 0.0
-        frame = _render_top(status, previous, elapsed)
+        frame = _render_top(status)
         if clear:
             sys.stdout.write("\x1b[2J\x1b[H")
         print(frame, flush=True)
-        previous = {str(c.get("name", "?")): int(c.get("completed", 0))
-                    for c in status.get("clients") or []}
-        last_poll = now
         shown += 1
         if args.iterations is not None and shown >= args.iterations:
             return 0
@@ -590,9 +538,9 @@ def _positive_int(text: str) -> int:
 # Shared flag surface
 #
 # Every flag that appears on more than one subcommand is defined exactly
-# once, in a parent parser, so ``--jobs``/``--backend``/``--spawn-local``/
-# ``--task-timeout``/``--emit-metrics`` are spelled and help-texted
-# identically across figure/compare/events/worker/cluster.
+# once, in a parent parser, so ``--jobs``/``--backend``/``--task-timeout``/
+# ``--emit-metrics`` are spelled and help-texted identically across
+# figure/compare/events/worker/cluster.
 # ---------------------------------------------------------------------------
 
 def _parent(add_flags) -> argparse.ArgumentParser:
@@ -611,18 +559,8 @@ def _flag_backend(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", metavar="SPEC", default=None,
                         help="execution backend spec: serial | fork[:N] | "
                              "cluster://host:port"
-                             "[?weight=N&client=NAME&keyfile=PATH"
-                             "&frame_timeout=SECONDS] "
+                             "[?keyfile=PATH&frame_timeout=SECONDS] "
                              "(see docs/SERVICE.md)")
-
-
-def _flag_spawn_local(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--spawn-local", type=_positive_int, default=None,
-                        metavar="N",
-                        help="run an ephemeral experiment cluster on this "
-                             "machine (a dispatcher plus N forked "
-                             "registered workers) for this command "
-                             "(mutually exclusive with --backend)")
 
 
 def _flag_task_timeout(parser: argparse.ArgumentParser) -> None:
@@ -660,7 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Shared parent parsers: one definition per flag (see above).
     runner_flags = _parent(lambda p: (_flag_jobs(p), _flag_backend(p),
-                                      _flag_spawn_local(p),
                                       _flag_no_cache(p),
                                       _flag_emit_metrics(p)))
     emit_metrics_flag = _parent(_flag_emit_metrics)
@@ -714,9 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "dispatcher at HOST:PORT (see 'repro cluster "
                             "serve') over one persistent dial-out "
                             "connection")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address of the --metrics-port endpoint "
-                            "(default: 127.0.0.1)")
     serve.add_argument("--heartbeat", type=float, default=5.0,
                        metavar="SECONDS",
                        help="idle heartbeat period (default: 5)")
@@ -726,18 +660,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="consult/populate a worker-side result cache "
                             "rooted at DIR before executing each task")
-    serve.add_argument("--metrics-port", type=int, default=None,
-                       metavar="PORT",
-                       help="also serve the live registry at "
-                            "http://HOST:PORT/metrics in the Prometheus "
-                            "text format (0 picks a free port; the "
-                            "endpoint is printed on startup)")
     serve.set_defaults(func=_cmd_worker_serve)
 
     cluster = sub.add_parser(
         "cluster",
-        help="the long-lived multi-tenant experiment cluster "
-             "(docs/SERVICE.md)")
+        help="the long-lived experiment cluster (docs/SERVICE.md)")
     cluster_sub = cluster.add_subparsers(dest="cluster_command",
                                          required=True)
     cserve = cluster_sub.add_parser(
@@ -756,14 +683,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "batch fails (default: 3)")
     cserve.add_argument("--heartbeat-timeout", type=float, default=30.0,
                         metavar="SECONDS",
-                        help="declare a silent worker dead after this many "
-                             "seconds (default: 30)")
-    cserve.add_argument("--metrics-port", type=int, default=None,
-                        metavar="PORT",
-                        help="also serve the live registry at "
-                             "http://HOST:PORT/metrics in the Prometheus "
-                             "text format (0 picks a free port; the "
-                             "endpoint is printed on startup)")
+                        help="declare a silent idle worker dead after "
+                             "this many seconds; a busy worker answers "
+                             "to --task-timeout (default: 30)")
     cserve.set_defaults(func=_cmd_cluster_serve)
 
     cstatus = cluster_sub.add_parser(
@@ -796,8 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
     top = sub.add_parser(
         "top", parents=[keyfile_flag],
         help="live cluster view: poll a dispatcher's status endpoint and "
-             "refresh queue depth, throughput, worker health, and cache "
-             "hit rate in-terminal")
+             "refresh queue depth, worker health, and cache hit rate "
+             "in-terminal")
     top.add_argument("address", metavar="HOST:PORT",
                      help="the cluster dispatcher endpoint")
     top.add_argument("--interval", type=float, default=2.0,

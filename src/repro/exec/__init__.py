@@ -12,8 +12,8 @@ The public surface for running sweeps:
   :class:`ForkPoolBackend` (``multiprocessing`` fork pool), or
   :class:`~repro.exec.cluster.ClusterBackend` (a client of the
   experiment cluster, whose dispatcher feeds registered ``python -m
-  repro worker serve --register`` workers with fault-tolerant,
-  fair-queued dispatch).
+  repro worker serve --register`` workers from one fault-tolerant
+  first-in, first-out queue).
 * :class:`ResultCache` — persistent content-addressed store keyed by
   experiment hash + code version salt, so warm reruns never touch the
   simulator; ``sweep(max_bytes=, max_age_days=)`` applies LRU bounds.
@@ -29,7 +29,7 @@ Example::
 
     # ... or across machines, through a shared experiment cluster
     # (see docs/SERVICE.md), via a backend spec string:
-    reports = Runner(backend="cluster://nvm-hub:7071?weight=2") \\
+    reports = Runner(backend="cluster://nvm-hub:7071?keyfile=cluster.key") \\
         .run([baseline, shredder])
 
 Backends are described by :class:`BackendSpec` strings — ``"serial"``,

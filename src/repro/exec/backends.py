@@ -103,9 +103,10 @@ class ExecutionBackend(abc.ABC):
         """The backend a spec string / :class:`BackendSpec` describes.
 
         The one factory behind every entry point: ``"serial"``,
-        ``"fork:8"``, ``"cluster://host:7071?weight=3"`` (grammar in
-        :mod:`repro.exec.spec`). An already-constructed backend passes
-        through unchanged, so call sites can accept either form.
+        ``"fork:8"``, ``"cluster://host:7071?keyfile=cluster.key"``
+        (grammar in :mod:`repro.exec.spec`). An already-constructed
+        backend passes through unchanged, so call sites can accept
+        either form.
         """
         if isinstance(spec, ExecutionBackend):
             return spec

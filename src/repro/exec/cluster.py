@@ -1,4 +1,4 @@
-"""Simulation-as-a-service: the multi-tenant experiment cluster.
+"""Simulation-as-a-service: the experiment cluster.
 
 :class:`ClusterDispatcher` is a long-lived asyncio service and the one
 way to run experiments on other processes or machines. *Everyone dials
@@ -10,16 +10,12 @@ the dispatcher*:
   without any client noticing.
 * **Clients** (:class:`ClusterBackend`, pluggable into
   :class:`~repro.exec.Runner` like any other backend) submit batches of
-  experiment documents and stream results back. Many clients share the
-  dispatcher concurrently; a deficit-round-robin :class:`FairQueue`
-  gives each client a share of the worker fleet proportional to its
-  ``weight``.
+  experiment documents and stream results back. Every task waits in
+  one first-in, first-out queue, whichever client submitted it, and
+  owes exactly one delivery: its slot in the submitting batch.
 * **A shared cache tier**: the dispatcher consults one
   :class:`~repro.exec.ResultCache` for every submission, so any
-  client's warm hit is every client's warm hit, and identical
-  experiments submitted concurrently by different clients are
-  *coalesced* into a single execution whose result fans out to all
-  submitters.
+  client's warm hit is every client's warm hit.
 
 Fault handling splits worker faults from task faults: a worker that
 dies mid-task has its task re-queued for the survivors (charged to the
@@ -28,11 +24,6 @@ one of the task's retries, and a task that exhausts ``max_retries``
 fails only its own batch. A ``drain`` admin request completes all
 queued and in-flight work — none lost, none duplicated — then refuses
 new submissions.
-
-``repro compare/figure/events --spawn-local N`` runs an *ephemeral*
-cluster: an in-process :class:`ClusterServer`, ``N`` forked registered
-workers and a :class:`ClusterBackend`, all torn down when the command
-exits.
 
 All connections speak the length-prefixed JSON protocol of
 :mod:`repro.exec.wire`; give the dispatcher and every peer the same
@@ -43,8 +34,8 @@ transport.
 
 Telemetry rides the ``exec.cluster.*`` namespace (queue depth,
 per-task latency, drain latency, cache-tier hits; see
-``docs/OBSERVABILITY.md``), and per-client throughput is served from
-the ``status`` admin request.
+``docs/OBSERVABILITY.md``), and the ``status`` admin request reports
+the workers, the queue and the cache tier.
 """
 
 from __future__ import annotations
@@ -94,109 +85,31 @@ async def _read_frame(reader: asyncio.StreamReader,
 
 
 # ---------------------------------------------------------------------------
-# Fair scheduling
-# ---------------------------------------------------------------------------
-
-class FairQueue:
-    """A deficit-round-robin multi-tenant task queue.
-
-    Each tenant owns a FIFO of unit-cost tasks and a ``weight``; one
-    scheduling round serves up to ``weight`` tasks per tenant, so a
-    tenant with weight 3 receives three times the worker fleet of a
-    tenant with weight 1 while both have work queued — and an idle
-    tenant costs nothing (classic DRR with quantum = weight).
-
-    Purely in-memory and single-threaded: the dispatcher drives it from
-    the event loop only.
-    """
-
-    def __init__(self) -> None:
-        self._queues: Dict[str, Deque[Any]] = {}
-        self._weights: Dict[str, int] = {}
-        self._deficit: Dict[str, float] = {}
-        self._active: Deque[str] = collections.deque()
-
-    def push(self, tenant: str, item: Any, *, weight: int = 1) -> None:
-        """Enqueue one task for ``tenant`` (registering it if new)."""
-        if weight < 1:
-            raise BackendError(f"tenant weight must be >= 1, got {weight}")
-        if tenant not in self._queues:
-            self._queues[tenant] = collections.deque()
-            self._deficit[tenant] = 0.0
-        self._weights[tenant] = int(weight)
-        queue = self._queues[tenant]
-        if not queue and tenant not in self._active:
-            self._active.append(tenant)
-        queue.append(item)
-
-    def pop(self) -> Optional[Any]:
-        """The next task under DRR order, or ``None`` when empty."""
-        while self._active:
-            tenant = self._active[0]
-            queue = self._queues.get(tenant)
-            if not queue:
-                self._active.popleft()
-                if tenant in self._deficit:
-                    self._deficit[tenant] = 0.0
-                continue
-            if self._deficit[tenant] < 1.0:
-                self._deficit[tenant] += self._weights[tenant]
-                self._active.rotate(-1)
-                continue
-            self._deficit[tenant] -= 1.0
-            return queue.popleft()
-        return None
-
-    def drop_tenant(self, tenant: str) -> List[Any]:
-        """Forget a tenant, returning its queued tasks (for cleanup)."""
-        dropped = list(self._queues.pop(tenant, ()))
-        self._weights.pop(tenant, None)
-        self._deficit.pop(tenant, None)
-        try:
-            self._active.remove(tenant)
-        except ValueError:
-            pass
-        return dropped
-
-    def depth(self, tenant: Optional[str] = None) -> int:
-        if tenant is not None:
-            return len(self._queues.get(tenant, ()))
-        return sum(len(queue) for queue in self._queues.values())
-
-    def tenants(self) -> List[str]:
-        return [t for t, queue in self._queues.items() if queue]
-
-    def __len__(self) -> int:
-        return self.depth()
-
-
-# ---------------------------------------------------------------------------
 # Dispatcher state records
 # ---------------------------------------------------------------------------
 
 class _ClusterTask:
-    """One unit of cluster work, shared by every client that wants it.
+    """One unit of cluster work, owed to exactly one batch slot.
 
-    ``targets`` lists the ``(client_id, batch, index)`` deliveries the
-    result owes; coalesced submissions append extra targets instead of
-    queueing duplicate work. A task with no targets left still runs (to
-    warm the shared cache) but delivers to nobody.
+    ``client_id``/``batch``/``index`` name the delivery the result
+    owes. A task whose client hung up while a worker held it still
+    runs (warming the shared cache) but delivers to nobody.
     """
 
-    __slots__ = ("key", "experiment", "payload", "label", "attempts",
-                 "targets", "trace")
+    __slots__ = ("experiment", "payload", "label", "attempts",
+                 "client_id", "batch", "index", "trace")
 
-    def __init__(self, key: str, experiment: Experiment,
-                 payload: Dict[str, Any], label: str,
-                 targets: List[Tuple[int, str, int]],
+    def __init__(self, experiment: Experiment, payload: Dict[str, Any],
+                 label: str, client_id: int, batch: str, index: int,
                  trace: Optional[Dict[str, Any]] = None) -> None:
-        self.key = key
         self.experiment = experiment
         self.payload = payload
         self.label = label
         self.attempts = 0
-        self.targets = targets
-        #: TraceContext document of the first submitter, propagated to
+        self.client_id = client_id
+        self.batch = batch
+        self.index = index
+        #: TraceContext document of the submitting batch, propagated to
         #: the executing worker and stamped on the dispatcher's span.
         self.trace = trace
 
@@ -227,23 +140,14 @@ class _WorkerSession:
 class _ClientSession:
     """Dispatcher-side state of one client connection."""
 
-    __slots__ = ("id", "name", "weight", "writer", "remaining", "submitted",
-                 "completed")
+    __slots__ = ("id", "writer", "remaining")
 
-    def __init__(self, session_id: int, name: str, weight: int,
+    def __init__(self, session_id: int,
                  writer: asyncio.StreamWriter) -> None:
         self.id = session_id
-        self.name = name
-        self.weight = weight
         self.writer = writer
         #: per-batch undelivered result count, for ``batch-done`` frames
         self.remaining: Dict[str, int] = {}
-        self.submitted = 0
-        self.completed = 0
-
-    @property
-    def tenant(self) -> str:
-        return f"{self.id}"
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +177,11 @@ class ClusterDispatcher:
         the wedged connection and charges the attempt to the task.
     max_retries:
         Failed attempts (errors, timeouts) a task survives before its
-        submitting batches receive an ``error`` frame.
+        submitting batch receives an ``error`` frame.
     heartbeat_timeout:
-        Seconds of silence after which a registered worker is declared
-        dead and its in-flight task re-queued.
+        Seconds of silence after which an idle registered worker is
+        declared dead and its connection closed. A busy worker sends
+        nothing while it executes, so ``task_timeout`` alone bounds it.
     tick:
         Reaper period (seconds) for deadline and heartbeat checks.
     ssl:
@@ -313,9 +218,7 @@ class ClusterDispatcher:
 
         self._workers: Dict[int, _WorkerSession] = {}
         self._clients: Dict[int, _ClientSession] = {}
-        self._queue = FairQueue()
-        #: queued + in-flight tasks by experiment content hash
-        self._pending: Dict[str, _ClusterTask] = {}
+        self._queue: Deque[_ClusterTask] = collections.deque()
         self._next_id = 1
         self._next_task_id = 1
         self._draining = False
@@ -336,13 +239,11 @@ class ClusterDispatcher:
         self._m_requeues = counter("exec.cluster.requeues", unit="ops")
         self._m_retries = counter("exec.cluster.retries", unit="ops")
         self._m_timeouts = counter("exec.cluster.timeouts", unit="ops")
-        self._m_coalesced = counter("exec.cluster.coalesced", unit="ops")
         self._m_results = counter("exec.cluster.results_sent", unit="ops")
         self._m_auth_failures = counter("exec.cluster.auth_failures",
                                         unit="ops")
         self._m_queue_depth = self.metrics.gauge("exec.cluster.queue_depth")
         self._m_workers = self.metrics.gauge("exec.cluster.workers")
-        self._m_clients = self.metrics.gauge("exec.cluster.clients")
         self._m_inflight = self.metrics.gauge("exec.cluster.inflight")
         self._m_task_duration = self.metrics.histogram(
             "exec.cluster.task_duration_ns", unit="ns",
@@ -434,7 +335,7 @@ class ClusterDispatcher:
             if role == "worker":
                 await self._serve_worker(reader, writer, hello)
             elif role == "client":
-                await self._serve_client(reader, writer, hello)
+                await self._serve_client(reader, writer)
             else:
                 self._write(writer, {"type": MSG_ERROR,
                                      "error": f"unknown role {role!r}",
@@ -468,11 +369,7 @@ class ClusterDispatcher:
                 worker.last_seen = self._loop.time()
                 kind = message.get("type")
                 if kind == MSG_PING:
-                    # The snapshot lets a registered worker's scrape
-                    # endpoint mirror the cluster-wide exec.cluster.*
-                    # instruments (see run_registered_worker).
-                    self._write(writer, {"type": MSG_PONG,
-                                         "metrics": self.metrics.snapshot()})
+                    self._write(writer, {"type": MSG_PONG})
                 elif kind == MSG_RESULT:
                     self._on_worker_result(worker, message)
                 elif kind == MSG_ERROR:
@@ -512,7 +409,6 @@ class ClusterDispatcher:
                                             "without a result document")
             self._assign()
             return
-        self._pending.pop(task.key, None)
         if self.cache is not None:
             self.cache.put(task.experiment, SystemReport.from_dict(report_doc))
         worker_spans = message.get("spans")
@@ -528,9 +424,8 @@ class ClusterDispatcher:
             trace_id=trace.get("trace_id"),
             parent_span_id=trace.get("parent_span_id"))
         spans = merge_span_records(worker_spans, [dispatcher_span.to_dict()])
-        for client_id, batch, index in task.targets:
-            self._send_result(client_id, batch, index, report_doc,
-                              spans=spans)
+        self._send_result(task.client_id, task.batch, task.index, report_doc,
+                          spans=spans)
         if worker.draining:
             self._write(worker.writer, {"type": MSG_GOODBYE})
             worker.closing = True
@@ -562,36 +457,27 @@ class ClusterDispatcher:
             self._requeue(task)
 
     def _requeue(self, task: _ClusterTask) -> None:
-        """Put a task back on the queue (or drop it if nobody wants it)."""
-        if not task.targets:
-            self._pending.pop(task.key, None)
+        """Put a task back at the tail of the queue, or drop it when its
+        client has hung up."""
+        if task.client_id not in self._clients:
             return
-        owner_id = task.targets[0][0]
-        owner = self._clients.get(owner_id)
-        weight = owner.weight if owner is not None else 1
-        self._queue.push(str(owner_id), task, weight=weight)
-        for client_id, batch, _ in task.targets:
-            self._send_notice(client_id, batch, task.label)
+        self._queue.append(task)
+        self._send_notice(task.client_id, task.batch, task.label)
         self._update_queue_gauges()
 
     def _fail_task(self, task: _ClusterTask, error: str) -> None:
-        self._pending.pop(task.key, None)
         self._m_failed.inc()
-        for client_id, batch, index in task.targets:
-            self._send_task_error(client_id, batch, index, task.label, error)
+        self._send_task_error(task.client_id, task.batch, task.index,
+                              task.label, error)
 
     # -- client sessions ----------------------------------------------------------
 
     async def _serve_client(self, reader: asyncio.StreamReader,
-                            writer: asyncio.StreamWriter,
-                            hello: Dict[str, Any]) -> None:
+                            writer: asyncio.StreamWriter) -> None:
         session_id = self._next_id
         self._next_id += 1
-        name = str(hello.get("name") or f"client-{session_id}")
-        weight = max(1, int(hello.get("weight", 1)))
-        client = _ClientSession(session_id, name, weight, writer)
+        client = _ClientSession(session_id, writer)
         self._clients[session_id] = client
-        self._m_clients.set(len(self._clients))
         self._write(writer, {"type": MSG_WELCOME, "id": session_id})
         try:
             while not self._stopped:
@@ -619,7 +505,6 @@ class ClusterDispatcher:
                 # anything else: ignore (forward compatibility)
         finally:
             self._clients.pop(session_id, None)
-            self._m_clients.set(len(self._clients))
             if not self._stopped:
                 self._forget_client(client)
 
@@ -640,7 +525,6 @@ class ClusterDispatcher:
                 "kind": "ClusterError"})
             return
         self._m_submissions.inc()
-        client.submitted += len(documents)
         client.remaining[batch] = len(documents)
         trace = message.get("trace")
         if not isinstance(trace, dict):
@@ -654,7 +538,6 @@ class ClusterDispatcher:
                                       f"bad experiment document: {error}")
                 continue
             label = experiment.name or experiment.workload
-            key = experiment.content_hash()
             lookup_ns = time.perf_counter_ns()
             cached = self.cache.get(experiment) \
                 if self.cache is not None else None
@@ -669,32 +552,17 @@ class ClusterDispatcher:
                 self._send_result(client.id, batch, index, cached.to_dict(),
                                   spans=[hit_span.to_dict()])
                 continue
-            pending = self._pending.get(key)
-            if pending is not None:
-                # Identical work already queued or running (possibly
-                # for another client): coalesce instead of re-running.
-                pending.targets.append((client.id, batch, index))
-                self._m_coalesced.inc()
-                continue
-            task = _ClusterTask(key, experiment, document, label,
-                                [(client.id, batch, index)], trace=trace)
-            self._pending[key] = task
-            self._queue.push(client.tenant, task, weight=client.weight)
+            self._queue.append(_ClusterTask(experiment, document, label,
+                                            client.id, batch, index,
+                                            trace=trace))
         self._update_queue_gauges()
         self._assign()
 
     def _forget_client(self, client: _ClientSession) -> None:
-        """Client hung up: cancel its queued work, strip its deliveries."""
-        for task in self._queue.drop_tenant(client.tenant):
-            task.targets = [t for t in task.targets if t[0] != client.id]
-            if task.targets:
-                # Coalesced followers still want it: hand the task to
-                # the first surviving submitter's queue.
-                self._requeue(task)
-            else:
-                self._pending.pop(task.key, None)
-        for task in self._pending.values():
-            task.targets = [t for t in task.targets if t[0] != client.id]
+        """Client hung up: drop its queued tasks. A task a worker holds
+        runs on and warms the shared cache, delivering to nobody."""
+        self._queue = collections.deque(
+            task for task in self._queue if task.client_id != client.id)
         self._update_queue_gauges()
         self._maybe_finish_drain()
 
@@ -736,18 +604,16 @@ class ClusterDispatcher:
     # -- scheduling ---------------------------------------------------------------
 
     def _assign(self) -> None:
-        """Hand queued tasks to idle workers, fairest client first."""
+        """Hand queued tasks to idle workers, oldest task first."""
         assert self._loop is not None
-        while True:
+        while self._queue:
             worker = next(
                 (w for w in self._workers.values()
                  if w.task is None and not w.draining and not w.closing),
                 None)
             if worker is None:
                 break
-            task = self._queue.pop()
-            if task is None:
-                break
+            task = self._queue.popleft()
             task_id = self._next_task_id
             self._next_task_id += 1
             worker.task = task
@@ -767,7 +633,12 @@ class ClusterDispatcher:
                                  if w.task is not None))
 
     async def _reap_loop(self) -> None:
-        """Periodic deadline and heartbeat enforcement."""
+        """Periodic deadline and heartbeat enforcement.
+
+        A worker sends no heartbeat while it executes, so a busy worker
+        answers to ``task_timeout`` alone and the heartbeat silence
+        check applies to idle workers only.
+        """
         assert self._loop is not None
         while True:
             await asyncio.sleep(self.tick)
@@ -775,17 +646,18 @@ class ClusterDispatcher:
             for worker in list(self._workers.values()):
                 if worker.closing:
                     continue
-                if worker.task is not None and now > worker.deadline:
-                    # Wedged mid-task: the protocol has no cancel, so
-                    # drop the connection and charge the attempt to
-                    # the task (it may be the task's fault).
-                    task = worker.task
-                    worker.task = None
-                    worker.closing = True
-                    worker.writer.close()
-                    self._m_timeouts.inc()
-                    self._task_attempt_failed(
-                        task, f"no result within {self.task_timeout:g}s")
+                if worker.task is not None:
+                    if now > worker.deadline:
+                        # Wedged mid-task: the protocol has no cancel, so
+                        # drop the connection and charge the attempt to
+                        # the task (it may be the task's fault).
+                        task = worker.task
+                        worker.task = None
+                        worker.closing = True
+                        worker.writer.close()
+                        self._m_timeouts.inc()
+                        self._task_attempt_failed(
+                            task, f"no result within {self.task_timeout:g}s")
                 elif now - worker.last_seen > self.heartbeat_timeout:
                     worker.closing = True
                     worker.writer.close()
@@ -799,7 +671,6 @@ class ClusterDispatcher:
         client = self._clients.get(client_id)
         if client is None:
             return
-        client.completed += 1
         self._m_results.inc()
         frame = {"type": MSG_RESULT, "batch": batch,
                  "task": index, "result": report_doc}
@@ -852,14 +723,9 @@ class ClusterDispatcher:
                     "busy": w.task is not None, "draining": w.draining,
                     "idle_s": max(0.0, now - w.last_seen)}
                    for w in self._workers.values()]
-        clients = [{"name": c.name, "weight": c.weight,
-                    "submitted": c.submitted, "completed": c.completed,
-                    "queued": self._queue.depth(c.tenant)}
-                   for c in self._clients.values()]
         reply: Dict[str, Any] = {
             "type": MSG_STATUS,
             "workers": workers,
-            "clients": clients,
             "queue_depth": len(self._queue),
             "inflight": sum(1 for w in self._workers.values()
                             if w.task is not None),
@@ -961,11 +827,6 @@ class ClusterBackend(ExecutionBackend):
     ----------
     address:
         The dispatcher endpoint, ``("host", port)`` or ``"host:port"``.
-    client_name:
-        Display name in cluster status output (default: pid-derived).
-    weight:
-        Fair-share weight of this client (``>= 1``): the deficit-round-
-        robin scheduler serves ``weight`` tasks per round.
     auth / keyfile:
         Frame authentication: a shared :class:`FrameAuth`, or the path
         of the cluster keyfile to load one from.
@@ -976,18 +837,12 @@ class ClusterBackend(ExecutionBackend):
     """
 
     def __init__(self, address: Address, *,
-                 client_name: Optional[str] = None,
-                 weight: int = 1,
                  auth: Optional[FrameAuth] = None,
                  keyfile: Optional[str] = None,
                  connect_timeout: float = 10.0,
                  frame_timeout: float = 600.0,
                  ssl: Optional[Any] = None) -> None:
         self.address = parse_address(address)
-        if weight < 1:
-            raise BackendError(f"client weight must be >= 1, got {weight}")
-        self.weight = int(weight)
-        self.client_name = client_name or f"client-{os.getpid()}"
         if auth is None and keyfile is not None:
             auth = FrameAuth.from_keyfile(keyfile)
         self.auth = auth
@@ -1034,8 +889,8 @@ class ClusterBackend(ExecutionBackend):
             return
         sock = self._connect()
         try:
-            send_message(sock, hello_message("client", self.client_name,
-                                            weight=self.weight),
+            send_message(sock, hello_message("client",
+                                             f"client-{os.getpid()}"),
                          auth=self.auth)
             welcome = self._recv(sock)
             if welcome.get("type") != MSG_WELCOME:
@@ -1117,7 +972,7 @@ def _admin_request(address: Address, message: Dict[str, Any], *,
 
 def cluster_status(address: Address, *, auth: Optional[FrameAuth] = None,
                    timeout: float = 30.0) -> Dict[str, Any]:
-    """The dispatcher's live status document (workers, clients, queue)."""
+    """The dispatcher's live status document (workers, queue, cache)."""
     return _admin_request(address, {"type": MSG_STATUS}, auth=auth,
                           timeout=timeout)
 

@@ -31,8 +31,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
 from ..errors import ExperimentError
 from ..obs import DEFAULT_DURATION_BUCKETS_NS, MetricsRegistry, span
 from ..sim.system import SystemReport
-from .backends import (ExecutionBackend, _execute_to_dict, _fork_context,
-                       resolve_backend)
+from .backends import ExecutionBackend, resolve_backend
 from .cache import ResultCache, default_cache
 from .experiment import Experiment
 
@@ -126,7 +125,7 @@ class Runner:
     backend:
         An explicit :class:`~repro.exec.ExecutionBackend` instance, a
         :class:`~repro.exec.BackendSpec`, or a spec string such as
-        ``"serial"``, ``"fork:8"`` or ``"cluster://host:7071?weight=3"``
+        ``"serial"``, ``"fork:8"`` or ``"cluster://host:7071"``
         (grammar in :mod:`repro.exec.spec`). Mutually exclusive with
         ``jobs > 1``.
     cache:

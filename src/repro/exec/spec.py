@@ -11,12 +11,13 @@ small spec-string grammar shared by the library API
     fork                            fork pool, one job per CPU
     fork:8                          fork pool with 8 jobs
     cluster://host:7071             shared experiment cluster client
-    cluster://host:7071?weight=3&client=nightly&keyfile=cluster.key
+    cluster://host:7071?keyfile=cluster.key&frame_timeout=900
 
 Options after ``?`` are URL-style ``key=value`` pairs; ``cluster://``
-accepts ``weight`` (fair-share priority), ``client`` (display name),
-``keyfile`` (HMAC frame auth; see ``docs/SERVICE.md``) and
-``frame_timeout`` (seconds to wait for each dispatcher frame).
+accepts ``keyfile`` (HMAC frame auth; see ``docs/SERVICE.md``) and
+``frame_timeout`` (seconds to wait for each dispatcher frame), and any
+other key raises a :class:`~repro.errors.BackendError` rather than
+being ignored.
 
 The retired ``dist://`` scheme (a fixed list of listening workers)
 raises a :class:`~repro.errors.BackendError` that spells out its
@@ -38,6 +39,9 @@ from ..errors import BackendError
 
 #: Spec kinds understood by :meth:`BackendSpec.parse`.
 KINDS = ("serial", "fork", "cluster")
+
+#: The options a ``cluster://`` spec accepts.
+CLUSTER_OPTIONS = ("keyfile", "frame_timeout")
 
 
 def _default_jobs() -> int:
@@ -68,6 +72,12 @@ class BackendSpec:
                 f"{', '.join(KINDS)}")
         if self.jobs < 1:
             raise BackendError(f"jobs must be >= 1, got {self.jobs}")
+        unknown = sorted({key for key, _ in self.options}
+                         - set(CLUSTER_OPTIONS))
+        if unknown:
+            raise BackendError(
+                f"unknown backend option(s) {', '.join(unknown)}; "
+                f"cluster:// accepts only {', '.join(CLUSTER_OPTIONS)}")
 
     # -- parsing ------------------------------------------------------------------
 
@@ -158,16 +168,6 @@ class BackendSpec:
             raise BackendError(
                 f"backend option {key}={raw!r} is not a number")
 
-    def _int_option(self, key: str) -> Optional[int]:
-        raw = self.option(key)
-        if raw is None:
-            return None
-        try:
-            return int(raw)
-        except ValueError:
-            raise BackendError(
-                f"backend option {key}={raw!r} is not an integer")
-
     def describe(self) -> str:
         """The canonical spec string this spec round-trips to."""
         if self.kind == "serial":
@@ -191,12 +191,6 @@ class BackendSpec:
             return ForkPoolBackend(self.jobs)
         from .cluster import ClusterBackend
         kwargs: Dict[str, Any] = {}
-        weight = self._int_option("weight")
-        if weight is not None:
-            kwargs["weight"] = weight
-        client = self.option("client")
-        if client is not None:
-            kwargs["client_name"] = client
         keyfile = self.option("keyfile")
         if keyfile is not None:
             kwargs["keyfile"] = keyfile

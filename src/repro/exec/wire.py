@@ -37,9 +37,9 @@ persistent connections of the cluster service (:mod:`repro.exec.cluster`):
     then stop the whole dispatcher.
 ``hello`` / ``welcome``
     Session handshake. A connecting peer announces its role
-    (``"worker"`` or ``"client"``), a display ``name`` and — for
-    clients — a fair-share ``weight``; the dispatcher answers
-    ``welcome`` with the assigned session id.
+    (``"worker"`` or ``"client"``), a display ``name`` (shown for
+    workers in ``status``) and its ``proto`` generation; the
+    dispatcher answers ``welcome`` with the assigned session id.
 ``submit`` / ``batch-done``
     Client → dispatcher: one batch of experiment documents under a
     client-chosen ``batch`` id. The dispatcher streams back ``result``
@@ -53,8 +53,8 @@ persistent connections of the cluster service (:mod:`repro.exec.cluster`):
     in-flight task is done. From an admin client: finish everything
     queued and in flight, refuse new submissions, reply ``drained``.
 ``status``
-    Admin request; the reply (same type) carries worker/client/queue
-    counters.
+    Admin request; the reply (same type) carries worker, queue and
+    cache-tier counters.
 ``goodbye``
     Dispatcher → worker: the session is over, exit cleanly.
 
@@ -301,8 +301,8 @@ def error_reply(error: BaseException) -> Dict[str, Any]:
             "kind": type(error).__name__}
 
 
-def hello_message(role: str, name: str, *, weight: int = 1,
+def hello_message(role: str, name: str, *,
                   proto: int = PROTO_VERSION) -> Dict[str, Any]:
     """The session-opening frame on a cluster connection."""
     return {"type": MSG_HELLO, "role": role, "name": name,
-            "weight": int(weight), "proto": int(proto)}
+            "proto": int(proto)}

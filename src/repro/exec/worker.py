@@ -17,9 +17,9 @@ comes from running more workers, which keeps each worker's memory
 footprint to a single simulation.
 
 :func:`spawn_registered_workers` / :func:`registered_worker_pool` fork
-workers on this machine — the easy way to use every local core through
-the same code path as a remote fleet (``--spawn-local N``), and how the
-test-suite exercises fault handling.
+workers on this machine: how the test-suite and the smoke tools drive
+the cluster path and its fault handling. (Local parallel runs use the
+fork pool instead: ``--jobs N``.)
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from ..errors import BackendError, WireAuthError, WireProtocolError
 from ..obs import DEFAULT_DURATION_BUCKETS_NS, MetricsRegistry
-from .wire import (MSG_DRAIN, MSG_GOODBYE, MSG_PING, MSG_PONG, MSG_RUN,
-                   MSG_SHUTDOWN, MSG_WELCOME, FrameAuth, error_reply,
-                   hello_message, recv_message, result_reply, send_message)
+from .wire import (MSG_DRAIN, MSG_GOODBYE, MSG_PING, MSG_RUN, MSG_SHUTDOWN,
+                   MSG_WELCOME, FrameAuth, error_reply, hello_message,
+                   recv_message, result_reply, send_message)
 
 
 class _TaskExecutor:
@@ -222,18 +222,9 @@ def run_registered_worker(dispatcher: Union[str, Tuple[str, int]], *,
                             and not draining:
                         send_message(sock, {"type": MSG_DRAIN}, auth=auth)
                         draining = True
-                elif kind == MSG_PONG:
-                    snapshot = message.get("metrics")
-                    if isinstance(snapshot, dict):
-                        # Heartbeat replies carry the dispatcher's
-                        # cumulative registry; mirroring it keeps this
-                        # worker's scrape endpoint (--metrics-port)
-                        # showing the whole cluster's exec.cluster.*
-                        # instruments, not just exec.worker.*.
-                        executor.metrics.update_from_snapshot(snapshot)
                 elif kind in (MSG_GOODBYE, MSG_SHUTDOWN):
                     return served
-                # unknown frames: ignore
+                # anything else (the heartbeat's pong): ignore
         except WireAuthError:
             raise       # wrong shared key: retrying cannot help
         except (WireProtocolError, OSError):

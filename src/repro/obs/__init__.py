@@ -16,10 +16,9 @@ Zero-dependency metrics and tracing threaded through the whole stack:
   deterministic log of the sim core's security-relevant transitions
   (shreds, zero-fill elisions, counter overflows), embedded per-run in
   reports and surfaced by ``repro events``.
-* Exporters: JSON-lines dumps (``--emit-metrics``), Prometheus text,
-  chrome://tracing trace events, and the ``repro stats`` table. The
-  live ``/metrics`` endpoint is :mod:`repro.obs.scrape` (not re-exported:
-  it loads ``http.server``).
+* Exporters: JSON-lines dumps (``--emit-metrics``), Prometheus text
+  (``repro stats --format prom`` over a dump), chrome://tracing trace
+  events, and the ``repro stats`` table.
 
 See ``docs/OBSERVABILITY.md`` for the naming scheme and formats.
 """

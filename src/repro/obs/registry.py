@@ -344,51 +344,6 @@ class MetricsRegistry:
             histogram._count += entry.get("count", 0)
             histogram._sum += entry.get("sum", 0)
 
-    def update_from_snapshot(self,
-                             snapshot: Dict[str, Dict[str, Any]]) -> None:
-        """Mirror a snapshot's *current* values into this registry.
-
-        Unlike :meth:`merge_snapshot` (which adds, for combining
-        disjoint sources), this adopts each instrument's level
-        outright, so republishing the same snapshot is idempotent —
-        the contract a periodically refreshed mirror needs (e.g. a
-        registered worker reflecting the dispatcher's ``exec.cluster``
-        registry on its scrape endpoint). Counters stay monotonic
-        (:meth:`Counter.set_total`); gauges take the new level;
-        histograms replace their bucket state (bounds must match).
-        """
-        for name in sorted(snapshot or {}):
-            entry = snapshot[name]
-            kind = entry.get("kind")
-            if kind == Counter.kind:
-                self.counter(name, unit=entry.get("unit", "")).set_total(
-                    entry.get("value", 0))
-            elif kind == Gauge.kind:
-                self.gauge(name, unit=entry.get("unit", "")).set(
-                    entry.get("value", 0))
-            elif kind == Histogram.kind:
-                self._set_histogram(name, entry)
-            else:
-                raise ObservabilityError(
-                    f"cannot mirror unknown instrument kind {kind!r} "
-                    f"for {name!r}")
-
-    def _set_histogram(self, name: str, entry: Dict[str, Any]) -> None:
-        buckets = entry.get("buckets") or []
-        bounds = tuple(float(le) for le, _ in buckets if le != INF)
-        histogram = self.histogram(
-            name, buckets=bounds or DEFAULT_LATENCY_BUCKETS_NS,
-            unit=entry.get("unit", ""))
-        if histogram.bounds != bounds:
-            raise ObservabilityError(
-                f"histogram {name!r} bucket mismatch: registry has "
-                f"{histogram.bounds}, snapshot has {bounds}")
-        counts, previous = [], 0
-        for _le, cumulative in buckets:
-            counts.append(cumulative - previous)
-            previous = cumulative
-        histogram.set_counts(counts, entry.get("sum", 0))
-
     def reset(self) -> None:
         """Zero every instrument (the registry keeps its registrations)."""
         for instrument in self._instruments.values():

@@ -53,26 +53,19 @@ class TestCompare:
                      "--nodes", "200"]) == 0
         assert "KCORE" in capsys.readouterr().out
 
-    def test_spawn_local_matches_serial(self, capsys):
-        """--spawn-local runs an ephemeral cluster: output byte-identical
-        to a serial run, and no dispatcher thread or worker process
-        outlives the command."""
+    def test_jobs_matches_serial(self, capsys):
+        """--jobs 2 runs a local fork pool: output byte-identical to a
+        serial run, and no worker process outlives the command."""
         import multiprocessing
-        import threading
-
-        def dispatcher_threads():
-            return [thread for thread in threading.enumerate()
-                    if thread.name == "repro-cluster"]
 
         children = set(multiprocessing.active_children())
         argv = ["compare", "--benchmark", "HMMER", "--scale", "0.1",
                 "--cores", "1", "--no-cache"]
         assert main(argv + ["--jobs", "1"]) == 0
         serial = capsys.readouterr().out
-        assert main(argv + ["--spawn-local", "2"]) == 0
+        assert main(argv + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
         assert set(multiprocessing.active_children()) <= children
-        assert dispatcher_threads() == []
 
     def test_unknown(self, capsys):
         assert main(["compare", "--benchmark", "NOPE"]) == 2
@@ -225,11 +218,6 @@ class TestObservabilityCli:
     def test_stats_missing_file(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path / "nope.jsonl")]) == 2
 
-    def test_spawn_local_flag_parsed(self):
-        args = build_parser().parse_args(
-            ["figure", "fig12", "--spawn-local", "2"])
-        assert args.spawn_local == 2
-
 
 class TestEvents:
     """``repro events`` end to end: the flight-recorder log of one run
@@ -293,8 +281,8 @@ class TestFlagSurface:
         raise AssertionError(f"{option} missing from {subparser.prog}")
 
     def test_runner_flags_identical_across_compare_and_figure(self):
-        for option in ("--jobs", "--backend", "--spawn-local",
-                       "--no-cache", "--emit-metrics"):
+        for option in ("--jobs", "--backend", "--no-cache",
+                       "--emit-metrics"):
             actions = [self.flag(self.subparser(cmd), option)
                        for cmd in ("compare", "figure")]
             helps = {a.help for a in actions}
@@ -342,13 +330,8 @@ class TestFlagSurface:
 
     def test_backend_spec_flag_parsed(self):
         args = build_parser().parse_args(
-            ["compare", "--backend", "cluster://hub:7071?weight=2"])
-        assert args.backend == "cluster://hub:7071?weight=2"
-
-    def test_backend_conflicts_with_spawn_local(self, capsys):
-        assert main(["compare", "--benchmark", "HMMER", "--scale", "0.1",
-                     "--backend", "serial", "--spawn-local", "1"]) == 1
-        assert "at most one" in capsys.readouterr().err
+            ["compare", "--backend", "cluster://hub:7071?keyfile=k.key"])
+        assert args.backend == "cluster://hub:7071?keyfile=k.key"
 
     def test_backend_serial_runs_end_to_end(self, capsys):
         assert main(["compare", "--benchmark", "HMMER", "--scale", "0.15",
@@ -396,3 +379,29 @@ class TestClusterCli:
     def test_status_unreachable_is_a_clean_exit(self, capsys):
         assert main(["cluster", "status", "127.0.0.1:1"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_top_shows_the_queue_and_each_worker(self, capsys):
+        """``repro top`` against a live dispatcher with one registered
+        worker: a header line for the queue and a row for the worker."""
+        import time
+
+        from repro.exec.cluster import ClusterServer, cluster_status
+        from repro.exec.worker import registered_worker_pool
+        with ClusterServer() as server:
+            with registered_worker_pool(1, server.endpoint) as workers:
+                deadline = time.monotonic() + 30
+                while not cluster_status(server.address)["workers"]:
+                    assert time.monotonic() < deadline, "worker never joined"
+                    time.sleep(0.05)
+                assert main(["top", server.endpoint,
+                             "--iterations", "1"]) == 0
+                lines = capsys.readouterr().out.splitlines()
+                name = f"worker-{workers[0].process.pid}"
+        assert lines[0] == ("cluster serving — queue 0, inflight 0, "
+                            "completed 0, cache hit rate n/a")
+        assert lines[1] == "workers (1):"
+        # name, tasks done, seconds since the last heartbeat, state
+        row = lines[2].split()
+        assert row[:3] == [name, "completed=0", "idle"]
+        assert row[3].endswith("s") and row[4] == "idle"
+        assert len(lines) == 3

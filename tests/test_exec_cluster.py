@@ -1,4 +1,4 @@
-"""The experiment cluster: fair queue, dispatcher, faults, auth.
+"""The experiment cluster: FIFO dispatch, faults, heartbeats, auth.
 
 Registered (dial-out) workers are forked, so workloads registered in
 this module are inherited by the worker processes — the nap workload
@@ -19,7 +19,7 @@ import pytest
 from repro.errors import BackendError, ClusterError
 from repro.exec import (Experiment, ResultCache, Runner, experiment_pair,
                         register_workload, spec_experiment)
-from repro.exec.cluster import (ClusterBackend, ClusterServer, FairQueue,
+from repro.exec.cluster import (ClusterBackend, ClusterServer,
                                 cluster_drain, cluster_status)
 from repro.exec.wire import (MSG_BATCH_DONE, MSG_RESULT, MSG_SUBMIT,
                              MSG_WELCOME, FrameAuth, hello_message,
@@ -71,66 +71,6 @@ def cluster(**kwargs):
         yield server
 
 
-class TestFairQueue:
-    def test_fifo_within_one_tenant(self):
-        queue = FairQueue()
-        for i in range(3):
-            queue.push("a", f"a{i}")
-        assert [queue.pop() for _ in range(3)] == ["a0", "a1", "a2"]
-        assert queue.pop() is None
-
-    def test_equal_weights_interleave(self):
-        queue = FairQueue()
-        for i in range(3):
-            queue.push("a", f"a{i}")
-            queue.push("b", f"b{i}")
-        order = [queue.pop() for _ in range(6)]
-        assert order == ["a0", "b0", "a1", "b1", "a2", "b2"]
-
-    def test_weighted_tenant_gets_its_share(self):
-        """Weight 3 vs 1: three of the first four pops serve the
-        heavy tenant, yet the light tenant is never starved."""
-        queue = FairQueue()
-        for i in range(4):
-            queue.push("heavy", f"a{i}", weight=3)
-            queue.push("light", f"b{i}", weight=1)
-        order = [queue.pop() for _ in range(8)]
-        assert order == ["a0", "a1", "a2", "b0", "a3", "b1", "b2", "b3"]
-
-    def test_idle_tenant_accrues_nothing(self):
-        """A tenant with no queued work is forgotten by the rotation:
-        deficit does not pile up while idle (DRR, not lottery)."""
-        queue = FairQueue()
-        queue.push("a", "a0", weight=5)
-        assert queue.pop() == "a0"
-        queue.push("b", "b0")
-        queue.push("a", "a1", weight=5)
-        # Both serve promptly; no 5-task backlog claim for "a".
-        assert sorted([queue.pop(), queue.pop()]) == ["a1", "b0"]
-
-    def test_drop_tenant_returns_queued_tasks(self):
-        queue = FairQueue()
-        queue.push("a", "a0")
-        queue.push("b", "b0")
-        queue.push("a", "a1")
-        assert queue.drop_tenant("a") == ["a0", "a1"]
-        assert queue.tenants() == ["b"]
-        assert queue.pop() == "b0"
-
-    def test_depth_total_and_per_tenant(self):
-        queue = FairQueue()
-        queue.push("a", "a0")
-        queue.push("a", "a1")
-        queue.push("b", "b0")
-        assert len(queue) == 3
-        assert queue.depth("a") == 2
-        assert queue.depth("missing") == 0
-
-    def test_rejects_non_positive_weight(self):
-        with pytest.raises(BackendError, match="weight"):
-            FairQueue().push("a", "a0", weight=0)
-
-
 class TestClusterDeterminism:
     def test_small_batch_matches_serial_byte_for_byte(self):
         """One client, one mixed batch over 2 registered workers: the
@@ -142,7 +82,7 @@ class TestClusterDeterminism:
         serial = Runner(use_cache=False).run(batch)
         with cluster() as server:
             with registered_worker_pool(2, server.endpoint):
-                backend = ClusterBackend(server.address, client_name="solo")
+                backend = ClusterBackend(server.address)
                 clustered = Runner(backend=backend, use_cache=False).run(batch)
         assert canonical(clustered) == canonical(serial)
 
@@ -160,8 +100,7 @@ class TestClusterDeterminism:
 
                 def client(slot):
                     try:
-                        backend = ClusterBackend(server.address,
-                                                 client_name=f"c{slot}")
+                        backend = ClusterBackend(server.address)
                         results[slot] = Runner(backend=backend,
                                                use_cache=False,
                                                ).run(batches[slot])
@@ -186,12 +125,10 @@ class TestClusterDeterminism:
         with cluster(cache=ResultCache(tmp_path / "shared"),
                      metrics=metrics) as server:
             with registered_worker_pool(1, server.endpoint):
-                first = Runner(backend=ClusterBackend(server.address,
-                                                      client_name="warmer"),
+                first = Runner(backend=ClusterBackend(server.address),
                                use_cache=False).run(batch)
             # No workers left: only the cluster cache can answer now.
-            second = Runner(backend=ClusterBackend(server.address,
-                                                   client_name="beneficiary"),
+            second = Runner(backend=ClusterBackend(server.address),
                             use_cache=False).run(batch)
             status = cluster_status(server.address)
         assert canonical(first) == canonical(second)
@@ -202,11 +139,10 @@ class TestClusterDeterminism:
             == len(batch)
 
 
-def dial_client(address, name, weight=1, auth=None, timeout=60.0):
+def dial_client(address, name, auth=None, timeout=60.0):
     sock = socket.create_connection(address, timeout=timeout)
     sock.settimeout(timeout)
-    send_message(sock, hello_message("client", name, weight=weight),
-                 auth=auth)
+    send_message(sock, hello_message("client", name), auth=auth)
     welcome = recv_message(sock, auth=auth)
     assert welcome.get("type") == MSG_WELCOME
     return sock
@@ -240,8 +176,7 @@ class TestClusterTracePropagation:
         before = len(tracer.records)
         with cluster() as server:
             with registered_worker_pool(2, server.endpoint):
-                backend = ClusterBackend(server.address,
-                                         client_name="tracing")
+                backend = ClusterBackend(server.address)
                 Runner(backend=backend, use_cache=False).run(
                     nap_batch(3, seconds=0.01, tag="traced"))
         new = tracer.records[before:]
@@ -267,8 +202,7 @@ class TestClusterTracePropagation:
         with cluster(cache=ResultCache(tmp_path / "cache")) as server:
             with registered_worker_pool(1, server.endpoint):
                 for _ in range(2):      # second submission hits the cache
-                    backend = ClusterBackend(server.address,
-                                             client_name="hitter")
+                    backend = ClusterBackend(server.address)
                     Runner(backend=backend,
                            use_cache=False).run(experiment)
         hits = [r for r in tracer.records[before:]
@@ -287,7 +221,7 @@ class TestClusterFaults:
         with cluster(task_timeout=60) as server:
             workers = spawn_registered_workers(2, server.endpoint)
             try:
-                backend = ClusterBackend(server.address, client_name="brave")
+                backend = ClusterBackend(server.address)
                 killer = threading.Timer(0.3, workers[0].terminate)
                 killer.start()
                 reports = Runner(backend=backend, use_cache=False,
@@ -324,7 +258,7 @@ class TestClusterFaults:
                     if event.source == "worker" and workers[0].is_alive():
                         workers[0].terminate()
 
-                backend = ClusterBackend(server.address, client_name="stoic")
+                backend = ClusterBackend(server.address)
                 reports = Runner(backend=backend, use_cache=False,
                                  progress=kill_on_first_completion).run(batch)
             finally:
@@ -344,8 +278,7 @@ class TestClusterFaults:
         metrics = MetricsRegistry()
         with cluster(task_timeout=60, metrics=metrics) as server:
             with registered_worker_pool(2, server.endpoint):
-                backend = ClusterBackend(server.address,
-                                         client_name="survivor")
+                backend = ClusterBackend(server.address)
                 reports = Runner(backend=backend, use_cache=False).run(batch)
         assert [r.name for r in reports] == ["kamikaze"]
         assert os.path.exists(marker)
@@ -361,7 +294,7 @@ class TestClusterFaults:
         events = []
         with cluster(max_retries=3) as server:
             with registered_worker_pool(1, server.endpoint):
-                backend = ClusterBackend(server.address, client_name="flaky")
+                backend = ClusterBackend(server.address)
                 reports = Runner(backend=backend, use_cache=False,
                                  progress=events.append).run(batch)
         assert [r.name for r in reports] == ["flaky-one"]
@@ -376,8 +309,7 @@ class TestClusterFaults:
         batch = [Experiment("no-such-workload-kind", name="doomed")]
         with cluster(max_retries=2) as server:
             with registered_worker_pool(1, server.endpoint):
-                backend = ClusterBackend(server.address,
-                                         client_name="doomed")
+                backend = ClusterBackend(server.address)
                 with pytest.raises(BackendError,
                                    match=r"doomed.*3 attempts"):
                     Runner(backend=backend, use_cache=False).run(batch)
@@ -393,8 +325,7 @@ class TestClusterFaults:
         with cluster(task_timeout=0.3, max_retries=0, tick=0.05,
                      metrics=metrics) as server:
             with registered_worker_pool(1, server.endpoint):
-                backend = ClusterBackend(server.address,
-                                         client_name="patient")
+                backend = ClusterBackend(server.address)
                 started = time.monotonic()
                 with pytest.raises(BackendError,
                                    match="slowpoke.*no result within"):
@@ -413,8 +344,7 @@ class TestClusterFaults:
                 done = {}
 
                 def client():
-                    backend = ClusterBackend(server.address,
-                                             client_name="drained")
+                    backend = ClusterBackend(server.address)
                     done["reports"] = Runner(backend=backend,
                                              use_cache=False).run(batch)
 
@@ -427,8 +357,7 @@ class TestClusterFaults:
                 names = [r.name for r in done["reports"]]
                 assert names == [f"drain-{i}" for i in range(6)]
                 # The drained dispatcher refuses the next batch.
-                latecomer = ClusterBackend(server.address,
-                                           client_name="late")
+                latecomer = ClusterBackend(server.address)
                 with pytest.raises(BackendError, match="drain"):
                     Runner(backend=latecomer,
                            use_cache=False).run(nap_batch(1, tag="late"))
@@ -445,48 +374,92 @@ class TestClusterFaults:
                 deadline = time.time() + 30
                 while time.time() < deadline:
                     status = cluster_status(server.address)
-                    clients = [c["name"] for c in status["clients"]]
-                    if "quitter" not in clients \
-                            and status["queue_depth"] == 0:
+                    if status["queue_depth"] == 0:
                         break
                     time.sleep(0.1)
                 assert status["queue_depth"] == 0, \
                     "the quitter's queued tasks must be dropped"
+                # Dropped, not run: at most the task the worker held
+                # had finished when the queue emptied.
+                assert status["tasks_completed"] <= 1
                 # The cluster still serves a well-behaved client.
-                survivor = ClusterBackend(server.address,
-                                          client_name="survivor")
+                survivor = ClusterBackend(server.address)
                 reports = Runner(backend=survivor,
                                  use_cache=False).run(nap_batch(2, tag="ok"))
                 assert [r.name for r in reports] == ["ok-0", "ok-1"]
 
-    def test_unequal_priorities_get_fair_shares(self):
-        """Weight 3 vs 1 on one worker, both batches queued up front:
-        DRR serves the heavy client three tasks for every light one, so
-        the heavy batch finishes while the light one has completed at
-        most two of its four tasks."""
+    def test_batches_are_served_in_submission_order(self):
+        """Two clients' batches, both queued before the one worker
+        joins: dispatch is first in, first out, so every task of the
+        first batch starts before any task of the second."""
         with cluster() as server:
-            heavy = dial_client(server.address, "heavy", weight=3)
-            light = dial_client(server.address, "light", weight=1)
+            first = dial_client(server.address, "first")
+            second = dial_client(server.address, "second")
             try:
-                submit_batch(heavy, nap_batch(4, seconds=0.25, tag="heavy"))
-                submit_batch(light, nap_batch(4, seconds=0.25, tag="light"))
-                deadline = time.time() + 30
-                while time.time() < deadline:      # both batches queued?
-                    if cluster_status(server.address)["queue_depth"] == 8:
-                        break
-                    time.sleep(0.05)
+                for depth, (sock, tag) in enumerate(
+                        ((first, "first"), (second, "second")), start=1):
+                    submit_batch(sock, nap_batch(3, seconds=0.05, tag=tag))
+                    deadline = time.time() + 30
+                    while cluster_status(server.address)["queue_depth"] \
+                            < 3 * depth:
+                        assert time.time() < deadline, "batch never queued"
+                        time.sleep(0.05)
                 with registered_worker_pool(1, server.endpoint):
-                    heavy_results = read_batch(heavy)
-                    status = cluster_status(server.address)
-                    light_results = read_batch(light)
+                    first_results = read_batch(first)
+                    second_results = read_batch(second)
             finally:
-                heavy.close()
-                light.close()
-        assert len(heavy_results) == 4 and len(light_results) == 4
-        light_done = [c for c in status["clients"]
-                      if c["name"] == "light"][0]["completed"]
-        assert light_done <= 2, \
-            f"light client got {light_done}/4 before heavy finished"
+                first.close()
+                second.close()
+            spans = [r for r in server.dispatcher.tracer.records
+                     if r.name == "exec.cluster.task"]
+        assert len(first_results) == 3 and len(second_results) == 3
+        started = [r.attrs["label"]
+                   for r in sorted(spans, key=lambda r: r.start_ns)]
+        assert started == [f"first-{i}" for i in range(3)] \
+            + [f"second-{i}" for i in range(3)]
+
+
+class TestClusterHeartbeats:
+    def test_busy_worker_outlives_the_heartbeat_timeout(self):
+        """A worker sends no heartbeat while it executes: a task three
+        times longer than heartbeat_timeout completes on its first
+        attempt, bounded by task_timeout alone."""
+        metrics = MetricsRegistry()
+
+        def no_retries(event):
+            if event.source == "retry":
+                raise AssertionError(
+                    f"{event.label} was requeued: its busy worker was "
+                    f"reaped as silent")
+
+        batch = nap_batch(1, seconds=3.0, tag="long")
+        with cluster(heartbeat_timeout=1.0, tick=0.1, task_timeout=60,
+                     metrics=metrics) as server:
+            with registered_worker_pool(1, server.endpoint, heartbeat=0.2):
+                reports = Runner(backend=ClusterBackend(server.address),
+                                 use_cache=False,
+                                 progress=no_retries).run(batch)
+        assert [r.name for r in reports] == ["long-0"]
+        assert metrics.counter("exec.cluster.requeues").value == 0
+        assert metrics.counter("exec.cluster.tasks_completed").value == 1
+
+    def test_silent_idle_worker_is_reaped(self):
+        """A peer that registers as a worker and then says nothing
+        drops out of the status document after heartbeat_timeout."""
+        with cluster(heartbeat_timeout=1.0, tick=0.1) as server:
+            sock = socket.create_connection(server.address, timeout=30)
+            try:
+                send_message(sock, hello_message("worker", "mute"))
+                assert recv_message(sock).get("type") == MSG_WELCOME
+                names = [w["name"] for w in
+                         cluster_status(server.address)["workers"]]
+                assert names == ["mute"]
+                deadline = time.time() + 30
+                while cluster_status(server.address)["workers"]:
+                    assert time.time() < deadline, "silent worker kept"
+                    time.sleep(0.1)
+            finally:
+                sock.close()
 
 
 class TestClusterAuth:

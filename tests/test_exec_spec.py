@@ -43,11 +43,12 @@ class TestParse:
             BackendSpec.parse("distributed://h:1")
 
     def test_cluster_single_endpoint(self):
-        spec = BackendSpec.parse("cluster://hub:7071?weight=3&client=nightly")
+        spec = BackendSpec.parse(
+            "cluster://hub:7071?frame_timeout=900&keyfile=cluster.key")
         assert spec.kind == "cluster"
         assert spec.addresses == ("hub:7071",)
-        assert spec.option("weight") == "3"
-        assert spec.option("client") == "nightly"
+        assert spec.option("frame_timeout") == "900"
+        assert spec.option("keyfile") == "cluster.key"
         assert spec.option("missing", "x") == "x"
 
     def test_cluster_rejects_multiple_endpoints(self):
@@ -86,18 +87,18 @@ class TestCoerceAndDescribe:
 
     def test_describe_round_trips(self):
         for text in ("serial", "fork:8",
-                     "cluster://hub:7071?client=x&weight=3"):
+                     "cluster://hub:7071?frame_timeout=9&keyfile=k"):
             spec = BackendSpec.parse(text)
             assert spec.describe() == text
             assert BackendSpec.parse(spec.describe()) == spec
 
     def test_options_sorted_for_canonical_form(self):
-        spec = BackendSpec.parse("cluster://h:1?weight=3&client=x")
-        assert spec.describe() == "cluster://h:1?client=x&weight=3"
+        spec = BackendSpec.parse("cluster://h:1?keyfile=k&frame_timeout=9")
+        assert spec.describe() == "cluster://h:1?frame_timeout=9&keyfile=k"
 
     def test_hashable(self):
-        a = BackendSpec.parse("cluster://h:1?weight=3")
-        b = BackendSpec.parse("cluster://h:1?weight=3")
+        a = BackendSpec.parse("cluster://h:1?keyfile=k")
+        b = BackendSpec.parse("cluster://h:1?keyfile=k")
         assert len({a, b}) == 1
 
 
@@ -114,20 +115,25 @@ class TestCreate:
         keyfile = tmp_path / "k"
         FrameAuth.generate_keyfile(keyfile)
         backend = BackendSpec.parse(
-            f"cluster://hub:7071?weight=3&client=nightly"
-            f"&keyfile={keyfile}&frame_timeout=900").create()
+            f"cluster://hub:7071?keyfile={keyfile}&frame_timeout=900").create()
         assert isinstance(backend, ClusterBackend)
         assert backend.address == ("hub", 7071)
-        assert backend.weight == 3
-        assert backend.client_name == "nightly"
         assert backend.auth is not None
         assert backend.frame_timeout == 900.0
 
     def test_bad_option_values_rejected(self):
         with pytest.raises(BackendError, match="not a number"):
             BackendSpec.parse("cluster://h:1?frame_timeout=soon").create()
-        with pytest.raises(BackendError, match="not an integer"):
-            BackendSpec.parse("cluster://h:1?weight=heavy").create()
+
+    def test_unknown_options_rejected(self):
+        """A misspelled option and the retired weight= option raise
+        instead of leaving the default in force, naming what the
+        cluster:// scheme accepts."""
+        for text in ("cluster://h:1?frame_timeut=5",
+                     "cluster://h:1?weight=3"):
+            with pytest.raises(BackendError,
+                               match="accepts only keyfile, frame_timeout"):
+                BackendSpec.parse(text)
 
 
 class TestFromSpec:

@@ -3,10 +3,9 @@
 Every ``repro figure`` run, registered cluster worker and benchmark
 sample starts a fresh interpreter and pays for whatever ``import repro``
 pulls in. The package roots therefore re-export only what a local run
-needs: the cluster, wire and worker modules (asyncio, sockets), the
-scrape server (``http.server``, ssl) and the static analyzer are each
-imported where they are used, and nothing in the package imports
-numpy.
+needs: the cluster, wire and worker modules (asyncio, sockets) and the
+static analyzer are each imported where they are used, nothing in the
+package imports numpy, and nothing loads ``http.server`` or ssl.
 
 Each import runs in a fresh subprocess, because this process has
 everything loaded already.
@@ -31,7 +30,6 @@ NOT_ON_THE_FIGURE_PATH = (
     "repro.exec.cluster",
     "repro.exec.worker",
     "repro.exec.wire",
-    "repro.obs.scrape",
     "repro.lint",
 )
 

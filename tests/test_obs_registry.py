@@ -187,39 +187,3 @@ class TestMerge:
         merged = merge_snapshots(left.snapshot(), right.snapshot())
         assert merged["only.left"]["value"] == 2
         assert merged["only.right"]["value"] == 5
-
-
-class TestUpdateFromSnapshot:
-    def test_republishing_is_idempotent(self):
-        source = MetricsRegistry()
-        source.counter("exec.cluster.tasks_completed").inc(7)
-        source.gauge("exec.cluster.queue_depth").set(3)
-        source.histogram("exec.cluster.task_duration_ns",
-                         buckets=(10, 20)).observe(15)
-        mirror = MetricsRegistry()
-        for _ in range(3):      # a heartbeat mirror refreshes repeatedly
-            mirror.update_from_snapshot(source.snapshot())
-        snapshot = mirror.snapshot()
-        assert snapshot["exec.cluster.tasks_completed"]["value"] == 7
-        assert snapshot["exec.cluster.queue_depth"]["value"] == 3
-        assert snapshot["exec.cluster.task_duration_ns"]["count"] == 1
-
-    def test_mirror_tracks_level_both_ways(self):
-        source = MetricsRegistry()
-        gauge = source.gauge("exec.cluster.inflight")
-        mirror = MetricsRegistry()
-        gauge.set(9)
-        mirror.update_from_snapshot(source.snapshot())
-        gauge.set(2)            # unlike merge, a mirror may go down
-        mirror.update_from_snapshot(source.snapshot())
-        assert mirror.snapshot()["exec.cluster.inflight"]["value"] == 2
-
-    def test_counters_stay_monotonic(self):
-        source = MetricsRegistry()
-        source.counter("exec.cluster.submissions").inc(5)
-        mirror = MetricsRegistry()
-        mirror.update_from_snapshot(source.snapshot())
-        with pytest.raises(ObservabilityError):
-            mirror.update_from_snapshot(
-                {"exec.cluster.submissions":
-                 {"kind": "counter", "value": 3}})

@@ -3,9 +3,9 @@
 
 Spawns a dispatcher with a shared cache and HMAC auth, registers two
 dial-out workers, and drives two concurrent clients over disjoint
-batches. Asserts the cluster's reports are byte-identical to serial
-execution, the shared cache tier stores every result, and a graceful
-drain completes all work. Exits non-zero (with a one-line reason) on
+batches, served first in, first out. Asserts the cluster's reports are
+byte-identical to serial execution, the shared cache tier stores every
+result, and a graceful drain completes all work. Exits non-zero (with a one-line reason) on
 any violation.
 
 Usage: PYTHONPATH=src python tools/cluster_smoke.py
@@ -57,9 +57,7 @@ def main():
                 def client(slot):
                     try:
                         backend = ClusterBackend(server.address,
-                                                 client_name=f"ci-{slot}",
-                                                 keyfile=str(keyfile),
-                                                 weight=slot + 1)
+                                                 keyfile=str(keyfile))
                         results[slot] = Runner(backend=backend,
                                                use_cache=False,
                                                ).run(batches[slot])

@@ -80,7 +80,7 @@ def main():
         print(f"trace-smoke: dispatcher on {host}:{port}, 2 workers, "
               f"one client batch of {TASKS} ...")
         with registered_worker_pool(2, server.endpoint):
-            backend = ClusterBackend(server.address, client_name="smoke")
+            backend = ClusterBackend(server.address)
             clustered = Runner(backend=backend, use_cache=False).run(batch)
 
     for index, (a, b) in enumerate(zip(serial, clustered)):
