@@ -8,46 +8,21 @@ builders (:func:`run_pair`, :func:`fig8_to_11_study`,
 :class:`~repro.exec.Runner`, so identical runs are served from the
 persistent result cache and cold sweeps can fan out across worker
 processes (``jobs=N``). The two microbenchmark builders (Figures 4/5)
-drive bespoke measurement loops and keep a light per-process memo.
+drive bespoke measurement loops and simulate afresh on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from ..config import SystemConfig, bench_config
-from ..errors import ExperimentError
+from ..config import KB, CacheConfig, SystemConfig, bench_config
 from ..exec import (Experiment, Runner, experiment_pair, powergraph_experiment,
                     spec_experiment)
-from ..exec.cache import default_cache
 from ..sim import System, compare_runs
 from ..sim.results import RunResult, arithmetic_mean, geometric_mean
 from ..workloads import (SPEC_BENCHMARKS, memset_experiment,
                          multiprogrammed_tasks, powergraph_task)
-
-_memo: Dict[tuple, object] = {}
-
-
-def _memoised(key: tuple, build: Callable[[], object]) -> object:
-    if key not in _memo:
-        _memo[key] = build()
-    return _memo[key]
-
-
-def clear_memo(*, disk: bool = False) -> None:
-    """Invalidate cached figure data.
-
-    Thin shim over the execution cache: clears the Figure 4/5 memo and
-    the shared result cache's in-process layer. Pass ``disk=True`` to
-    also delete the persistent on-disk entries.
-    """
-    _memo.clear()
-    cache = default_cache()
-    if disk:
-        cache.clear()
-    else:
-        cache.clear_memory()
 
 
 def _make_runner(jobs: Optional[int], use_cache: Optional[bool],
@@ -63,9 +38,8 @@ def _make_runner(jobs: Optional[int], use_cache: Optional[bool],
 # Shared pair-runner
 # ---------------------------------------------------------------------------
 
-def run_pair(experiment, make_tasks: Optional[Callable[[], list]] = None,
-             config: Optional[SystemConfig] = None, *,
-             jobs: Optional[int] = None, use_cache: Optional[bool] = None,
+def run_pair(experiment: Experiment, *, jobs: Optional[int] = None,
+             use_cache: Optional[bool] = None,
              runner: Optional[Runner] = None) -> RunResult:
     """Run one workload on the baseline and Silent Shredder systems.
 
@@ -77,17 +51,8 @@ def run_pair(experiment, make_tasks: Optional[Callable[[], list]] = None,
     Pass an :class:`~repro.exec.Experiment` describing the workload;
     its baseline/shredder variants execute through the shared
     :class:`~repro.exec.Runner` (cached, parallelisable, any
-    backend). The pre-PR-1 ``run_pair(name, make_tasks, config)``
-    callable form was deprecated for one release and is now removed:
-    an opaque callable has no content hash, so it could never be
-    cached or shipped to a worker.
+    backend).
     """
-    if make_tasks is not None or isinstance(experiment, str):
-        raise ExperimentError(
-            "run_pair(name, make_tasks, config) has been removed; build an "
-            "Experiment instead — e.g. run_pair(repro.exec.spec_experiment("
-            "'GCC', cores=2, scale=0.5)) — so the run can be cached, "
-            "parallelised, and dispatched to workers")
     if not isinstance(experiment, Experiment):
         raise TypeError(f"run_pair expects an Experiment, "
                         f"got {type(experiment).__name__}")
@@ -105,24 +70,21 @@ def run_pair(experiment, make_tasks: Optional[Callable[[], list]] = None,
 def fig4_memset(sizes_bytes: Sequence[int], *,
                 config: Optional[SystemConfig] = None) -> List[dict]:
     """First-vs-second memset timing across region sizes."""
-    def build() -> List[dict]:
-        rows = []
-        base_config = config if config is not None else bench_config()
-        for size in sizes_bytes:
-            system = System(base_config.with_zeroing("nontemporal"),
-                            shredder=False, name="memset")
-            timing = memset_experiment(system, size)
-            rows.append({
-                "size_bytes": size,
-                "first_memset_ns": timing.first_ns,
-                "second_memset_ns": timing.second_ns,
-                "kernel_zeroing_ns": timing.kernel_zeroing_ns,
-                "kernel_fraction": timing.kernel_fraction,
-                "zeroing_fraction": timing.zeroing_fraction,
-            })
-        return rows
-    return _memoised(("fig4", tuple(sizes_bytes), id(config) if config else None),
-                     build)
+    rows = []
+    base_config = config if config is not None else bench_config()
+    for size in sizes_bytes:
+        system = System(base_config.with_zeroing("nontemporal"),
+                        shredder=False, name="memset")
+        timing = memset_experiment(system, size)
+        rows.append({
+            "size_bytes": size,
+            "first_memset_ns": timing.first_ns,
+            "second_memset_ns": timing.second_ns,
+            "kernel_zeroing_ns": timing.kernel_zeroing_ns,
+            "kernel_fraction": timing.kernel_fraction,
+            "zeroing_fraction": timing.zeroing_fraction,
+        })
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -136,54 +98,51 @@ def fig5_zeroing_writes(apps: Sequence[str], *, num_nodes: int = 800,
     The paper's Figure 5 normalises each app's write count to the
     temporal-zeroing ("Unmodified") case.
     """
-    def build() -> List[dict]:
-        from ..config import CacheConfig, KB
-        base_config = config if config is not None else replace(
-            bench_config(),
-            # Tighter shared caches: zeroed-ahead pages must not linger
-            # in the LLC, mirroring the distance between clear_page and
-            # first use on a real machine.
-            l3=CacheConfig("L3", size_bytes=32 * KB, associativity=8,
-                           latency_cycles=25, shared=True),
-            l4=CacheConfig("L4", size_bytes=128 * KB, associativity=8,
-                           latency_cycles=35, shared=True),
-        )
-        rows = []
-        for app in apps:
-            counts = {}
-            # Measure the footprint first with zeroing disabled, then give
-            # the zeroing runs a pre-zeroed pool of that many pages: real
-            # kernels clear free pages ahead of use, so the clears are not
-            # coalesced with the application's first stores in the caches.
-            probe = System(base_config.with_zeroing("none"), shredder=False,
-                           name=f"fig5-{app}-probe")
-            probe.run([powergraph_task(app, num_nodes=num_nodes)])
-            probe.machine.hierarchy.flush_all()
-            counts["none"] = probe.machine.memory_write_count()
-            footprint_pages = probe.kernel.stats.pages_allocated + 8
+    base_config = config if config is not None else replace(
+        bench_config(),
+        # Tighter shared caches: zeroed-ahead pages must not linger
+        # in the LLC, mirroring the distance between clear_page and
+        # first use on a real machine.
+        l3=CacheConfig("L3", size_bytes=32 * KB, associativity=8,
+                       latency_cycles=25, shared=True),
+        l4=CacheConfig("L4", size_bytes=128 * KB, associativity=8,
+                       latency_cycles=35, shared=True),
+    )
+    rows = []
+    for app in apps:
+        counts = {}
+        # Measure the footprint first with zeroing disabled, then give
+        # the zeroing runs a pre-zeroed pool of that many pages: real
+        # kernels clear free pages ahead of use, so the clears are not
+        # coalesced with the application's first stores in the caches.
+        probe = System(base_config.with_zeroing("none"), shredder=False,
+                       name=f"fig5-{app}-probe")
+        probe.run([powergraph_task(app, num_nodes=num_nodes)])
+        probe.machine.hierarchy.flush_all()
+        counts["none"] = probe.machine.memory_write_count()
+        footprint_pages = probe.kernel.stats.pages_allocated + 8
 
-            for strategy in ("temporal", "nontemporal"):
-                cfg = replace(base_config.with_zeroing(strategy),
-                              kernel=replace(base_config.kernel,
-                                             zeroing_strategy=strategy,
-                                             prezero_pool_pages=footprint_pages))
-                system = System(cfg, shredder=False,
-                                name=f"fig5-{app}-{strategy}")
-                system.run([powergraph_task(app, num_nodes=num_nodes)])
-                system.machine.hierarchy.flush_all()
-                counts[strategy] = system.machine.memory_write_count()
-            unmodified = max(counts["temporal"], 1)
-            rows.append({
-                "app": app,
-                "writes_temporal": counts["temporal"],
-                "writes_nontemporal": counts["nontemporal"],
-                "writes_nozero": counts["none"],
-                "rel_unmodified": 1.0,
-                "rel_nontemporal": counts["nontemporal"] / unmodified,
-                "rel_nozero": counts["none"] / unmodified,
-            })
-        return rows
-    return _memoised(("fig5", tuple(apps), num_nodes), build)
+        for strategy in ("temporal", "nontemporal"):
+            cfg = replace(base_config.with_zeroing(strategy),
+                          kernel=replace(base_config.kernel,
+                                         zeroing_strategy=strategy,
+                                         prezero_pool_pages=footprint_pages))
+            system = System(cfg, shredder=False,
+                            name=f"fig5-{app}-{strategy}")
+            system.run([powergraph_task(app, num_nodes=num_nodes)])
+            system.machine.hierarchy.flush_all()
+            counts[strategy] = system.machine.memory_write_count()
+        unmodified = max(counts["temporal"], 1)
+        rows.append({
+            "app": app,
+            "writes_temporal": counts["temporal"],
+            "writes_nontemporal": counts["nontemporal"],
+            "writes_nozero": counts["none"],
+            "rel_unmodified": 1.0,
+            "rel_nontemporal": counts["nontemporal"] / unmodified,
+            "rel_nozero": counts["none"] / unmodified,
+        })
+    return rows
 
 
 # ---------------------------------------------------------------------------

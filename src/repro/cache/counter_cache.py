@@ -14,7 +14,7 @@ propagated to the NVM counter region by the owning controller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from ..config import CacheConfig, CounterCacheConfig
 from .cache import CacheStats, SetAssociativeCache
@@ -116,8 +116,7 @@ class CounterCache:
         return [(page_id, sets[page_id % num_sets][page_id])
                 for page_id in sorted(self.lines.dirty)]
 
-    def flush(self, sink: Optional[Callable[[int, CounterBlock], None]]
-              = None) -> List[CounterEviction]:
+    def flush(self) -> List[CounterEviction]:
         """Mark every dirty entry clean, returning what was flushed.
 
         Models the battery-backed flush of the write-back counter cache
@@ -125,14 +124,7 @@ class CounterCache:
         shape as :meth:`invalidate`: a :class:`CounterEviction` per
         flushed block (``dirty=True`` — they were dirty when flushed),
         in ascending page order. The caller persists them.
-
-        The deprecated per-entry ``sink`` callable was removed; passing
-        one raises ``TypeError``.
         """
-        if sink is not None:
-            raise TypeError(
-                "CounterCache.flush(sink) was removed; call flush() and "
-                "persist the returned CounterEviction list instead")
         flushed = [CounterEviction(page_id=page_id, block=block, dirty=True)
                    for page_id, block in self.dirty_entries()]
         self.lines.dirty.clear()

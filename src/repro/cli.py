@@ -90,20 +90,18 @@ def _runner_context(args: argparse.Namespace):
 
     ``--backend SPEC`` picks any backend by spec string (grammar in
     :mod:`repro.exec.spec`); otherwise ``--jobs`` picks serial or a
-    local fork pool. On exit,
+    local fork pool. Both at once (``--jobs`` above 1) is a
+    :class:`~repro.errors.BackendError`, as in :class:`Runner`. On exit,
     ``--emit-metrics PATH`` writes the run's merged registry
     (simulation metrics folded in from every completed report, plus
     batch telemetry) and recorded spans as a JSON-lines dump.
     """
     from .obs import MetricsRegistry, default_tracer, write_jsonl
     metrics = MetricsRegistry()
-    if args.backend:
-        runner = Runner(backend=args.backend, use_cache=not args.no_cache,
-                        progress=_cli_progress, metrics=metrics)
-    else:
-        progress = _cli_progress if args.jobs > 1 else None
-        runner = Runner(jobs=args.jobs, use_cache=not args.no_cache,
-                        progress=progress, metrics=metrics)
+    progress = _cli_progress if args.backend or args.jobs > 1 else None
+    runner = Runner(jobs=args.jobs, backend=args.backend or None,
+                    use_cache=not args.no_cache, progress=progress,
+                    metrics=metrics)
     yield runner
     if args.emit_metrics:
         with open(args.emit_metrics, "w") as stream:

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..clock import resolve_time
 from ..config import SystemConfig
 from ..errors import AddressError, CipherError
 from ..mem import NVMDevice
@@ -134,23 +133,20 @@ class DeuceShredderController(SilentShredderController):
         epoch_plain = xor_bytes(ciphertext, epoch_pad)
         return self._splice(epoch_plain, lead_plain, state.mask)
 
-    def fetch_block(self, address: int, at=None, *,
-                    now_ns=None) -> AccessResult:
-        now = resolve_time(self.clock, at, now_ns)
+    def fetch_block(self, address: int, now_ns: float = 0.0) -> AccessResult:
         self._check_data_address(address)
         page_id = self.page_of(address)
         offset = self.offset_of(address)
-        counters, counter_latency, hit = self._probe_counters(page_id, now)
+        counters, counter_latency, hit = self._probe_counters(page_id, now_ns)
 
         if self.zero_semantics and counters.is_shredded(offset):
             self.stats.zero_fill_reads += 1
-            self.stats.read_requests += 1
-            self.stats.total_read_latency_ns += counter_latency
+            self.stats.record_read(counter_latency)
             return AccessResult(data=self._zero_block if self.functional else None,
                                 latency_ns=counter_latency, zero_filled=True,
                                 counter_hit=hit)
 
-        access = self.mem.read_block(address, now + counter_latency)
+        access = self.mem.read_block(address, now_ns + counter_latency)
         self.stats.data_reads += 1
         plaintext = None
         if self.functional:
@@ -162,23 +158,21 @@ class DeuceShredderController(SilentShredderController):
         latency = (counter_latency
                    + max(access.latency_ns, self._pad_latency_ns)
                    + self._xor_latency_ns)
-        self.stats.read_requests += 1
-        self.stats.total_read_latency_ns += latency
+        self.stats.record_read(latency)
         return AccessResult(data=plaintext, latency_ns=latency,
                             counter_hit=hit)
 
     def store_block(self, address: int, data: Optional[bytes] = None,
-                    at=None, *, now_ns=None) -> AccessResult:
-        now = resolve_time(self.clock, at, now_ns)
+                    now_ns: float = 0.0) -> AccessResult:
         if not self.functional or not self.encrypted:
             # Without real bytes DEUCE degenerates to the parent's path.
-            return super().store_block(address, data, now)
+            return super().store_block(address, data, now_ns)
         self._check_data_address(address)
         if data is None or len(data) != self.block_size:
             raise AddressError("functional store requires a full data block")
         page_id = self.page_of(address)
         offset = self.offset_of(address)
-        counters, counter_latency, hit = self._probe_counters(page_id, now)
+        counters, counter_latency, hit = self._probe_counters(page_id, now_ns)
 
         was_shredded = self.zero_semantics and counters.is_shredded(offset)
         old_plaintext = None
@@ -194,7 +188,7 @@ class DeuceShredderController(SilentShredderController):
                 self._line_state.pop(page_id * self.page_size
                                      + line_offset * self.block_size, None)
             latency = self._reencrypt_page(page_id, counters,
-                                           {offset: data}, now)
+                                           {offset: data}, now_ns)
             self.stats.reencryptions += 1
             return AccessResult(data=None,
                                 latency_ns=counter_latency + latency,
@@ -229,9 +223,9 @@ class DeuceShredderController(SilentShredderController):
 
         pad_ns = self._pad_latency_ns + self._xor_latency_ns
         access = self.mem.write_block(address, ciphertext,
-                                      now + counter_latency + pad_ns)
+                                      now_ns + counter_latency + pad_ns)
         self.stats.data_writes += 1
-        counter_update_ns = self._counters_updated(page_id, counters, now)
+        counter_update_ns = self._counters_updated(page_id, counters, now_ns)
         latency = counter_latency + pad_ns + access.latency_ns + counter_update_ns
         return AccessResult(data=None, latency_ns=latency, counter_hit=hit)
 

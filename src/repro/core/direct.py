@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..clock import resolve_time
 from ..config import SystemConfig
+from ..crypto import ecb_transform, require_invertible
 from ..errors import AddressError
 from ..mem import NVMDevice
 from .secure_memory import AccessResult, SecureMemoryController
@@ -34,62 +34,40 @@ class DirectEncryptionController(SecureMemoryController):
         # No IVs exist in this design, so counter integrity is moot.
         self.merkle = None
         if config.functional and self.encrypted:
-            # Direct encryption must invert the cipher (counter mode
-            # never does); the fast pad-only cipher cannot be used here.
-            from ..errors import CipherError, ConfigError
-            try:
-                probe = self.engine.cipher.encrypt_block(bytes(16))
-                self.engine.cipher.decrypt_block(probe)
-            except CipherError as error:
-                raise ConfigError(
-                    "direct encryption requires an invertible cipher "
-                    "(use cipher='aes' or 'null'): " + str(error))
+            require_invertible(self.engine.cipher, "direct encryption")
         cycle_ns = config.cpu.cycle_ns
         # The full cipher latency (not just an XOR) serialises with the
         # fetch; reuse the pad-generation figure as the AES pipeline
         # latency.
         self._cipher_latency_ns = config.encryption.pad_latency_cycles * cycle_ns
 
-    def _ecb_transform(self, data: bytes, *, encrypt: bool) -> bytes:
-        cipher = self.engine.cipher
-        out = bytearray()
-        step = cipher.block_size
-        for start in range(0, len(data), step):
-            chunk = data[start:start + step]
-            out.extend(cipher.encrypt_block(chunk) if encrypt
-                       else cipher.decrypt_block(chunk))
-        return bytes(out)
-
-    def fetch_block(self, address: int, at=None, *,
-                    now_ns=None) -> AccessResult:
+    def fetch_block(self, address: int, now_ns: float = 0.0) -> AccessResult:
         """LLC miss: fetch then decrypt — latencies add, never overlap."""
-        now = resolve_time(self.clock, at, now_ns)
         self._check_data_address(address)
-        access = self.mem.read_block(address, now)
+        access = self.mem.read_block(address, now_ns)
         self.stats.data_reads += 1
         plaintext = None
         if self.functional:
             raw = access.data
-            plaintext = self._ecb_transform(raw, encrypt=False) \
-                if self.encrypted and raw != bytes(self.block_size) else raw
+            plaintext = (ecb_transform(self.engine.cipher, raw, encrypt=False)
+                         if self.encrypted and raw != bytes(self.block_size)
+                         else raw)
         latency = access.latency_ns + self._cipher_latency_ns
-        self.stats.read_requests += 1
-        self.stats.total_read_latency_ns += latency
+        self.stats.record_read(latency)
         return AccessResult(data=plaintext, latency_ns=latency,
                             counter_hit=True)
 
     def store_block(self, address: int, data: Optional[bytes] = None,
-                    at=None, *, now_ns=None) -> AccessResult:
-        now = resolve_time(self.clock, at, now_ns)
+                    now_ns: float = 0.0) -> AccessResult:
         self._check_data_address(address)
         if self.functional and (data is None or len(data) != self.block_size):
             raise AddressError("functional store requires a full data block")
         ciphertext = None
         if self.functional:
-            ciphertext = self._ecb_transform(data, encrypt=True) \
-                if self.encrypted else data
+            ciphertext = (ecb_transform(self.engine.cipher, data, encrypt=True)
+                          if self.encrypted else data)
         access = self.mem.write_block(address, ciphertext,
-                                      now + self._cipher_latency_ns)
+                                      now_ns + self._cipher_latency_ns)
         self.stats.data_writes += 1
         latency = self._cipher_latency_ns + access.latency_ns
         return AccessResult(data=None, latency_ns=latency)

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
-from ..clock import resolve_time
 from ..config import SystemConfig
-from ..errors import AddressError, CipherError, ConfigError
+from ..crypto import ecb_transform, require_invertible
+from ..errors import AddressError
 from ..mem import NVMDevice
 from .secure_memory import AccessResult, SecureMemoryController
 
@@ -43,13 +43,7 @@ class INVMMController(SecureMemoryController):
         super().__init__(config, device=device)
         self.merkle = None                      # no counters to protect
         if config.functional and self.encrypted:
-            try:
-                probe = self.engine.cipher.encrypt_block(bytes(16))
-                self.engine.cipher.decrypt_block(probe)
-            except CipherError as error:
-                raise ConfigError("i-NVMM seals pages with an invertible "
-                                  "cipher (use 'aes' or 'null'): "
-                                  + str(error))
+            require_invertible(self.engine.cipher, "i-NVMM")
         self.cold_after_accesses = cold_after_accesses
         self._access_clock = 0
         self._last_access: Dict[int, int] = {}
@@ -61,23 +55,14 @@ class INVMMController(SecureMemoryController):
 
     # -- sealing machinery -------------------------------------------------------
 
-    def _ecb(self, data: bytes, *, encrypt: bool) -> bytes:
-        cipher = self.engine.cipher
-        out = bytearray()
-        for start in range(0, len(data), cipher.block_size):
-            chunk = data[start:start + cipher.block_size]
-            out.extend(cipher.encrypt_block(chunk) if encrypt
-                       else cipher.decrypt_block(chunk))
-        return bytes(out)
-
     def _transform_page(self, page_id: int, *, encrypt: bool) -> None:
         """Re-write every block of a page through the DIMM-side engine."""
         base = page_id * self.page_size
         for offset in range(0, self.page_size, self.block_size):
             raw = self.device.peek(base + offset)
             if self.functional and self.encrypted:
-                self.device.poke(base + offset,
-                                 self._ecb(raw, encrypt=encrypt))
+                self.device.poke(base + offset, ecb_transform(
+                    self.engine.cipher, raw, encrypt=encrypt))
             # Sealing programs cells: account the wear and energy.
             self.device.stats.record_write(self.block_size,
                                            self.block_size * 4,
@@ -121,30 +106,26 @@ class INVMMController(SecureMemoryController):
 
     # -- data path ------------------------------------------------------------------
 
-    def fetch_block(self, address: int, at=None, *,
-                    now_ns=None) -> AccessResult:
-        now = resolve_time(self.clock, at, now_ns)
+    def fetch_block(self, address: int, now_ns: float = 0.0) -> AccessResult:
         self._check_data_address(address)
         page_id = self.page_of(address)
-        unseal_ns = self._touch(page_id, now)
-        access = self.mem.read_block(address, now + unseal_ns)
+        unseal_ns = self._touch(page_id, now_ns)
+        access = self.mem.read_block(address, now_ns + unseal_ns)
         self.stats.data_reads += 1
         latency = unseal_ns + access.latency_ns
-        self.stats.read_requests += 1
-        self.stats.total_read_latency_ns += latency
+        self.stats.record_read(latency)
         return AccessResult(data=access.data, latency_ns=latency,
                             counter_hit=True)
 
     def store_block(self, address: int, data: Optional[bytes] = None,
-                    at=None, *, now_ns=None) -> AccessResult:
-        now = resolve_time(self.clock, at, now_ns)
+                    now_ns: float = 0.0) -> AccessResult:
         self._check_data_address(address)
         if self.functional and (data is None or len(data) != self.block_size):
             raise AddressError("functional store requires a full data block")
         page_id = self.page_of(address)
-        unseal_ns = self._touch(page_id, now)
+        unseal_ns = self._touch(page_id, now_ns)
         # Hot pages hold plaintext: the bus and cells both see it.
-        access = self.mem.write_block(address, data, now + unseal_ns)
+        access = self.mem.write_block(address, data, now_ns + unseal_ns)
         self.stats.data_writes += 1
         return AccessResult(data=None, latency_ns=unseal_ns + access.latency_ns)
 

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..clock import DEFAULT_LATENCY_BUCKETS_NS, SimClock, resolve_time
+from ..clock import DEFAULT_LATENCY_BUCKETS_NS
 from ..config import SystemConfig
 from ..crypto import CounterModeEngine, make_cipher
 from ..errors import AddressError
@@ -96,22 +96,12 @@ class AccessResult:
 
 @dataclass
 class CounterFetch:
-    """Outcome of one counter-cache probe (:meth:`get_counters`).
-
-    Replaces the old bare-tuple returns. The tuple-unpacking
-    compatibility protocol went through its DeprecationWarning cycle
-    and is now removed — use the named fields ``.counters``,
-    ``.latency_ns`` and ``.hit`` (docs/API.md).
-    """
+    """Outcome of one counter-cache probe (:meth:`get_counters`), read
+    through its named fields."""
 
     counters: CounterBlock
     latency_ns: float
     hit: bool = True
-
-    def __iter__(self) -> Iterator[object]:
-        raise TypeError(
-            "tuple-unpacking a CounterFetch was removed; use the named "
-            "fields .counters / .latency_ns / .hit")
 
 
 class SecureMemoryController:
@@ -122,13 +112,11 @@ class SecureMemoryController:
 
     def __init__(self, config: SystemConfig, *,
                  device: Optional[NVMDevice] = None,
-                 events: Optional[EventRecorder] = None,
-                 clock: Optional[SimClock] = None) -> None:
+                 events: Optional[EventRecorder] = None) -> None:
         self.config = config
         # The flight recorder (injected, never imported): security-
         # relevant transitions land here in sim order.
         self.events = events
-        self.clock = clock if clock is not None else SimClock()
         self.block_size = config.block_size
         self.page_size = config.kernel.page_size
         self.blocks_per_page = config.blocks_per_page
@@ -161,8 +149,7 @@ class SecureMemoryController:
                 _device.poke(dst_line * _bs, _device.peek(src_line * _bs))
             wear_leveler.move_hook = _move
         self.mem = MemoryController.for_nvm(device, config.nvm,
-                                            wear_leveler=wear_leveler,
-                                            clock=self.clock)
+                                            wear_leveler=wear_leveler)
 
         self.minor_bits = config.encryption.minor_counter_bits
         self.encrypted = config.encryption.enabled
@@ -258,17 +245,16 @@ class SecureMemoryController:
         return (counters, self._counter_latency_ns
                 + (access.latency_ns + self._merkle_latency_ns), False)
 
-    def get_counters(self, page_id: int, at: Optional[float] = None, *,
-                     now_ns: Optional[float] = None) -> CounterFetch:
+    def get_counters(self, page_id: int,
+                     now_ns: float = 0.0) -> CounterFetch:
         """Probe the counter cache for a page's :class:`CounterFetch`.
 
         Serves from the counter cache when possible; otherwise loads from
-        NVM, fills the cache and handles any dirty eviction.
+        NVM at ``now_ns``, fills the cache and handles any dirty eviction.
         """
-        now = resolve_time(self.clock, at, now_ns)
         if page_id < 0 or page_id >= self.num_pages:
             raise AddressError(f"page id {page_id} out of range")
-        return CounterFetch(*self._probe_counters(page_id, now))
+        return CounterFetch(*self._probe_counters(page_id, now_ns))
 
     def _counters_updated(self, page_id: int, counters: CounterBlock,
                           now_ns: float) -> float:
@@ -283,31 +269,29 @@ class SecureMemoryController:
 
     # -- data path -----------------------------------------------------------------
 
-    def fetch_block(self, address: int, at: Optional[float] = None, *,
-                    now_ns: Optional[float] = None) -> AccessResult:
-        """Serve an LLC miss: decrypt (or zero-fill) one data block."""
-        if at is None or now_ns is not None:
-            at = resolve_time(self.clock, at, now_ns)
+    def fetch_block(self, address: int, now_ns: float = 0.0) -> AccessResult:
+        """Serve an LLC miss at ``now_ns``: decrypt (or zero-fill) one data
+        block."""
         block_size = self.block_size
         if (address < 0 or address + block_size > self.data_capacity
                 or address % block_size):
             self._check_data_address(address)
         page_id = address // self.page_size
         offset = address % self.page_size // block_size
-        counters, counter_latency, hit = self._probe_counters(page_id, at)
+        counters, counter_latency, hit = self._probe_counters(page_id, now_ns)
         stats = self.stats
 
         if self.zero_semantics and counters.minors[offset] == MINOR_SHREDDED:
             # Figure 7, step 3b: the minor counter is zero, so no NVM
             # access happens; a zero-filled block goes straight up.
             if self.events is not None:
-                self.events.emit("zero_fill", page_id, at)
+                self.events.emit("zero_fill", page_id, now_ns)
             stats.zero_fill_reads += 1
             latency = counter_latency
             data = self._zero_block if self.functional else None
             zero_filled = True
         else:
-            access = self.mem.read_block(address, at + counter_latency)
+            access = self.mem.read_block(address, now_ns + counter_latency)
             stats.data_reads += 1
             data = None
             if self.functional:
@@ -325,11 +309,9 @@ class SecureMemoryController:
         return AccessResult(data, latency, zero_filled, hit)
 
     def store_block(self, address: int, data: Optional[bytes] = None,
-                    at: Optional[float] = None, *,
-                    now_ns: Optional[float] = None) -> AccessResult:
-        """Write back one data block: bump minor, encrypt, write NVM."""
-        if at is None or now_ns is not None:
-            at = resolve_time(self.clock, at, now_ns)
+                    now_ns: float = 0.0) -> AccessResult:
+        """Write back one data block at ``now_ns``: bump minor, encrypt,
+        write NVM."""
         block_size = self.block_size
         if (address < 0 or address + block_size > self.data_capacity
                 or address % block_size):
@@ -338,20 +320,20 @@ class SecureMemoryController:
             raise AddressError("functional store requires a full data block")
         page_id = address // self.page_size
         offset = address % self.page_size // block_size
-        counters, counter_latency, hit = self._probe_counters(page_id, at)
+        counters, counter_latency, hit = self._probe_counters(page_id, now_ns)
 
         if self.events is not None and self.zero_semantics \
                 and counters.minors[offset] == MINOR_SHREDDED:
             # First write into a shredded block: it stops reading as
             # zero from here on (the bump below takes the minor 0 -> 1).
-            self.events.emit("shredded_writeback", page_id, at,
+            self.events.emit("shredded_writeback", page_id, now_ns,
                              block=offset)
         if counters.bump_minor(offset):
             if self.events is not None:
-                self.events.emit("minor_overflow", page_id, at,
+                self.events.emit("minor_overflow", page_id, now_ns,
                                  block=offset)
             latency = self._reencrypt_page(page_id, counters,
-                                           {offset: data}, at)
+                                           {offset: data}, now_ns)
             self.stats.reencryptions += 1
             return AccessResult(None, counter_latency + latency, False, hit,
                                 True)
@@ -364,9 +346,9 @@ class SecureMemoryController:
                     data, self._iv(page_id, offset, counters))
         pad_ns = self._pad_latency_ns + self._xor_latency_ns
         access = self.mem.write_block(address, ciphertext,
-                                      at + counter_latency + pad_ns)
+                                      now_ns + counter_latency + pad_ns)
         self.stats.data_writes += 1
-        counter_update_ns = self._counters_updated(page_id, counters, at)
+        counter_update_ns = self._counters_updated(page_id, counters, now_ns)
         latency = counter_latency + pad_ns + access.latency_ns + counter_update_ns
         return AccessResult(None, latency, False, hit)
 
@@ -433,12 +415,12 @@ class SecureMemoryController:
 
     # -- persistence ------------------------------------------------------------------
 
-    def flush_counters(self) -> int:
-        """Battery-backed flush: persist every dirty counter block."""
+    def flush_counters(self, now_ns: float = 0.0) -> int:
+        """Battery-backed flush: persist every dirty counter block at
+        ``now_ns``."""
         flushed = self.counter_cache.flush()
         for eviction in flushed:
-            self._persist_counters(eviction.page_id, eviction.block,
-                                   self.clock.now_ns)
+            self._persist_counters(eviction.page_id, eviction.block, now_ns)
         return len(flushed)
 
     def power_cycle(self) -> None:

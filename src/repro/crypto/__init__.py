@@ -13,7 +13,8 @@ paper). The cipher is pluggable:
   constant) matters.
 """
 
-from .cipher import BlockCipher, NullCipher, XorShiftCipher, make_cipher
+from .cipher import (BlockCipher, NullCipher, XorShiftCipher, ecb_transform,
+                     make_cipher, require_invertible)
 from .aes import AES128
 from .ctr import CounterModeEngine, xor_bytes
 
@@ -23,6 +24,8 @@ __all__ = [
     "CounterModeEngine",
     "NullCipher",
     "XorShiftCipher",
+    "ecb_transform",
     "make_cipher",
+    "require_invertible",
     "xor_bytes",
 ]

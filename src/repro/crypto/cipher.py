@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 import struct
 
-from ..errors import CipherError
+from ..errors import CipherError, ConfigError
 
 _MASK64 = (1 << 64) - 1
 
@@ -114,3 +114,30 @@ def make_cipher(name: str, key: bytes) -> BlockCipher:
     if name == "null":
         return NullCipher(key)
     raise CipherError(f"unknown cipher {name!r}")
+
+
+def ecb_transform(cipher: BlockCipher, data: bytes, *,
+                  encrypt: bool) -> bytes:
+    """Run ``cipher`` over ``data`` one cipher block at a time (ECB).
+
+    Direct encryption and i-NVMM's DIMM-side sealing apply the block
+    cipher to the data itself, so equal blocks give equal ciphertext.
+    """
+    transform = cipher.encrypt_block if encrypt else cipher.decrypt_block
+    step = cipher.block_size
+    return b"".join(transform(data[start:start + step])
+                    for start in range(0, len(data), step))
+
+
+def require_invertible(cipher: BlockCipher, design: str) -> None:
+    """Raise :class:`ConfigError` unless ``cipher`` can decrypt.
+
+    A design that encrypts the data itself (``design`` names it in the
+    message) must invert the cipher, which counter mode never does, so
+    the pad-only :class:`XorShiftCipher` cannot serve it.
+    """
+    try:
+        cipher.decrypt_block(cipher.encrypt_block(bytes(cipher.block_size)))
+    except CipherError as error:
+        raise ConfigError(f"{design} requires an invertible cipher "
+                          f"(use cipher='aes' or 'null'): {error}") from error

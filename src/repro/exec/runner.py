@@ -15,18 +15,15 @@ byte-identical reports whatever backend runs it.
 Progress is reported through :class:`ProgressEvent` values carrying
 ``completed``, ``total``, ``label`` and a ``source`` telling where the
 event came from (``"cache"`` hit, ``"worker"`` completion, or a
-cluster ``"retry"``). Legacy three-argument ``(completed, total,
-label)`` callbacks are still accepted through a deprecation shim.
+cluster ``"retry"``); a progress callback takes that one event.
 """
 
 from __future__ import annotations
 
 import inspect
 import time
-import warnings
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Union)
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from ..errors import ExperimentError
 from ..obs import DEFAULT_DURATION_BUCKETS_NS, MetricsRegistry, span
@@ -34,9 +31,6 @@ from ..sim.system import SystemReport
 from .backends import ExecutionBackend, resolve_backend
 from .cache import ResultCache, default_cache
 from .experiment import Experiment
-
-#: legacy progress callback: (completed, total, experiment label)
-ProgressFn = Callable[[int, int, str], None]
 
 #: where a progress event originated
 PROGRESS_SOURCES = ("cache", "worker", "retry")
@@ -66,51 +60,23 @@ class ProgressEvent:
                 f"expected one of {PROGRESS_SOURCES}")
 
 
-#: new-style progress callback: one ProgressEvent argument
+#: progress callback: one ProgressEvent argument
 ProgressEventFn = Callable[[ProgressEvent], None]
 
 
-def _coerce_progress(progress: Optional[Union[ProgressEventFn, ProgressFn]],
-                     ) -> Optional[ProgressEventFn]:
-    """Accept both callback generations, shimming the legacy one.
-
-    A callable taking one positional argument is treated as the
-    new-style :class:`ProgressEvent` consumer; one taking three is the
-    deprecated ``(completed, total, label)`` form and gets adapted
-    (with a ``DeprecationWarning``). Anything else is rejected
-    eagerly, before a batch burns simulation time.
-    """
+def _check_progress(progress: Optional[ProgressEventFn]) -> None:
+    """Reject, before a batch burns simulation time, a callback that
+    cannot take exactly one positional :class:`ProgressEvent`."""
     if progress is None:
-        return None
+        return
     try:
-        signature = inspect.signature(progress)
-        required = [
-            parameter for parameter in signature.parameters.values()
-            if parameter.kind in (parameter.POSITIONAL_ONLY,
-                                  parameter.POSITIONAL_OR_KEYWORD)
-            and parameter.default is parameter.empty
-        ]
-        has_var_positional = any(
-            parameter.kind == parameter.VAR_POSITIONAL
-            for parameter in signature.parameters.values())
-        arity = len(required)
-    except (TypeError, ValueError):     # builtins without signatures
-        return progress     # assume new-style; it will fail loudly if not
-    if arity == 1 or (arity < 1 and has_var_positional):
-        return progress
-    if arity == 3:
-        warnings.warn(
-            "three-argument progress callbacks (completed, total, label) "
-            "are deprecated; take a single repro.exec.ProgressEvent "
-            "instead (it adds .source)", DeprecationWarning, stacklevel=3)
-
-        def shim(event: ProgressEvent, _legacy: ProgressFn = progress) -> None:
-            _legacy(event.completed, event.total, event.label)
-
-        return shim
-    raise ExperimentError(
-        f"progress callback must take 1 argument (ProgressEvent) or the "
-        f"legacy 3 (completed, total, label); {progress!r} takes {arity}")
+        inspect.signature(progress).bind(None)
+    except ValueError:      # a builtin without a signature: fails on use
+        return
+    except TypeError as error:
+        raise ExperimentError(
+            f"progress callback must take one ProgressEvent argument; "
+            f"{progress!r} cannot: {error}") from None
 
 
 class Runner:
@@ -138,8 +104,8 @@ class Runner:
         Optional callback receiving :class:`ProgressEvent` values.
         Completion events (``"cache"``/``"worker"``) fire once per
         unique experiment; ``"retry"`` events may fire any number of
-        times. Legacy ``(completed, total, label)`` callables are
-        adapted with a ``DeprecationWarning``.
+        times. A callable that cannot take exactly one positional
+        argument raises :class:`~repro.errors.ExperimentError` here.
     metrics:
         A :class:`~repro.obs.MetricsRegistry` accumulating batch
         telemetry: process-local ``exec.batch.*`` / ``exec.cache.*`` /
@@ -152,15 +118,15 @@ class Runner:
                  backend: Optional[Union[ExecutionBackend, str]] = None,
                  cache: Optional[ResultCache] = None,
                  use_cache: bool = True,
-                 progress: Optional[Union[ProgressEventFn,
-                                          ProgressFn]] = None,
+                 progress: Optional[ProgressEventFn] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.backend = resolve_backend(jobs, backend)
         self.jobs = int(jobs)
         self.cache: Optional[ResultCache] = None
         if use_cache:
             self.cache = cache if cache is not None else default_cache()
-        self.progress = _coerce_progress(progress)
+        _check_progress(progress)
+        self.progress = progress
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if self.cache is not None:
             self.cache.bind_metrics(self.metrics, prefix="exec.cache")
@@ -273,8 +239,7 @@ def run_experiments(experiments: Iterable[Experiment], *, jobs: int = 1,
                     backend: Optional[Union[ExecutionBackend, str]] = None,
                     use_cache: bool = True,
                     cache: Optional[ResultCache] = None,
-                    progress: Optional[Union[ProgressEventFn,
-                                             ProgressFn]] = None,
+                    progress: Optional[ProgressEventFn] = None,
                     ) -> List[SystemReport]:
     """One-shot form of :meth:`Runner.run`."""
     runner = Runner(jobs=jobs, backend=backend, cache=cache,

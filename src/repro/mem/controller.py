@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..clock import SimClock, resolve_time
 from ..config import NVMConfig
 from ..errors import AddressError
 from .channel import ChannelModel
@@ -37,10 +36,8 @@ class MemoryController:
 
     def __init__(self, device: MemoryDevice, *,
                  num_channels: int = 2, channel_bandwidth_gbps: float = 12.8,
-                 wear_leveler: Optional[StartGapWearLeveler] = None,
-                 clock: Optional[SimClock] = None) -> None:
+                 wear_leveler: Optional[StartGapWearLeveler] = None) -> None:
         self.device = device
-        self.clock = clock if clock is not None else SimClock()
         self.block_size = device.block_size
         self.channels = ChannelModel(num_channels, channel_bandwidth_gbps,
                                      device.block_size)
@@ -56,12 +53,11 @@ class MemoryController:
     @classmethod
     def for_nvm(cls, device: MemoryDevice, config: NVMConfig, *,
                 wear_leveler: Optional[StartGapWearLeveler] = None,
-                clock: Optional[SimClock] = None) -> "MemoryController":
+                ) -> "MemoryController":
         return cls(device,
                    num_channels=config.num_channels,
                    channel_bandwidth_gbps=config.channel_bandwidth_gbps,
-                   wear_leveler=wear_leveler,
-                   clock=clock)
+                   wear_leveler=wear_leveler)
 
     # -- address remapping -------------------------------------------------
 
@@ -73,20 +69,18 @@ class MemoryController:
 
     # -- transactions --------------------------------------------------------
 
-    def read_block(self, address: int, at: Optional[float] = None, *,
-                   now_ns: Optional[float] = None) -> RawAccess:
-        """Read one block; returns data plus end-to-end latency."""
-        if at is None or now_ns is not None:
-            at = resolve_time(self.clock, at, now_ns)
+    def read_block(self, address: int, now_ns: float = 0.0) -> RawAccess:
+        """Read one block at ``now_ns``; returns data plus end-to-end
+        latency."""
         physical = (address if self.wear_leveler is None
                     else self._physical_address(address))
         device = self.device
         data = device.read_block(physical)
         for snooper in self.snoopers:
             snooper.observe("read", address, data)
-        finish = self.channels.request(address, at, device.read_latency_ns,
-                                       is_read=True)
-        latency = finish - at
+        finish = self.channels.request(address, now_ns,
+                                       device.read_latency_ns, is_read=True)
+        latency = finish - now_ns
         stats = self.stats
         stats.reads += 1
         stats.bytes_read += self.block_size
@@ -95,11 +89,9 @@ class MemoryController:
         return RawAccess(data, latency, finish)
 
     def write_block(self, address: int, data: Optional[bytes] = None,
-                    at: Optional[float] = None, *,
-                    now_ns: Optional[float] = None) -> RawAccess:
-        """Write one block; returns the write's end-to-end latency."""
-        if at is None or now_ns is not None:
-            at = resolve_time(self.clock, at, now_ns)
+                    now_ns: float = 0.0) -> RawAccess:
+        """Write one block at ``now_ns``; returns the write's end-to-end
+        latency."""
         physical = (address if self.wear_leveler is None
                     else self._physical_address(address))
         for snooper in self.snoopers:
@@ -108,9 +100,9 @@ class MemoryController:
         bits = device.write_block(physical, data)
         if self.wear_leveler is not None:
             self.wear_leveler.record_write(address // self.block_size)
-        finish = self.channels.request(address, at, device.write_latency_ns,
-                                       is_read=False)
-        latency = finish - at
+        finish = self.channels.request(address, now_ns,
+                                       device.write_latency_ns, is_read=False)
+        latency = finish - now_ns
         stats = self.stats
         stats.writes += 1
         stats.bytes_written += self.block_size

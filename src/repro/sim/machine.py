@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..clock import SimClock
 from ..config import SystemConfig
 from ..core import (SecureMemoryController, ShredRegister,
                     SilentShredderController)
@@ -26,19 +25,16 @@ class Machine:
     """Hardware assembly at the physical-address level."""
 
     def __init__(self, config: SystemConfig, *, shredder: bool = True,
-                 policy: Optional[ShredPolicy] = None, events=None,
-                 clock: Optional[SimClock] = None) -> None:
+                 policy: Optional[ShredPolicy] = None, events=None) -> None:
         self.config = config
         self.functional = config.functional
         self.block_size = config.block_size
         self.events = events
-        self.clock = clock if clock is not None else SimClock()
         if shredder:
             self.controller: SecureMemoryController = SilentShredderController(
-                config, policy=policy, events=events, clock=self.clock)
+                config, policy=policy, events=events)
         else:
-            self.controller = SecureMemoryController(config, events=events,
-                                                     clock=self.clock)
+            self.controller = SecureMemoryController(config, events=events)
         self.hierarchy = CacheHierarchy(config, self.controller.fetch_block,
                                         self.controller.store_block)
         self.shred_register: Optional[ShredRegister] = None

@@ -133,10 +133,6 @@ class System:
     def shredder_enabled(self) -> bool:
         return self.machine.has_shredder
 
-    @property
-    def clock(self):
-        return self.machine.clock
-
     # -- task plumbing -----------------------------------------------------------
 
     def new_context(self, core_id: int) -> ExecutionContext:

@@ -1,18 +1,22 @@
 """The analysis layer: figure builders and table rendering."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import (ablation_policies, fig12_counter_cache_sweep,
-                            fig4_memset, render_table, table2_mechanisms)
-from repro.analysis.figures import clear_memo, study_summary, fig8_to_11_study
-from repro.config import bench_config
+                            fig4_memset, fig5_zeroing_writes, render_table,
+                            table2_mechanisms)
+from repro.analysis.figures import study_summary, fig8_to_11_study
+from repro.config import KB, bench_config
+from repro.exec.cache import default_cache
 
 
 @pytest.fixture(autouse=True)
-def fresh_memo():
-    clear_memo()
+def fresh_memory_cache():
+    default_cache().clear_memory()
     yield
-    clear_memo()
+    default_cache().clear_memory()
 
 
 SMALL = dict(config=None)
@@ -27,10 +31,19 @@ class TestFig4:
             assert row["first_memset_ns"] > row["second_memset_ns"]
             assert 0 < row["kernel_fraction"] < 1
 
-    def test_memoised(self):
-        a = fig4_memset([256 * 1024])
-        b = fig4_memset([256 * 1024])
-        assert a is b
+
+class TestFig5:
+    def test_each_config_gets_its_own_rows(self):
+        config = bench_config()
+        big_pages = replace(config, kernel=replace(config.kernel,
+                                                   page_size=8 * KB))
+        rows = fig5_zeroing_writes(["PAGERANK"], num_nodes=200,
+                                   config=config)
+        big_rows = fig5_zeroing_writes(["PAGERANK"], num_nodes=200,
+                                       config=big_pages)
+        assert big_rows[0]["writes_temporal"] != rows[0]["writes_temporal"]
+        assert fig5_zeroing_writes(["PAGERANK"], num_nodes=200,
+                                   config=config) == rows
 
 
 class TestStudy:

@@ -339,6 +339,26 @@ class TestFlagSurface:
                      "--backend", "serial"]) == 0
         assert "HMMER" in capsys.readouterr().out
 
+    def test_backend_with_jobs_is_a_clean_exit(self, capsys):
+        """``--backend`` and ``--jobs N`` contradict each other, as in
+        ``Runner``: the run is refused instead of silently serial."""
+        assert main(["compare", "--benchmark", "HMMER", "--scale", "0.1",
+                     "--cores", "1", "--no-cache", "--backend", "serial",
+                     "--jobs", "4"]) == 1
+        captured = capsys.readouterr()
+        assert "error: pass either jobs=N or backend=..., not both" \
+            in captured.err
+        assert captured.out == ""
+
+    def test_progress_goes_to_stderr_with_a_backend_or_jobs(self):
+        from repro.cli import _cli_progress, _runner_context
+        for flags, progress in ((["--backend", "serial"], _cli_progress),
+                                (["--jobs", "2"], _cli_progress),
+                                ([], None)):
+            args = build_parser().parse_args(["compare", *flags])
+            with _runner_context(args) as runner:
+                assert runner.progress is progress
+
     def test_bad_backend_spec_is_a_clean_exit(self, capsys):
         assert main(["compare", "--benchmark", "HMMER",
                      "--backend", "warp-drive"]) == 1

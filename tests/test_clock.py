@@ -1,87 +1,47 @@
-"""SimClock, the ``at=`` time contract, and CounterFetch results."""
+"""The ``now_ns`` time contract and CounterFetch results."""
 
-import pytest
-
-from repro.clock import SimClock, resolve_time
 from repro.core.secure_memory import CounterFetch, SecureMemoryController
-from repro.sim import Machine
 
 
-class TestSimClock:
-    def test_starts_at_zero_and_advances(self):
-        clock = SimClock()
-        assert clock.now_ns == 0.0
-        assert clock.advance(125.0) == 125.0
-        assert clock.now_ns == 125.0
-
-    def test_cannot_move_backwards(self):
-        clock = SimClock(now_ns=10.0)
-        with pytest.raises(ValueError, match="backwards"):
-            clock.advance(-1.0)
-
-    def test_advance_to_only_ratchets_forward(self):
-        clock = SimClock(now_ns=100.0)
-        assert clock.advance_to(50.0) == 100.0     # no rewind
-        assert clock.advance_to(200.0) == 200.0
-
-    def test_reset(self):
-        clock = SimClock(now_ns=42.0)
-        clock.reset()
-        assert clock.now_ns == 0.0
-
-
-class TestResolveTime:
-    def test_precedence_clock_then_at(self):
-        clock = SimClock(now_ns=7.0)
-        assert resolve_time(clock, None, None) == 7.0
-        assert resolve_time(clock, 3.0, None) == 3.0
-        assert resolve_time(None, None, None) == 0.0
-
-    def test_now_ns_keyword_removed(self):
-        with pytest.raises(TypeError, match="now_ns= keyword was removed"):
-            resolve_time(SimClock(now_ns=7.0), 3.0, 9.0)
-
-
-def issue_times(controller):
-    """Spy on the NVM datapath: times at which reads reach the device."""
+def issue_times(controller, kind="read"):
+    """Spy on the NVM datapath: the times at which ``kind`` ("read" or
+    "write") transactions reach the memory controller."""
     times = []
-    original = controller.mem.read_block
+    original = getattr(controller.mem, f"{kind}_block")
 
-    def spy(address, at=0.0, *args, **kwargs):
-        times.append(at)
-        return original(address, at, *args, **kwargs)
+    def spy(address, *args):
+        times.append(args[-1])          # the secure controller passes it
+        return original(address, *args)
 
-    controller.mem.read_block = spy
+    setattr(controller.mem, f"{kind}_block", spy)
     return times
 
 
-class TestControllerTimeSources:
-    def test_datapath_uses_carried_clock(self, tiny_config):
-        controller = SecureMemoryController(tiny_config,
-                                            clock=SimClock(now_ns=500.0))
-        times = issue_times(controller)
-        controller.fetch_block(0)
-        assert times and all(t >= 500.0 for t in times)
-
-    def test_explicit_at_overrides_clock(self, tiny_config):
-        controller = SecureMemoryController(tiny_config,
-                                            clock=SimClock(now_ns=500.0))
+class TestTimeContract:
+    def test_nvm_read_issued_at_now_ns(self, tiny_config):
+        controller = SecureMemoryController(tiny_config)
+        page = controller.page_size
         times = issue_times(controller)
         controller.fetch_block(0, 100.0)
-        assert times and all(100.0 <= t < 500.0 for t in times)
+        controller.fetch_block(page, now_ns=200.0)
+        controller.fetch_block(2 * page)            # time left out
+        # Each first touch reads its counter block at the transaction's
+        # time, then the data block once the counters are known.
+        assert times[0::2] == [100.0, 200.0, 0.0]
+        assert all(data > counters
+                   for counters, data in zip(times[0::2], times[1::2]))
 
-    def test_now_ns_keyword_raises_with_migration_message(self, tiny_config):
+    def test_flush_counters_persists_at_now_ns(self, tiny_config):
         controller = SecureMemoryController(tiny_config)
-        with pytest.raises(TypeError, match="now_ns= keyword was removed"):
-            controller.fetch_block(0, now_ns=100.0)
-        with pytest.raises(TypeError, match="at"):
-            controller.store_block(64, bytes(64), now_ns=200.0)
-
-    def test_machine_shares_one_clock(self, tiny_config):
-        machine = Machine(tiny_config, shredder=True)
-        assert machine.controller.clock is machine.clock
-        machine.clock.advance(99.0)
-        assert machine.controller.clock.now_ns == 99.0
+        controller.store_block(0, bytes(64), 10.0)
+        controller.store_block(controller.page_size, bytes(64), 20.0)
+        times = issue_times(controller, "write")
+        assert controller.flush_counters(300.0) == 2
+        assert times == [300.0, 300.0]
+        controller.store_block(0, bytes(64), 30.0)
+        times.clear()
+        assert controller.flush_counters() == 1     # time left out
+        assert times == [0.0]
 
 
 class TestCounterFetch:
@@ -92,11 +52,3 @@ class TestCounterFetch:
         assert fetch.counters is not None
         assert fetch.latency_ns > 0
         assert fetch.hit is False      # first touch misses
-
-    def test_legacy_tuple_unpacking_removed(self, tiny_config):
-        controller = SecureMemoryController(tiny_config)
-        fetch = controller.get_counters(3)
-        with pytest.raises(TypeError, match="named "
-                                            "fields .counters"):
-            counters, latency, hit = fetch
-        assert controller.get_counters(3).hit is True   # still resident

@@ -3,9 +3,9 @@ the call chain it replaced.
 
 Each memory transaction used to walk ``fetch_block``/``store_block`` ->
 ``get_counters`` -> ``CounterCache.lookup`` -> ``CounterFetch``, then
-``MemoryController.read_block``/``write_block`` -> ``resolve_time`` ->
-the device's ``read_block``/``write_block`` -> ``check_block_address``
--> ``MemoryStats.record_*`` -> ``ChannelModel.request`` ->
+``MemoryController.read_block``/``write_block`` -> the device's
+``read_block``/``write_block`` -> ``check_block_address`` ->
+``MemoryStats.record_*`` -> ``ChannelModel.request`` ->
 ``channel_for``, and ``_counters_updated`` -> ``mark_dirty``. The
 classes below transcribe that chain; a controller becomes the
 reference by swapping its own, its device's, its memory controller's
@@ -43,7 +43,6 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from repro.clock import resolve_time
 from repro.cache.counter_cache import CounterEviction
 from repro.config import (KB, CacheConfig, CounterCacheConfig, NVMConfig,
                           fast_config)
@@ -129,8 +128,8 @@ class ReferenceMemoryController(MemoryController):
         logical_line = address // self.block_size
         return self.wear_leveler.translate(logical_line) * self.block_size
 
-    def read_block(self, address, at=None, *, now_ns=None):
-        now = resolve_time(self.clock, at, now_ns)
+    def read_block(self, address, now_ns=0.0):
+        now = now_ns
         physical = self._physical_address(address)
         data = self.device.read_block(physical)
         for snooper in self.snoopers:
@@ -143,8 +142,8 @@ class ReferenceMemoryController(MemoryController):
                                self.device.read_energy_pj)
         return RawAccess(data=data, latency_ns=latency, finish_ns=finish)
 
-    def write_block(self, address, data=None, at=None, *, now_ns=None):
-        now = resolve_time(self.clock, at, now_ns)
+    def write_block(self, address, data=None, now_ns=0.0):
+        now = now_ns
         physical = self._physical_address(address)
         for snooper in self.snoopers:
             snooper.observe("write", address, data)
@@ -191,8 +190,8 @@ class ReferenceDatapath:
                                                 self.minor_bits),
                             latency, hit=False)
 
-    def get_counters(self, page_id, at=None, *, now_ns=None):
-        now = resolve_time(self.clock, at, now_ns)
+    def get_counters(self, page_id, now_ns=0.0):
+        now = now_ns
         if page_id < 0 or page_id >= self.num_pages:
             raise AddressError(f"page id {page_id} out of range")
         cached = self.counter_cache.lookup(page_id)
@@ -214,8 +213,8 @@ class ReferenceDatapath:
         self.counter_cache.mark_dirty(page_id)
         return 0.0
 
-    def fetch_block(self, address, at=None, *, now_ns=None):
-        now = resolve_time(self.clock, at, now_ns)
+    def fetch_block(self, address, now_ns=0.0):
+        now = now_ns
         self._check_data_address(address)
         page_id = self.page_of(address)
         offset = self.offset_of(address)
@@ -248,8 +247,8 @@ class ReferenceDatapath:
         return AccessResult(data=plaintext, latency_ns=latency,
                             counter_hit=hit)
 
-    def store_block(self, address, data=None, at=None, *, now_ns=None):
-        now = resolve_time(self.clock, at, now_ns)
+    def store_block(self, address, data=None, now_ns=0.0):
+        now = now_ns
         self._check_data_address(address)
         if self.functional and (data is None or len(data) != self.block_size):
             raise AddressError("functional store requires a full data block")

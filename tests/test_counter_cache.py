@@ -1,7 +1,5 @@
 """The counter (IV) cache: lookups, evictions, persistence flush."""
 
-import pytest
-
 from repro.cache import CounterCache
 from repro.config import CounterCacheConfig
 from repro.core.iv import CounterBlock
@@ -80,16 +78,6 @@ class TestFlush:
         flushed = cache.flush()
         assert flushed[0].block.all_shredded()
         assert cache.peek(9).all_shredded()
-
-    def test_flush_sink_removed(self):
-        cache = make_cache()
-        cache.fill(1, CounterBlock.fresh(4), dirty=True)
-        seen = []
-        with pytest.raises(TypeError, match="flush\\(sink\\) was removed"):
-            cache.flush(lambda page, block: seen.append(page))
-        assert seen == []                       # sink never invoked
-        assert cache.dirty_entries() != []      # nothing flushed either
-        assert [e.page_id for e in cache.flush()] == [1]
 
 
 class TestGeometry:

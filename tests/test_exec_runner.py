@@ -4,13 +4,14 @@ import json
 
 import pytest
 
-from repro.analysis.figures import clear_memo, fig8_to_11_study, run_pair
+from repro.analysis.figures import fig8_to_11_study, run_pair
 from repro.cli import main
 from repro.errors import ExperimentError
 from repro.exec import (Experiment, ProgressEvent, ResultCache, Runner,
                         experiment_pair, run_experiments, spec_experiment,
                         workload_kinds)
 from repro.exec import backends as backends_module
+from repro.exec.cache import default_cache
 from repro.sim.system import System
 
 
@@ -72,20 +73,19 @@ class TestRunnerBasics:
         assert [event.completed for event in events] == [1, 2, 3, 4]
         assert {event.source for event in events} == {"cache"}
 
-    def test_legacy_three_arg_progress_shim_warns(self, tmp_path):
-        events = []
-
+    def test_legacy_three_arg_progress_shim_warns(self):
+        # The (done, total, label) shim is retired: that callback shape is
+        # now rejected when the Runner is built, naming the one-event form.
         def progress(done, total, label):
-            events.append((done, total, label))
+            raise AssertionError("a rejected callback must never be called")
 
-        with pytest.deprecated_call():
-            runner = Runner(cache=ResultCache(tmp_path), progress=progress)
-        runner.run(small_batch()[:2])
-        assert events == [(1, 2, "GCC-baseline"), (2, 2, "GCC-shredder")]
+        with pytest.raises(ExperimentError, match="one ProgressEvent"):
+            Runner(use_cache=False, progress=progress)
 
     def test_bad_progress_arity_rejected_eagerly(self):
-        with pytest.raises(ExperimentError):
-            Runner(use_cache=False, progress=lambda a, b: None)
+        for progress in (lambda a, b: None, lambda: None):
+            with pytest.raises(ExperimentError):
+                Runner(use_cache=False, progress=progress)
 
     def test_progress_event_validates_source(self):
         with pytest.raises(ExperimentError):
@@ -141,13 +141,15 @@ class TestFigureIntegration:
         assert result.baseline.memory_writes > result.shredder.memory_writes
 
     def test_run_pair_legacy_form_now_raises(self):
+        # run_pair(name, make_tasks) is retired along with its tombstone
+        # parameters: a workload name is not an Experiment, and the second
+        # positional argument is no longer accepted at all.
         from repro.workloads import multiprogrammed_tasks
-        with pytest.raises(ExperimentError, match="spec_experiment"):
-            run_pair("GCC",
-                     lambda: multiprogrammed_tasks("GCC", 1, scale=0.15))
-        with pytest.raises(ExperimentError, match="removed"):
+        with pytest.raises(TypeError, match="expects an Experiment"):
+            run_pair("GCC")
+        with pytest.raises(TypeError):
             run_pair(spec_experiment("GCC", cores=1, scale=0.15),
-                     lambda: [])
+                     lambda: multiprogrammed_tasks("GCC", 1, scale=0.15))
 
     def test_run_pair_rejects_junk(self):
         with pytest.raises(TypeError):
@@ -172,10 +174,10 @@ class TestWarmCliFigure:
             "--benchmarks", "GCC,H264"]
 
     def test_warm_figure_fig8_is_pure_cache(self, capsys, monkeypatch):
-        clear_memo()
+        default_cache().clear_memory()
         assert main(self.ARGS) == 0           # populate the cache
         assert "write_savings_pct" in capsys.readouterr().out
-        clear_memo()                          # drop the in-process layer
+        default_cache().clear_memory()        # drop the in-process layer
 
         def boom(self, tasks):
             raise AssertionError("warm figure invocation hit the simulator")
@@ -185,7 +187,7 @@ class TestWarmCliFigure:
         assert "write_savings_pct" in capsys.readouterr().out
 
     def test_cli_no_cache_flag_re_executes(self, capsys, monkeypatch):
-        clear_memo()
+        default_cache().clear_memory()
         assert main(self.ARGS) == 0
         capsys.readouterr()
 
@@ -197,10 +199,10 @@ class TestWarmCliFigure:
             main(self.ARGS + ["--no-cache"])
 
     def test_cli_jobs_flag_matches_serial(self, capsys):
-        clear_memo(disk=True)
+        default_cache().clear()
         assert main(self.ARGS + ["--jobs", "2"]) == 0
         parallel_out = capsys.readouterr().out
-        clear_memo(disk=True)
+        default_cache().clear()
         assert main(self.ARGS) == 0
         serial_out = capsys.readouterr().out
         assert parallel_out == serial_out

@@ -8,10 +8,15 @@ agree exactly with the original linear scan and with a registry
 ``Histogram`` fed the same latencies.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import (DeuceShredderController, DirectEncryptionController,
+                        INVMMController, SecureMemoryController,
+                        SilentShredderController)
 from repro.core.secure_memory import SecureMemoryStats
 from repro.obs import DEFAULT_LATENCY_BUCKETS_NS, Histogram, MetricsRegistry
 from repro.sim import System
@@ -97,6 +102,29 @@ class TestPublishedReadLatency:
         published = registry.snapshot()["mem.ctrl.read_latency_ns"]
         assert published == reference.describe()
         assert repr(published["sum"]) == repr(reference.describe()["sum"])
+
+    @pytest.mark.parametrize("cls", [
+        SecureMemoryController, SilentShredderController,
+        DeuceShredderController, DirectEncryptionController, INVMMController,
+    ], ids=lambda cls: cls.__name__)
+    def test_every_controller_buckets_every_read(self, cls, tiny_config):
+        """Each controller class accounts its reads through
+        ``record_read``: one bucket entry per served read, a zero-filled
+        read of a shredded page included."""
+        config = replace(tiny_config, encryption=replace(
+            tiny_config.encryption, cipher="aes"))
+        controller = cls(config)
+        controller.store_block(0, bytes(range(64)))
+        controller.fetch_block(0)
+        controller.fetch_block(64)
+        reads = 2
+        if isinstance(controller, SilentShredderController):
+            controller.shred_page(1)
+            assert controller.fetch_block(config.kernel.page_size).zero_filled
+            reads += 1
+        stats = controller.stats
+        assert stats.read_requests == reads
+        assert sum(stats.read_latency_buckets) == stats.read_requests
 
     def test_empty_histogram_publishes_integer_sum(self, tiny_config):
         report = System(tiny_config, shredder=True).report()

@@ -76,15 +76,13 @@ def test_experiment_frees_its_system(built, kind, shredder):
     assert_all_freed(built)
 
 
-def test_fig4_memset_frees_its_systems(built, monkeypatch):
-    monkeypatch.setattr(figures, "_memo", {})
+def test_fig4_memset_frees_its_systems(built):
     rows = figures.fig4_memset([16 * 4096], config=bench_config())
     assert len(rows) == 1
     assert_all_freed(built)
 
 
-def test_fig5_zeroing_writes_frees_its_systems(built, monkeypatch):
-    monkeypatch.setattr(figures, "_memo", {})
+def test_fig5_zeroing_writes_frees_its_systems(built):
     rows = figures.fig5_zeroing_writes(["PAGERANK"], num_nodes=40)
     assert len(rows) == 1
     assert len(built) == 3           # the probe and two zeroing runs
