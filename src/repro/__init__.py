@@ -29,7 +29,7 @@ from .errors import (ReproError, ConfigError, AddressError, AlignmentError,
                      OutOfMemoryError, PageFaultError, ProtectionError,
                      IntegrityError, EnduranceExceededError, CipherError,
                      CounterOverflowError, SimulationError, ExperimentError,
-                     BackendError, WireProtocolError, ObservabilityError)
+                     ObservabilityError)
 from .obs import MetricsRegistry, merge_snapshots, span
 from .core import (SilentShredderController, SecureMemoryController,
                    ShredRegister, CounterBlock, IVLayout, make_policy)
@@ -39,13 +39,11 @@ __version__ = "1.1.0"
 
 from .exec import (Experiment, Runner, ResultCache, run_experiments,
                    spec_experiment, powergraph_experiment, experiment_pair,
-                   ExecutionBackend, SerialBackend, ForkPoolBackend,
                    ProgressEvent)
 
 __all__ = [
     "AddressError",
     "AlignmentError",
-    "BackendError",
     "CPUConfig",
     "CacheConfig",
     "CipherError",
@@ -56,10 +54,8 @@ __all__ = [
     "DRAMConfig",
     "EncryptionConfig",
     "EnduranceExceededError",
-    "ExecutionBackend",
     "Experiment",
     "ExperimentError",
-    "ForkPoolBackend",
     "IVLayout",
     "IntegrityError",
     "KernelConfig",
@@ -76,7 +72,6 @@ __all__ = [
     "RunResult",
     "Runner",
     "SecureMemoryController",
-    "SerialBackend",
     "ShredRegister",
     "SilentShredderController",
     "SimulationError",
@@ -95,6 +90,5 @@ __all__ = [
     "run_experiments",
     "span",
     "spec_experiment",
-    "WireProtocolError",
     "__version__",
 ]

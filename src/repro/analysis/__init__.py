@@ -3,9 +3,10 @@
 Each ``figN_*`` function runs the simulations behind one figure or
 table of the paper and returns plain data (lists of dict rows), which
 the benchmark harness prints and EXPERIMENTS.md records; the heavy
-builders delegate to the shared :class:`repro.exec.Runner`, so results
-persist in the content-addressed cache and cold sweeps accept
-``jobs=N`` for parallel execution. :func:`render_table` (defined in
+builders take one optional ``runner`` (default: a serial, cached
+:class:`repro.exec.Runner`), so results persist in the
+content-addressed cache and a ``Runner(jobs=N)`` fans cold sweeps out
+over a fork pool. :func:`render_table` (defined in
 :mod:`repro.obs.exporters`), :func:`rows_to_csv` and
 :func:`rows_to_json` print those rows.
 

@@ -7,8 +7,9 @@ builders (:func:`run_pair`, :func:`fig8_to_11_study`,
 :class:`~repro.exec.Experiment` batches and delegate to the shared
 :class:`~repro.exec.Runner`, so identical runs are served from the
 persistent result cache and cold sweeps can fan out across worker
-processes (``jobs=N``). The two microbenchmark builders (Figures 4/5)
-drive bespoke measurement loops and simulate afresh on every call.
+processes (``Runner(jobs=N)``). The two microbenchmark builders
+(Figures 4/5) drive bespoke measurement loops and simulate afresh on
+every call.
 """
 
 from __future__ import annotations
@@ -25,21 +26,11 @@ from ..workloads import (SPEC_BENCHMARKS, memset_experiment,
                          multiprogrammed_tasks, powergraph_task)
 
 
-def _make_runner(jobs: Optional[int], use_cache: Optional[bool],
-                 runner: Optional[Runner]) -> Runner:
-    """Resolve the execution engine a figure builder should use."""
-    if runner is not None:
-        return runner
-    return Runner(jobs=1 if jobs is None else jobs,
-                  use_cache=True if use_cache is None else use_cache)
-
-
 # ---------------------------------------------------------------------------
 # Shared pair-runner
 # ---------------------------------------------------------------------------
 
-def run_pair(experiment: Experiment, *, jobs: Optional[int] = None,
-             use_cache: Optional[bool] = None,
+def run_pair(experiment: Experiment, *,
              runner: Optional[Runner] = None) -> RunResult:
     """Run one workload on the baseline and Silent Shredder systems.
 
@@ -49,16 +40,17 @@ def run_pair(experiment: Experiment, *, jobs: Optional[int] = None,
     variants derive from the experiment's single base config.
 
     Pass an :class:`~repro.exec.Experiment` describing the workload;
-    its baseline/shredder variants execute through the shared
-    :class:`~repro.exec.Runner` (cached, parallelisable, any
-    backend).
+    its baseline/shredder variants execute through ``runner`` (default:
+    a serial, cached :class:`~repro.exec.Runner`).
     """
     if not isinstance(experiment, Experiment):
         raise TypeError(f"run_pair expects an Experiment, "
                         f"got {type(experiment).__name__}")
     baseline_exp, shredder_exp = experiment_pair(experiment)
-    engine = _make_runner(jobs, use_cache, runner)
-    baseline_report, shredder_report = engine.run([baseline_exp, shredder_exp])
+    if runner is None:
+        runner = Runner()
+    baseline_report, shredder_report = runner.run([baseline_exp,
+                                                   shredder_exp])
     return compare_runs(baseline_report, shredder_report,
                         experiment.name or experiment.workload)
 
@@ -153,16 +145,14 @@ def fig8_to_11_study(*, benchmarks: Optional[Sequence[str]] = None,
                      scale: float = 1.0, cores: int = 2,
                      powergraph_nodes: int = 5000,
                      config: Optional[SystemConfig] = None,
-                     jobs: Optional[int] = None,
-                     use_cache: Optional[bool] = None,
                      runner: Optional[Runner] = None) -> List[RunResult]:
     """Baseline-vs-shredder pairs for the SPEC + PowerGraph suite.
 
     One sweep feeds Figure 8 (write savings), Figure 9 (read-traffic
     savings), Figure 10 (read speedup) and Figure 11 (relative IPC).
     Every (benchmark, variant) run is an independent experiment, so the
-    sweep parallelises across ``jobs`` workers and warm reruns are pure
-    cache reads.
+    sweep parallelises across a ``Runner(jobs=N)`` and warm reruns are
+    pure cache reads.
     """
     names = tuple(benchmarks) if benchmarks is not None \
         else tuple(SPEC_BENCHMARKS) + ("PAGERANK", "SIMPLE_COLORING", "KCORE")
@@ -179,8 +169,9 @@ def fig8_to_11_study(*, benchmarks: Optional[Sequence[str]] = None,
                                                config=base_config)
         pairs.append(experiment_pair(experiment))
 
-    engine = _make_runner(jobs, use_cache, runner)
-    reports = engine.run([exp for pair in pairs for exp in pair])
+    if runner is None:
+        runner = Runner()
+    reports = runner.run([exp for pair in pairs for exp in pair])
     return [compare_runs(reports[2 * i], reports[2 * i + 1], name)
             for i, name in enumerate(names)]
 
@@ -208,8 +199,6 @@ def study_summary(results: List[RunResult]) -> dict:
 def fig12_counter_cache_sweep(sizes_bytes: Sequence[int], *,
                               benchmark: str = "GEMS", scale: float = 1.0,
                               config: Optional[SystemConfig] = None,
-                              jobs: Optional[int] = None,
-                              use_cache: Optional[bool] = None,
                               runner: Optional[Runner] = None) -> List[dict]:
     """Counter-cache miss rate as its capacity grows (knee at 4 MB in
     the paper; the knee lands where the cache covers the hot footprint,
@@ -225,8 +214,9 @@ def fig12_counter_cache_sweep(sizes_bytes: Sequence[int], *,
                    shredder=True, name=f"fig12-{size}")
         for size in sizes_bytes
     ]
-    engine = _make_runner(jobs, use_cache, runner)
-    reports = engine.run(experiments)
+    if runner is None:
+        runner = Runner()
+    reports = runner.run(experiments)
     return [{
         "size_bytes": size,
         "miss_rate": report.counter_miss_rate,
@@ -241,8 +231,6 @@ def fig12_counter_cache_sweep(sizes_bytes: Sequence[int], *,
 
 def table2_mechanisms(*, pages: int = 24,
                       config: Optional[SystemConfig] = None,
-                      jobs: Optional[int] = None,
-                      use_cache: Optional[bool] = None,
                       runner: Optional[Runner] = None) -> List[dict]:
     """Measure each zeroing mechanism's costs on identical page batches.
 
@@ -261,8 +249,9 @@ def table2_mechanisms(*, pages: int = 24,
                                       params={"pages": pages}, config=cfg,
                                       shredder=(strategy == "shred"),
                                       name=f"table2-{strategy}"))
-    engine = _make_runner(jobs, use_cache, runner)
-    reports = engine.run(experiments)
+    if runner is None:
+        runner = Runner()
+    reports = runner.run(experiments)
 
     rows = []
     for strategy, report in zip(strategies, reports):
@@ -301,8 +290,6 @@ def table2_mechanisms(*, pages: int = 24,
 
 def ablation_policies(*, pages: int = 8, shreds_per_page: int = 80,
                       config: Optional[SystemConfig] = None,
-                      jobs: Optional[int] = None,
-                      use_cache: Optional[bool] = None,
                       runner: Optional[Runner] = None) -> List[dict]:
     """Repeatedly shred and rewrite pages under each IV-manipulation
     option, recording re-encryption frequency and zero-read support."""
@@ -317,8 +304,9 @@ def ablation_policies(*, pages: int = 8, shreds_per_page: int = 80,
                    name=f"ablate-{policy_name}")
         for policy_name in policies
     ]
-    engine = _make_runner(jobs, use_cache, runner)
-    reports = engine.run(experiments)
+    if runner is None:
+        runner = Runner()
+    reports = runner.run(experiments)
     return [{
         "policy": policy_name,
         "shreds": report.shreds,

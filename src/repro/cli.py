@@ -11,16 +11,6 @@ Commands
     print the four headline metrics.
 ``figure``
     Regenerate one of the paper's figures/tables and print its data.
-``worker serve --register HOST:PORT``
-    Run an experiment worker: a dial-out worker registered with an
-    experiment cluster dispatcher.
-``cluster serve`` / ``status`` / ``drain`` / ``shutdown`` / ``keygen``
-    Run and administer the long-lived experiment cluster
-    (``repro.exec.cluster``); see ``docs/SERVICE.md``.
-``top``
-    Live cluster introspection: poll a dispatcher's status endpoint
-    and refresh queue depth, worker health, and cache hit rate
-    in-terminal.
 ``events``
     Run one workload and print its flight-recorder event log (shreds,
     zero-fill elisions, counter overflows, ...) as canonical
@@ -34,6 +24,10 @@ Commands
     Run the repo's static invariant checker (``REPRO###`` rules);
     see ``docs/ANALYSIS.md``. ``--import-graph dot`` exports the
     layered import graph instead.
+
+``compare``, ``figure`` and ``events`` run through one
+:class:`~repro.exec.Runner`: ``--jobs N`` fans the batch out over a
+local fork pool, with stdout byte-identical to the serial run.
 """
 
 from __future__ import annotations
@@ -49,7 +43,6 @@ from .analysis import (ablation_policies, fig12_counter_cache_sweep,
                        rows_to_csv, run_pair, table2_mechanisms)
 from .analysis.figures import fig8_to_11_study, study_summary
 from .config import bench_config, default_config
-from .errors import BackendError
 from .exec import (ProgressEvent, Runner, powergraph_experiment,
                    spec_experiment)
 from .workloads import SPEC_BENCHMARKS
@@ -88,27 +81,24 @@ def _cli_progress(event: ProgressEvent) -> None:
 def _runner_context(args: argparse.Namespace):
     """The execution engine for a CLI invocation, with lifecycle.
 
-    ``--backend SPEC`` picks any backend by spec string (grammar in
-    :mod:`repro.exec.spec`); otherwise ``--jobs`` picks serial or a
-    local fork pool. Both at once (``--jobs`` above 1) is a
-    :class:`~repro.errors.BackendError`, as in :class:`Runner`. On exit,
-    ``--emit-metrics PATH`` writes the run's merged registry
-    (simulation metrics folded in from every completed report, plus
-    batch telemetry) and recorded spans as a JSON-lines dump.
+    ``--jobs`` picks serial or a local fork pool; progress goes to
+    stderr when it is above 1. On exit, ``--emit-metrics PATH`` writes
+    the run's merged registry (simulation metrics folded in from every
+    completed report, plus batch telemetry) and recorded spans as a
+    JSON-lines dump.
     """
     from .obs import MetricsRegistry, default_tracer, write_jsonl
     metrics = MetricsRegistry()
-    progress = _cli_progress if args.backend or args.jobs > 1 else None
-    runner = Runner(jobs=args.jobs, backend=args.backend or None,
-                    use_cache=not args.no_cache, progress=progress,
-                    metrics=metrics)
+    progress = _cli_progress if args.jobs > 1 else None
+    runner = Runner(jobs=args.jobs, use_cache=not args.no_cache,
+                    progress=progress, metrics=metrics)
     yield runner
     if args.emit_metrics:
         with open(args.emit_metrics, "w") as stream:
             write_jsonl(metrics.snapshot(), stream,
                         spans=default_tracer().snapshot(),
                         meta={"command": args.command,
-                              "backend": runner.backend.describe()})
+                              "jobs": runner.jobs})
         print(f"(metrics written to {args.emit_metrics})",
               file=sys.stderr)
 
@@ -190,166 +180,9 @@ def _run_figure(args: argparse.Namespace, which: str, runner: Runner) -> int:
     return 0
 
 
-def _cmd_worker_serve(args: argparse.Namespace) -> int:
-    """``repro worker serve --register``: dial out to a dispatcher."""
-    from .exec.worker import run_registered_worker
-    from .obs import MetricsRegistry, write_jsonl
-
-    def announce(line: str) -> None:
-        print(f"repro worker {line}", flush=True)
-
-    metrics = MetricsRegistry()
-    served = 0
-    try:
-        served = run_registered_worker(
-            args.register, keyfile=args.keyfile, cache_dir=args.cache_dir,
-            max_tasks=args.max_tasks, heartbeat=args.heartbeat,
-            metrics=metrics, announce=announce)
-    except KeyboardInterrupt:   # pragma: no cover - interactive only
-        pass
-    finally:
-        if args.emit_metrics:
-            with open(args.emit_metrics, "w") as stream:
-                write_jsonl(metrics.snapshot(), stream,
-                            meta={"role": "registered-worker",
-                                  "dispatcher": args.register,
-                                  "tasks_served": served})
-    print(f"worker stopped after {served} tasks", file=sys.stderr)
-    return 0
-
-
 # ---------------------------------------------------------------------------
-# Cluster administration
+# The flight recorder (repro events)
 # ---------------------------------------------------------------------------
-
-def _cluster_auth(args: argparse.Namespace):
-    if getattr(args, "keyfile", None):
-        from .exec.wire import FrameAuth
-        return FrameAuth.from_keyfile(args.keyfile)
-    return None
-
-
-def _cmd_cluster_serve(args: argparse.Namespace) -> int:
-    from .exec.cluster import ClusterServer
-    cache = None
-    if args.cache_dir:
-        from .exec import ResultCache
-        cache = ResultCache(args.cache_dir)
-    server = ClusterServer(host=args.host, port=args.port,
-                           auth=_cluster_auth(args), cache=cache,
-                           task_timeout=args.task_timeout,
-                           max_retries=args.max_retries,
-                           heartbeat_timeout=args.heartbeat_timeout)
-    host, port = server.start()
-    print(f"repro cluster listening on {host}:{port}", flush=True)
-    try:
-        server.wait()
-    except KeyboardInterrupt:   # pragma: no cover - interactive only
-        pass
-    finally:
-        server.close()
-        if args.emit_metrics:
-            from .obs import write_jsonl
-            with open(args.emit_metrics, "w") as stream:
-                write_jsonl(server.dispatcher.metrics.snapshot(), stream,
-                            meta={"role": "cluster-dispatcher",
-                                  "endpoint": f"{host}:{port}"})
-    print("cluster dispatcher stopped", file=sys.stderr)
-    return 0
-
-
-def _cmd_cluster_status(args: argparse.Namespace) -> int:
-    import json
-
-    from .exec.cluster import cluster_status
-    status = cluster_status(args.address, auth=_cluster_auth(args))
-    json.dump(status, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-    return 0
-
-
-def _cmd_cluster_drain(args: argparse.Namespace) -> int:
-    from .exec.cluster import cluster_drain
-    reply = cluster_drain(args.address, auth=_cluster_auth(args),
-                          stop_workers=args.stop_workers,
-                          timeout=args.task_timeout)
-    print(f"cluster drained: {reply.get('completed', 0)} tasks completed "
-          f"in {reply.get('duration_s', 0.0):.3f}s")
-    return 0
-
-
-def _cmd_cluster_shutdown(args: argparse.Namespace) -> int:
-    from .exec.cluster import cluster_shutdown
-    cluster_shutdown(args.address, auth=_cluster_auth(args))
-    print("cluster dispatcher asked to stop")
-    return 0
-
-
-def _cmd_cluster_keygen(args: argparse.Namespace) -> int:
-    from .exec.wire import FrameAuth
-    FrameAuth.generate_keyfile(args.path)
-    print(f"cluster key written to {args.path} (mode 0600); distribute it "
-          f"to every dispatcher, worker, and client")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# Live cluster introspection (repro top) and the flight recorder (repro
-# events)
-# ---------------------------------------------------------------------------
-
-def _render_top(status: dict) -> str:
-    """One ``repro top`` frame from a dispatcher status document."""
-    lines = []
-    cache = status.get("cache") or {}
-    hits = int(cache.get("hits", 0))
-    misses = int(cache.get("misses", 0))
-    lookups = hits + misses
-    hit_rate = f"{hits / lookups:.1%}" if lookups else "n/a"
-    state = "draining" if status.get("draining") else "serving"
-    lines.append(
-        f"cluster {state} — queue {status.get('queue_depth', 0)}, "
-        f"inflight {status.get('inflight', 0)}, "
-        f"completed {status.get('tasks_completed', 0)}, "
-        f"cache hit rate {hit_rate}")
-    workers = status.get("workers") or []
-    lines.append(f"workers ({len(workers)}):")
-    for worker in workers:
-        flags = []
-        if worker.get("busy"):
-            flags.append("busy")
-        if worker.get("draining"):
-            flags.append("draining")
-        idle = worker.get("idle_s")
-        health = f"idle {idle:.1f}s" if isinstance(idle, (int, float)) \
-            else "?"
-        lines.append(f"  {worker.get('name', '?'):24s} "
-                     f"completed={worker.get('completed', 0):<6d} "
-                     f"{health:12s} {' '.join(flags) or 'idle'}")
-    return "\n".join(lines)
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    import time
-
-    from .exec.cluster import cluster_status
-    auth = _cluster_auth(args)
-    shown = 0
-    clear = sys.stdout.isatty()
-    while True:
-        status = cluster_status(args.address, auth=auth)
-        frame = _render_top(status)
-        if clear:
-            sys.stdout.write("\x1b[2J\x1b[H")
-        print(frame, flush=True)
-        shown += 1
-        if args.iterations is not None and shown >= args.iterations:
-            return 0
-        try:
-            time.sleep(args.interval)
-        except KeyboardInterrupt:   # pragma: no cover - interactive only
-            return 0
-
 
 def _events_experiment(args: argparse.Namespace, name: str):
     """The experiment one ``repro events`` invocation runs."""
@@ -532,60 +365,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# ---------------------------------------------------------------------------
-# Shared flag surface
-#
-# Every flag that appears on more than one subcommand is defined exactly
-# once, in a parent parser, so ``--jobs``/``--backend``/``--task-timeout``/
-# ``--emit-metrics`` are spelled and help-texted identically across
-# figure/compare/events/worker/cluster.
-# ---------------------------------------------------------------------------
-
-def _parent(add_flags) -> argparse.ArgumentParser:
+def _runner_flags() -> argparse.ArgumentParser:
+    """The parent parser of ``compare``, ``figure`` and ``events``: each
+    runner flag is defined once, so its spelling, default and help text
+    agree across the three."""
     parent = argparse.ArgumentParser(add_help=False)
-    add_flags(parent)
-    return parent
-
-
-def _flag_jobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
+    parent.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                         help="worker processes for the experiment runner "
                              "(default: 1, serial)")
-
-
-def _flag_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", metavar="SPEC", default=None,
-                        help="execution backend spec: serial | fork[:N] | "
-                             "cluster://host:port"
-                             "[?keyfile=PATH&frame_timeout=SECONDS] "
-                             "(see docs/SERVICE.md)")
-
-
-def _flag_task_timeout(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--task-timeout", type=float, default=300.0,
-                        metavar="SECONDS",
-                        help="per-task timeout for cluster dispatch "
-                             "(default: 300)")
-
-
-def _flag_emit_metrics(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--emit-metrics", metavar="PATH", default=None,
+    parent.add_argument("--no-cache", action="store_true",
+                        help="ignore and do not populate the persistent "
+                             "result cache")
+    parent.add_argument("--emit-metrics", metavar="PATH", default=None,
                         help="write the run's merged metrics registry and "
                              "spans as a JSON-lines dump (read it back "
                              "with 'repro stats')")
-
-
-def _flag_no_cache(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not populate the persistent "
-                             "result cache")
-
-
-def _flag_keyfile(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--keyfile", metavar="PATH", default=None,
-                        help="shared HMAC key for authenticated cluster "
-                             "frames (generate with 'repro cluster "
-                             "keygen')")
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -594,13 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Silent Shredder (ASPLOS 2016) reproduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Shared parent parsers: one definition per flag (see above).
-    runner_flags = _parent(lambda p: (_flag_jobs(p), _flag_backend(p),
-                                      _flag_no_cache(p),
-                                      _flag_emit_metrics(p)))
-    emit_metrics_flag = _parent(_flag_emit_metrics)
-    task_timeout_flag = _parent(_flag_task_timeout)
-    keyfile_flag = _parent(_flag_keyfile)
+    runner_flags = _runner_flags()
 
     describe = sub.add_parser("describe", help="print the system config")
     describe.add_argument("--full", action="store_true",
@@ -637,96 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--full", action="store_true",
                         help="the full-size Table 1 system")
     export.set_defaults(func=_cmd_export_config)
-
-    worker = sub.add_parser("worker", help="experiment cluster workers")
-    worker_sub = worker.add_subparsers(dest="worker_command", required=True)
-    serve = worker_sub.add_parser(
-        "serve", parents=[emit_metrics_flag, keyfile_flag],
-        help="run an experiment worker registered with an experiment "
-             "cluster dispatcher")
-    serve.add_argument("--register", metavar="HOST:PORT", required=True,
-                       help="register with the experiment cluster "
-                            "dispatcher at HOST:PORT (see 'repro cluster "
-                            "serve') over one persistent dial-out "
-                            "connection")
-    serve.add_argument("--heartbeat", type=float, default=5.0,
-                       metavar="SECONDS",
-                       help="idle heartbeat period (default: 5)")
-    serve.add_argument("--max-tasks", type=_positive_int, default=None,
-                       metavar="N",
-                       help="exit after serving N tasks (default: forever)")
-    serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="consult/populate a worker-side result cache "
-                            "rooted at DIR before executing each task")
-    serve.set_defaults(func=_cmd_worker_serve)
-
-    cluster = sub.add_parser(
-        "cluster",
-        help="the long-lived experiment cluster (docs/SERVICE.md)")
-    cluster_sub = cluster.add_subparsers(dest="cluster_command",
-                                         required=True)
-    cserve = cluster_sub.add_parser(
-        "serve", parents=[task_timeout_flag, emit_metrics_flag,
-                          keyfile_flag],
-        help="run the cluster dispatcher in the foreground")
-    cserve.add_argument("--host", default="127.0.0.1")
-    cserve.add_argument("--port", type=int, default=0,
-                        help="listen port (default: 0, OS-assigned; the "
-                             "bound endpoint is printed on startup)")
-    cserve.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="cluster-wide shared result cache: any "
-                             "client's warm hit serves every client")
-    cserve.add_argument("--max-retries", type=int, default=3, metavar="N",
-                        help="failed attempts a task survives before its "
-                             "batch fails (default: 3)")
-    cserve.add_argument("--heartbeat-timeout", type=float, default=30.0,
-                        metavar="SECONDS",
-                        help="declare a silent idle worker dead after "
-                             "this many seconds; a busy worker answers "
-                             "to --task-timeout (default: 30)")
-    cserve.set_defaults(func=_cmd_cluster_serve)
-
-    cstatus = cluster_sub.add_parser(
-        "status", parents=[keyfile_flag],
-        help="print the dispatcher's live status as JSON")
-    cstatus.add_argument("address", metavar="HOST:PORT")
-    cstatus.set_defaults(func=_cmd_cluster_status)
-
-    cdrain = cluster_sub.add_parser(
-        "drain", parents=[keyfile_flag, task_timeout_flag],
-        help="finish all queued and in-flight work, then refuse new "
-             "batches")
-    cdrain.add_argument("address", metavar="HOST:PORT")
-    cdrain.add_argument("--stop-workers", action="store_true",
-                        help="also say goodbye to every registered worker "
-                             "once drained")
-    cdrain.set_defaults(func=_cmd_cluster_drain)
-
-    cshutdown = cluster_sub.add_parser(
-        "shutdown", parents=[keyfile_flag],
-        help="stop the dispatcher itself")
-    cshutdown.add_argument("address", metavar="HOST:PORT")
-    cshutdown.set_defaults(func=_cmd_cluster_shutdown)
-
-    ckeygen = cluster_sub.add_parser(
-        "keygen", help="generate a fresh shared cluster keyfile (0600)")
-    ckeygen.add_argument("path", help="where to write the keyfile")
-    ckeygen.set_defaults(func=_cmd_cluster_keygen)
-
-    top = sub.add_parser(
-        "top", parents=[keyfile_flag],
-        help="live cluster view: poll a dispatcher's status endpoint and "
-             "refresh queue depth, worker health, and cache hit rate "
-             "in-terminal")
-    top.add_argument("address", metavar="HOST:PORT",
-                     help="the cluster dispatcher endpoint")
-    top.add_argument("--interval", type=float, default=2.0,
-                     metavar="SECONDS",
-                     help="seconds between polls (default: 2)")
-    top.add_argument("--iterations", type=_positive_int, default=None,
-                     metavar="N",
-                     help="exit after N refreshes (default: run until ^C)")
-    top.set_defaults(func=_cmd_top)
 
     events = sub.add_parser(
         "events", parents=[runner_flags],
@@ -822,12 +521,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BackendError as error:
-        # Cluster failures (unreachable dispatcher, exhausted retries)
-        # are operational, not bugs: report and exit instead of
-        # tracebacks.
-        print(f"error: {error}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # ``repro stats ... | head`` closes stdout early. Point the
         # descriptor at devnull so the interpreter's exit-time flush

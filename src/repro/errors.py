@@ -73,41 +73,5 @@ class ObservabilityError(ReproError):
 
 class ExperimentError(ReproError):
     """An :class:`~repro.exec.Experiment` is malformed or cannot be run
-    (unknown workload kind, unserialisable parameter, bad batch)."""
-
-
-class BackendError(ExperimentError):
-    """An execution backend could not complete a batch.
-
-    Raised when a distributed dispatch exhausts its retry budget for a
-    task, when every worker has been declared dead with work still
-    outstanding, or when a backend is misconfigured. Subclasses
-    :class:`ExperimentError` so callers of :meth:`~repro.exec.Runner.run`
-    keep a single exception family to catch.
-    """
-
-
-class WireProtocolError(BackendError):
-    """A malformed, truncated, or oversized frame on the worker wire
-    protocol (see :mod:`repro.exec.wire`)."""
-
-
-class WireAuthError(WireProtocolError):
-    """A frame failed HMAC authentication.
-
-    Raised when a peer presents a frame without a valid signature on an
-    authenticated connection (wrong shared key, no key, or a tampered
-    payload), or when a keyfile is unusable. Subclasses
-    :class:`WireProtocolError` so transport-level error handling treats
-    an unauthenticated peer like any other protocol violation: drop the
-    connection.
-    """
-
-
-class ClusterError(BackendError):
-    """The experiment cluster could not serve a request.
-
-    Raised by :class:`~repro.exec.cluster.ClusterBackend` and the admin
-    helpers when the dispatcher rejects a connection (bad auth,
-    draining), violates the session protocol, or disappears mid-batch.
-    """
+    (unknown workload kind, unserialisable parameter, bad batch, a
+    ``jobs`` count below 1)."""

@@ -1,39 +1,84 @@
-"""The experiment runner: batch orchestration over pluggable backends.
+"""The experiment runner: batch orchestration over serial or fork-pool
+execution.
 
 A :class:`Runner` executes a batch of :class:`Experiment`\\ s: it
 deduplicates the batch by content hash, serves whatever the persistent
-cache already holds, hands the remainder to an
-:class:`~repro.exec.backends.ExecutionBackend` (serial, fork pool, or
-an experiment cluster), and stores fresh results back into the
-cache. Cache consultation lives *here*, above the backend seam, so
-every backend gets dedupe and persistence for free.
+cache already holds, runs the remainder (in-process for ``jobs=1``, on
+a local ``multiprocessing`` fork pool for ``jobs=N``), and stores fresh
+results back into the cache the moment each one lands.
 
 Results cross every execution boundary as ``SystemReport.to_dict()``
 payloads — including the in-process serial path — so a batch produces
-byte-identical reports whatever backend runs it.
+byte-identical reports whatever ``jobs`` is.
 
 Progress is reported through :class:`ProgressEvent` values carrying
 ``completed``, ``total``, ``label`` and a ``source`` telling where the
-event came from (``"cache"`` hit, ``"worker"`` completion, or a
-cluster ``"retry"``); a progress callback takes that one event.
+result came from (``"cache"`` hit or ``"worker"`` completion); a
+progress callback takes that one event.
 """
 
 from __future__ import annotations
 
 import inspect
+import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..errors import ExperimentError
 from ..obs import DEFAULT_DURATION_BUCKETS_NS, MetricsRegistry, span
 from ..sim.system import SystemReport
-from .backends import ExecutionBackend, resolve_backend
 from .cache import ResultCache, default_cache
 from .experiment import Experiment
+from .workloads import execute_experiment
 
 #: where a progress event originated
-PROGRESS_SOURCES = ("cache", "worker", "retry")
+PROGRESS_SOURCES = ("cache", "worker")
+
+
+def _execute_to_dict(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Pool entry point: run one serialized experiment.
+
+    Takes and returns plain dicts so the function behaves identically
+    in a forked worker and in-process.
+    """
+    experiment = Experiment.from_dict(payload)
+    return execute_experiment(experiment).to_dict()
+
+
+def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
+    """The fork start-method context, or ``None`` where unsupported."""
+    try:
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return None
+        return multiprocessing.get_context("fork")
+    except ValueError:      # pragma: no cover - platform specific
+        return None
+
+
+def _execute(experiments: Sequence[Experiment], jobs: int,
+             ) -> Iterator[Tuple[int, SystemReport]]:
+    """Run a batch, yielding ``(index, report)`` as each result lands.
+
+    ``index`` is the experiment's position in ``experiments``. One job,
+    one experiment, or no ``fork`` start method runs the batch
+    in-process, in order; otherwise a pool of ``min(jobs, len)`` forked
+    workers runs it over ``Pool.imap``. Closing the generator early
+    tears the pool down.
+    """
+    jobs = min(jobs, len(experiments))
+    context = _fork_context() if jobs > 1 else None
+    if context is None:
+        for index, experiment in enumerate(experiments):
+            document = _execute_to_dict(experiment.to_dict())
+            yield index, SystemReport.from_dict(document)
+        return
+    payloads = [experiment.to_dict() for experiment in experiments]
+    with context.Pool(processes=jobs) as pool:
+        documents = pool.imap(_execute_to_dict, payloads)
+        for index, document in enumerate(documents):
+            yield index, SystemReport.from_dict(document)
 
 
 @dataclass(frozen=True)
@@ -42,10 +87,8 @@ class ProgressEvent:
 
     ``completed``/``total`` count *unique* experiments (duplicates in
     the submitted batch collapse to one). ``source`` is ``"cache"``
-    when the result came from the persistent cache, ``"worker"`` when
-    a backend finished executing it, and ``"retry"`` when the
-    cluster dispatcher re-queued the task — retry events do not
-    advance ``completed``.
+    when the result came from the persistent cache and ``"worker"``
+    when the runner executed it.
     """
 
     completed: int
@@ -80,20 +123,16 @@ def _check_progress(progress: Optional[ProgressEventFn]) -> None:
 
 
 class Runner:
-    """Executes experiment batches with caching over a pluggable backend.
+    """Executes experiment batches with caching, serially or on a
+    local fork pool.
 
     Parameters
     ----------
     jobs:
         Worker process count. ``1`` (the default) runs in-process;
-        ``N > 1`` uses a local fork pool. Shorthand for the matching
-        ``backend``.
-    backend:
-        An explicit :class:`~repro.exec.ExecutionBackend` instance, a
-        :class:`~repro.exec.BackendSpec`, or a spec string such as
-        ``"serial"``, ``"fork:8"`` or ``"cluster://host:7071"``
-        (grammar in :mod:`repro.exec.spec`). Mutually exclusive with
-        ``jobs > 1``.
+        ``N > 1`` uses a local fork pool of up to ``N`` processes (in
+        process where ``fork`` is unavailable). Below 1 raises
+        :class:`~repro.errors.ExperimentError`.
     cache:
         The :class:`ResultCache` to consult/populate; defaults to the
         shared :func:`default_cache`. Ignored when ``use_cache`` is
@@ -101,11 +140,10 @@ class Runner:
     use_cache:
         When false, every experiment re-runs and nothing is persisted.
     progress:
-        Optional callback receiving :class:`ProgressEvent` values.
-        Completion events (``"cache"``/``"worker"``) fire once per
-        unique experiment; ``"retry"`` events may fire any number of
-        times. A callable that cannot take exactly one positional
-        argument raises :class:`~repro.errors.ExperimentError` here.
+        Optional callback receiving :class:`ProgressEvent` values, one
+        per unique experiment. A callable that cannot take exactly one
+        positional argument raises
+        :class:`~repro.errors.ExperimentError` here.
     metrics:
         A :class:`~repro.obs.MetricsRegistry` accumulating batch
         telemetry: process-local ``exec.batch.*`` / ``exec.cache.*`` /
@@ -115,12 +153,12 @@ class Runner:
     """
 
     def __init__(self, jobs: int = 1, *,
-                 backend: Optional[Union[ExecutionBackend, str]] = None,
                  cache: Optional[ResultCache] = None,
                  use_cache: bool = True,
                  progress: Optional[ProgressEventFn] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        self.backend = resolve_backend(jobs, backend)
+        if jobs < 1:
+            raise ExperimentError(f"jobs must be >= 1, got {jobs}")
         self.jobs = int(jobs)
         self.cache: Optional[ResultCache] = None
         if use_cache:
@@ -136,7 +174,6 @@ class Runner:
         self._m_unique = self.metrics.counter("exec.batch.unique", unit="ops")
         self._m_completed = self.metrics.counter(
             "exec.task.completed", unit="ops")
-        self._m_retries = self.metrics.counter("exec.task.retries", unit="ops")
         self._m_task_duration = self.metrics.histogram(
             "exec.task.duration_ns", unit="ns",
             buckets=DEFAULT_DURATION_BUCKETS_NS)
@@ -168,7 +205,7 @@ class Runner:
         results: Dict[str, SystemReport] = {}
         with span("exec.batch", attrs={"experiments": len(batch),
                                        "unique": len(unique),
-                                       "backend": self.backend.describe()}):
+                                       "jobs": self.jobs}):
             pending: List[Experiment] = []
             for digest, experiment in unique.items():
                 cached = self.cache.get(experiment) \
@@ -180,8 +217,7 @@ class Runner:
                     pending.append(experiment)
 
             if pending:
-                completions = self.backend.submit(pending,
-                                                  notify=self._notify)
+                completions = _execute(pending, self.jobs)
                 last_arrival = time.perf_counter_ns()
                 try:
                     for index, report in completions:
@@ -194,15 +230,7 @@ class Runner:
                             self.cache.put(experiment, report)
                         self._complete(experiment, report, source="worker")
                 finally:
-                    close = getattr(completions, "close", None)
-                    if close is not None:
-                        close()             # tear down workers promptly
-
-        missing = self._total - len(results)
-        if missing:     # pragma: no cover - backend contract violation
-            raise ExperimentError(
-                f"backend {self.backend.describe()} returned "
-                f"{len(results)} of {self._total} results")
+                    completions.close()     # tear down workers promptly
         return [results[digest] for digest in order]
 
     def run_one(self, experiment: Experiment) -> SystemReport:
@@ -217,7 +245,7 @@ class Runner:
         self._m_completed.inc()
         # Fold the run's embedded simulation metrics into the batch
         # registry — once per unique experiment, whichever path
-        # (cache or backend) produced the report.
+        # (cache or execution) produced the report.
         if report.metrics:
             self.metrics.merge_snapshot(report.metrics)
         if self.progress is not None:
@@ -225,23 +253,13 @@ class Runner:
                 completed=self._done, total=self._total,
                 label=experiment.name or experiment.workload, source=source))
 
-    def _notify(self, label: str, source: str) -> None:
-        """Backend hook for non-completion events (retries)."""
-        if source == "retry":
-            self._m_retries.inc()
-        if self.progress is not None:
-            self.progress(ProgressEvent(
-                completed=self._done, total=self._total,
-                label=label, source=source))
-
 
 def run_experiments(experiments: Iterable[Experiment], *, jobs: int = 1,
-                    backend: Optional[Union[ExecutionBackend, str]] = None,
                     use_cache: bool = True,
                     cache: Optional[ResultCache] = None,
                     progress: Optional[ProgressEventFn] = None,
                     ) -> List[SystemReport]:
     """One-shot form of :meth:`Runner.run`."""
-    runner = Runner(jobs=jobs, backend=backend, cache=cache,
-                    use_cache=use_cache, progress=progress)
+    runner = Runner(jobs=jobs, cache=cache, use_cache=use_cache,
+                    progress=progress)
     return runner.run(experiments)

@@ -25,9 +25,9 @@ from .experiment import Experiment
 ExecutorFn = Callable[[System, Dict[str, Any]], Optional[Dict[str, float]]]
 
 _EXECUTORS: Dict[str, ExecutorFn] = {}
-#: Registration can race backend dispatch threads resolving executors
-#: (tests register custom kinds while a distributed batch is in
-#: flight), so writes to the registry take this lock.
+#: Registration can race another thread resolving executors (a caller
+#: may register a custom kind while a batch runs on another thread),
+#: so writes to the registry take this lock.
 _EXECUTORS_LOCK = threading.Lock()
 
 

@@ -2,9 +2,8 @@
 
 A dependency-free AST analyzer: :class:`Analyzer` runs the registered
 pass families (determinism, layering, shred-semantics, metrics
-namespace, concurrency, format, plus the project-wide dataflow
-families: lock-guard race inference, wire-schema conformance, and
-determinism taint) over the tree and reports ``REPRO###``-coded
+namespace, concurrency, format, lock-guard race inference, plus the
+project-wide determinism-taint dataflow family) over the tree and reports ``REPRO###``-coded
 violations, with an incremental per-file-digest result cache for warm
 runs. Only the CLI and ``tools/`` import it, never a figure run. See
 ``docs/ANALYSIS.md`` for the architecture, rules and suppressions.

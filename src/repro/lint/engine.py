@@ -16,8 +16,8 @@ Two pass shapes exist. Per-file passes (:class:`AnalysisPass`) see one
 see the whole analyzed file set at once and build on the dataflow
 toolkit (symbol table and call graph in
 :mod:`repro.lint.project`, CFG and reaching definitions in
-:mod:`repro.lint.cfg`) — that is how the wire-schema and taint
-families reason across files.
+:mod:`repro.lint.cfg`) — that is how the taint family reasons
+across files.
 
 Runs are incremental when given a cache path: raw emissions are keyed
 by file digest (and by a whole-set digest for project passes) so a

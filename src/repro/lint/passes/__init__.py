@@ -20,14 +20,13 @@ from .metrics_ns import MetricsNamespacePass
 from .races import LockGuardPass
 from .shred import ShredSemanticsPass
 from .taint import DeterminismTaintPass
-from .wire_schema import WireSchemaPass
 
 #: Family order: cheap text checks first, then the per-file AST
 #: families, then the project-wide dataflow families (which run last,
 #: over the whole analyzed set at once).
 PASS_CLASSES = (FormatPass, DeterminismPass, LayeringPass,
                 ShredSemanticsPass, MetricsNamespacePass, ConcurrencyPass,
-                LockGuardPass, WireSchemaPass, DeterminismTaintPass)
+                LockGuardPass, DeterminismTaintPass)
 
 
 def builtin_passes() -> List[AnalysisPass]:
@@ -65,7 +64,6 @@ __all__ = [
     "MetricsNamespacePass",
     "PASS_CLASSES",
     "ShredSemanticsPass",
-    "WireSchemaPass",
     "builtin_passes",
     "rule_catalog",
 ]

@@ -1,9 +1,10 @@
 """The ``concurrency`` pass family: shared mutable state needs a plan.
 
-The execution layer runs real threads: the cluster dispatcher's event
-loop on its ``ClusterServer`` thread beside the caller's, span tracers
-shared across a fork-join batch. Module-level mutable containers in ``repro.exec``
-and ``repro.obs`` are therefore cross-thread shared state, and mutating
+The execution layer runs beside real threads: a fork pool's handler
+threads run in the caller's process, span tracers keep one open-span
+stack per thread, and a library caller may run batches from several
+threads. Module-level mutable containers in ``repro.exec`` and
+``repro.obs`` are therefore cross-thread shared state, and mutating
 one without a lock (or making it thread-local) is a data race waiting
 for a scheduler to expose it.
 
@@ -145,4 +146,4 @@ class ConcurrencyPass(AnalysisPass):
             yield (line, "REPRO501",
                    f"module global {name!r} is mutated here but the "
                    "module creates no threading.Lock/RLock/local; "
-                   "exec backends and worker threads share this state")
+                   "threads in the exec and obs layers share this state")

@@ -2,7 +2,7 @@
 namespace.
 
 ``docs/OBSERVABILITY.md`` declares the metric hierarchy (``mem.nvm.*``,
-``cache.counter.*``, ``exec.worker.*``, ...). Dashboards, the
+``cache.counter.*``, ``exec.task.*``, ...). Dashboards, the
 Prometheus exporter, and the snapshot-merge invariant all key on those
 prefixes, so a metric registered under an undocumented prefix is
 invisible to every consumer that matters. This pass cross-checks every
@@ -45,7 +45,7 @@ DEFAULT_PREFIXES = (
     "mem.nvm", "mem.channel", "mem.ctrl", "mem.device", "mem.dram",
     "cache.counter", "cache.l1", "cache.l2", "cache.l3", "cache.l4",
     "cache.hierarchy", "core.shredder", "kernel", "cpu", "exec.batch",
-    "exec.task", "exec.cache", "exec.worker", "exec.cluster", "obs.events",
+    "exec.task", "exec.cache", "obs.events",
 )
 
 _BACKTICK_RE = re.compile(r"`([^`]+)`")

@@ -10,14 +10,7 @@ both deserve a finding (``REPRO511``). The inference is per-class for
 ``self.X`` attributes and per-module for globals guarded by
 module-level locks.
 
-The second rule (``REPRO512``) targets the asyncio dispatcher: holding
-a *synchronous* ``threading.Lock`` across an ``await`` parks the whole
-event loop on that lock — every other session, heartbeat, and drain
-stalls until the awaited I/O completes. Sync critical sections in
-async code must not contain awaits (use ``asyncio.Lock`` and
-``async with`` instead).
-
-Both rules are heuristics, not proofs: single-site or evenly-split
+The rule is a heuristic, not a proof: single-site or evenly-split
 guarding is never flagged (there is no majority to learn from), and
 ``__init__`` writes are exempt (construction happens-before sharing).
 """
@@ -30,9 +23,9 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from ..engine import AnalysisContext, AnalysisPass, SourceFile
 from .concurrency import _MUTATOR_METHODS
 
-#: Factories producing a synchronous (thread-blocking) guard.
-_SYNC_LOCK_FACTORIES = frozenset({"Lock", "RLock", "Condition", "Semaphore",
-                                  "BoundedSemaphore"})
+#: Factories producing a lock (``threading.Lock()``, ``RLock()``, ...).
+_LOCK_FACTORIES = frozenset({"Lock", "RLock", "Condition", "Semaphore",
+                             "BoundedSemaphore"})
 
 #: Minimum guarded write sites before a lock/attribute pairing counts
 #: as the learned invariant.
@@ -42,8 +35,8 @@ _MIN_GUARDED = 2
 _Write = Tuple[int, frozenset]
 
 
-def _lock_kind(value: ast.expr) -> Optional[str]:
-    """``"sync"``/``"async"`` if the expression constructs a lock.
+def _constructs_lock(value: ast.expr) -> bool:
+    """Whether the expression constructs a lock.
 
     Looks through conditional defaults (``lock or threading.Lock()``,
     ``x if c else Lock()``) by scanning the whole value expression.
@@ -54,11 +47,11 @@ def _lock_kind(value: ast.expr) -> Optional[str]:
         func = node.func
         if isinstance(func, ast.Attribute) and isinstance(func.value,
                                                           ast.Name):
-            if func.attr in _SYNC_LOCK_FACTORIES:
-                return "async" if func.value.id == "asyncio" else "sync"
-        elif isinstance(func, ast.Name) and func.id in _SYNC_LOCK_FACTORIES:
-            return "sync"
-    return None
+            if func.attr in _LOCK_FACTORIES:
+                return True
+        elif isinstance(func, ast.Name) and func.id in _LOCK_FACTORIES:
+            return True
+    return False
 
 
 def _self_attr(node: ast.expr) -> Optional[str]:
@@ -71,16 +64,15 @@ def _self_attr(node: ast.expr) -> Optional[str]:
 class _GuardWalker:
     """Walk one function body tracking the set of held lock names.
 
-    ``locks`` maps lock names (``self.X`` attrs or module globals) to
-    their kind. Accesses inside nested function definitions are skipped
+    ``locks`` holds the lock names (``self.X`` attrs or module
+    globals). Accesses inside nested function definitions are skipped
     — they execute later, under whatever locks their caller holds.
     """
 
-    def __init__(self, locks: Dict[str, str], is_module: bool) -> None:
+    def __init__(self, locks: Set[str], is_module: bool) -> None:
         self.locks = locks
         self.is_module = is_module  # guard exprs are bare Names, not self.X
         self.writes: Dict[str, List[_Write]] = {}
-        self.sync_with_awaits: List[int] = []
 
     def _guard_name(self, expr: ast.expr) -> Optional[str]:
         if self.is_module:
@@ -111,31 +103,23 @@ class _GuardWalker:
             return _self_attr(target.value)
         return None
 
-    def walk(self, body: List[ast.stmt], held: frozenset,
-             in_async: bool) -> None:
+    def walk(self, body: List[ast.stmt], held: frozenset) -> None:
         for statement in body:
-            self._statement(statement, held, in_async)
+            self._statement(statement, held)
 
-    def _statement(self, statement: ast.stmt, held: frozenset,
-                   in_async: bool) -> None:
+    def _statement(self, statement: ast.stmt, held: frozenset) -> None:
         if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return
         if isinstance(statement, (ast.With, ast.AsyncWith)):
             acquired = {self._guard_name(item.context_expr)
                         for item in statement.items}
             acquired.discard(None)
-            sync_held = {name for name in acquired
-                         if self.locks.get(name) == "sync"}
-            if isinstance(statement, ast.With) and in_async and sync_held \
-                    and any(isinstance(node, ast.Await)
-                            for node in ast.walk(statement)):
-                self.sync_with_awaits.append(statement.lineno)
             self._expressions(statement, held)
-            self.walk(statement.body, held | frozenset(acquired), in_async)
+            self.walk(statement.body, held | frozenset(acquired))
             return
         self._expressions(statement, held)
         for child_body in self._bodies(statement):
-            self.walk(child_body, held, in_async)
+            self.walk(child_body, held)
 
     @staticmethod
     def _bodies(statement: ast.stmt) -> Iterator[List[ast.stmt]]:
@@ -233,8 +217,6 @@ class LockGuardPass(AnalysisPass):
     codes = {
         "REPRO511": "write to majority-lock-guarded shared state without "
                     "holding the inferred lock",
-        "REPRO512": "await while holding a synchronous lock (parks the "
-                    "event loop on a thread lock)",
     }
     scope = ("repro.exec", "repro.obs")
     version = 1
@@ -247,49 +229,37 @@ class LockGuardPass(AnalysisPass):
             if isinstance(statement, ast.ClassDef):
                 for finding in self._check_class(statement):
                     yield finding
-            elif isinstance(statement, (ast.FunctionDef,
-                                        ast.AsyncFunctionDef)):
-                for finding in self._check_module_function(statement,
-                                                           module_locks):
-                    yield finding
         if module_locks:
             walker = _GuardWalker(module_locks, is_module=True)
             for statement in source.tree.body:
                 if isinstance(statement, (ast.FunctionDef,
                                           ast.AsyncFunctionDef)):
-                    walker.walk(statement.body, frozenset(),
-                                isinstance(statement, ast.AsyncFunctionDef))
+                    walker.walk(statement.body, frozenset())
             for finding in _majority_findings(walker.writes, "global"):
                 yield finding
 
     @staticmethod
-    def _module_locks(tree: ast.Module) -> Dict[str, str]:
-        locks: Dict[str, str] = {}
-        for statement in tree.body:
-            if isinstance(statement, ast.Assign) \
-                    and len(statement.targets) == 1 \
-                    and isinstance(statement.targets[0], ast.Name):
-                kind = _lock_kind(statement.value)
-                if kind is not None:
-                    locks[statement.targets[0].id] = kind
-        return locks
+    def _module_locks(tree: ast.Module) -> Set[str]:
+        return {statement.targets[0].id for statement in tree.body
+                if isinstance(statement, ast.Assign)
+                and len(statement.targets) == 1
+                and isinstance(statement.targets[0], ast.Name)
+                and _constructs_lock(statement.value)}
 
     def _check_class(self, cls: ast.ClassDef
                      ) -> Iterator[Tuple[int, str, str]]:
         methods = [node for node in cls.body
                    if isinstance(node, (ast.FunctionDef,
                                         ast.AsyncFunctionDef))]
-        locks: Dict[str, str] = {}
+        locks: Set[str] = set()
         for method in methods:
             for node in ast.walk(method):
-                if isinstance(node, ast.Assign):
+                if isinstance(node, ast.Assign) \
+                        and _constructs_lock(node.value):
                     for target in node.targets:
                         attr = _self_attr(target)
-                        if attr is None:
-                            continue
-                        kind = _lock_kind(node.value)
-                        if kind is not None:
-                            locks[attr] = kind
+                        if attr is not None:
+                            locks.add(attr)
         if not locks:
             return
         walker = _GuardWalker(locks, is_module=False)
@@ -298,29 +268,6 @@ class LockGuardPass(AnalysisPass):
             # they neither teach the inference nor count as outliers.
             if method.name == "__init__":
                 continue
-            walker.walk(method.body, frozenset(),
-                        isinstance(method, ast.AsyncFunctionDef))
+            walker.walk(method.body, frozenset())
         for finding in _majority_findings(walker.writes, "attribute"):
             yield finding
-        for line in walker.sync_with_awaits:
-            yield (line, "REPRO512",
-                   "await inside 'with <threading lock>:' — the event "
-                   "loop blocks on a thread lock until the awaited I/O "
-                   "finishes; use asyncio.Lock with 'async with', or "
-                   "move the await out of the critical section")
-
-    def _check_module_function(self, func: ast.stmt,
-                               module_locks: Dict[str, str]
-                               ) -> Iterator[Tuple[int, str, str]]:
-        if not module_locks:
-            return
-        if isinstance(func, ast.AsyncFunctionDef):
-            walker = _GuardWalker(module_locks, is_module=True)
-            walker.walk(func.body, frozenset(), True)
-            for line in walker.sync_with_awaits:
-                yield (line, "REPRO512",
-                       "await inside 'with <threading lock>:' — the "
-                       "event loop blocks on a thread lock until the "
-                       "awaited I/O finishes; use asyncio.Lock with "
-                       "'async with', or move the await out of the "
-                       "critical section")

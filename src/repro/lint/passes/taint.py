@@ -28,7 +28,7 @@ pattern-matching call sites:
   constructor arguments, attribute assignment on a bound instance, or
   ``instance.extra[...]`` item writes.
 
-Wall-clock reads whose values stay in logs, metrics, or wire frames
+Wall-clock reads whose values stay in logs, metrics, or spans
 never reach a sink and are not findings; that precision is the point
 of the flow-aware rewrite.
 """

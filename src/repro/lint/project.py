@@ -1,15 +1,13 @@
 """Project-wide symbol table and call graph for dataflow passes.
 
-Per-file passes see one tree at a time; the dataflow families
-(``REPRO11x`` taint, ``REPRO6xx`` wire schema) need to answer
-*cross-file* questions — "which function does this call resolve to?",
-"what string does this imported constant hold?". This module builds
-that picture once per run:
+Per-file passes see one tree at a time; the dataflow family
+(``REPRO11x`` taint) needs to answer *cross-file* questions — "which
+function does this call resolve to?". This module builds that picture
+once per run:
 
 - :class:`SymbolTable` indexes every module's functions (including
-  methods and nested functions), classes, module-level constants, and
-  import aliases, with relative imports resolved against the dotted
-  module name.
+  methods and nested functions), classes and import aliases, with
+  relative imports resolved against the dotted module name.
 - :class:`CallGraph` resolves ``Name``/``self.method``/
   ``module.func``/``instance.method`` call sites to fully-qualified
   function names and records caller → callee edges.
@@ -26,7 +24,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .engine import AnalysisContext, SourceFile
 
@@ -42,36 +40,6 @@ class FunctionInfo:
     source: SourceFile
     class_name: Optional[str] = None
 
-    @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
-
-    def param_names(self) -> List[str]:
-        args = self.node.args  # type: ignore[attr-defined]
-        names = [a.arg for a in getattr(args, "posonlyargs", [])]
-        names += [a.arg for a in args.args]
-        if args.vararg:
-            names.append(args.vararg.arg)
-        names += [a.arg for a in args.kwonlyargs]
-        if args.kwarg:
-            names.append(args.kwarg.arg)
-        return names
-
-    def positional_param(self, index: int) -> Optional[str]:
-        """The parameter name bound by positional argument ``index``.
-
-        For methods the implicit ``self``/``cls`` slot is skipped, so
-        index 0 is the first *caller-visible* argument.
-        """
-        args = self.node.args  # type: ignore[attr-defined]
-        positional = [a.arg for a in getattr(args, "posonlyargs", [])]
-        positional += [a.arg for a in args.args]
-        if self.is_method and positional:
-            positional = positional[1:]
-        if 0 <= index < len(positional):
-            return positional[index]
-        return None
-
 
 @dataclass
 class ModuleInfo:
@@ -82,7 +50,6 @@ class ModuleInfo:
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, List[str]] = field(default_factory=dict)
     imports: Dict[str, str] = field(default_factory=dict)
-    constants: Dict[str, Any] = field(default_factory=dict)
 
 
 def _resolve_relative(module: str, is_package: bool,
@@ -126,8 +93,8 @@ class SymbolTable:
         for statement in source.tree.body:  # type: ignore[union-attr]
             self._index_statement(info, source, statement, prefix="",
                                   class_name=None)
-        # Imports and constants anywhere at module level (incl. inside
-        # try/except guards for optional deps).
+        # Imports anywhere at module level (incl. inside try/except
+        # guards for optional deps).
         for node in ast.walk(source.tree):  # type: ignore[arg-type]
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -143,12 +110,6 @@ class SymbolTable:
                         continue
                     info.imports[alias.asname or alias.name] = \
                         f"{target}.{alias.name}"
-        for statement in source.tree.body:  # type: ignore[union-attr]
-            if isinstance(statement, ast.Assign) \
-                    and len(statement.targets) == 1 \
-                    and isinstance(statement.targets[0], ast.Name) \
-                    and isinstance(statement.value, ast.Constant):
-                info.constants[statement.targets[0].id] = statement.value.value
 
     def _index_statement(self, info: ModuleInfo, source: SourceFile,
                          statement: ast.stmt, prefix: str,
@@ -182,24 +143,6 @@ class SymbolTable:
                 info.classes[statement.name] = methods
 
     # -- resolution ----------------------------------------------------------
-
-    def resolve_value(self, module: str, name: str,
-                      _depth: int = 0) -> Optional[Any]:
-        """The constant value ``name`` holds in ``module``, through
-        one-hop-per-level import chains (``from .wire import MSG_RUN``)."""
-        if _depth > 8:
-            return None
-        info = self.modules.get(module)
-        if info is None:
-            return None
-        if name in info.constants:
-            return info.constants[name]
-        target = info.imports.get(name)
-        if target:
-            mod, _, symbol = target.rpartition(".")
-            if symbol and mod in self.modules:
-                return self.resolve_value(mod, symbol, _depth + 1)
-        return None
 
     def resolve_function(self, module: str, name: str,
                          _depth: int = 0) -> Optional[FunctionInfo]:

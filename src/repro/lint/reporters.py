@@ -24,7 +24,7 @@ SARIF_VERSION = "2.1.0"
 _SARIF_SCHEMA = ("https://json.schemastore.org/sarif-2.1.0.json")
 
 #: Advisory rules map to SARIF "warning"; everything else is "error".
-_ADVISORY_CODES = frozenset({"REPRO011", "REPRO402", "REPRO602"})
+_ADVISORY_CODES = frozenset({"REPRO011", "REPRO402"})
 
 
 def render_text(report: AnalysisReport) -> str:

@@ -7,11 +7,9 @@ Zero-dependency metrics and tracing threaded through the whole stack:
   (``mem.nvm.writes``, ``cache.counter.hits``, ``exec.task.*``).
   Every :class:`~repro.sim.System` owns one; its snapshot rides on the
   :class:`~repro.sim.system.SystemReport` so metrics cross the result
-  cache and the distributed wire protocol for free.
+  cache and the fork pool for free.
 * :func:`span` tracing for toolchain wall time (batch dispatch, trace
-  replay), collected by a :class:`SpanTracer`; a :class:`TraceContext`
-  propagates trace identity across the distributed wire so worker and
-  dispatcher spans merge into one timeline.
+  replay), collected by a :class:`SpanTracer`.
 * :class:`EventRecorder` — the flight recorder: a bounded,
   deterministic log of the sim core's security-relevant transitions
   (shreds, zero-fill elisions, counter overflows), embedded per-run in
@@ -32,8 +30,7 @@ from .registry import (DEFAULT_DURATION_BUCKETS_NS,
                        DEFAULT_LATENCY_BUCKETS_NS, INF, Counter, Gauge,
                        Histogram, Instrument, MetricsRegistry, check_name,
                        merge_snapshots)
-from .spans import (SpanRecord, SpanTracer, TraceContext, default_tracer,
-                    merge_span_records, span)
+from .spans import SpanRecord, SpanTracer, default_tracer, span
 
 __all__ = [
     "Counter",
@@ -51,13 +48,11 @@ __all__ = [
     "MetricsRegistry",
     "SpanRecord",
     "SpanTracer",
-    "TraceContext",
     "check_name",
     "default_tracer",
     "filter_events",
     "format_event",
     "merge_snapshots",
-    "merge_span_records",
     "metrics_rows",
     "read_jsonl",
     "render_metrics_table",

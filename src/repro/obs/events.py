@@ -25,7 +25,7 @@ Every event is a JSON-safe dict ``{"kind", "page", "time_ns",
 simulation state**: the recorder is driven only by simulated accesses
 and simulated time, never the wall clock, so the log embeds in
 :class:`~repro.sim.system.SystemReport` and stays byte-identical
-across hosts and backends.
+across hosts and ``jobs`` counts.
 
 Two mechanisms keep the log bounded without breaking that identity:
 

@@ -139,15 +139,14 @@ def to_trace_events(spans: List[Dict[str, Any]], *,
     events on a track from their time ranges, so the tracer's
     parent/depth structure reappears visually. Load the result in
     ``chrome://tracing`` or https://ui.perfetto.dev. Span attrs ride in
-    ``args``, plus the record's index/parent_index (and, when traced
-    across processes, trace_id/span_id/parent_span_id) so the exact
-    tree is recoverable from the export.
+    ``args``, plus the record's index/parent_index (and its
+    trace_id/span_id/parent_span_id, when present) so the exact tree is
+    recoverable from the export.
 
     Records carrying a ``pid`` (stamped by :class:`SpanTracer`) land
     on their own process lane, named by the record's ``process`` role
-    when present — a merged multi-process trace renders client,
-    dispatcher, and each worker separately. Records without a ``pid``
-    (pre-propagation dumps) fall back to the ``pid``/``process_name``
+    when present (older multi-process dumps carry one). Records without
+    a ``pid`` (older dumps) fall back to the ``pid``/``process_name``
     arguments, preserving the legacy single-lane output.
     """
     lanes: List[int] = []               # first-seen order

@@ -15,9 +15,9 @@ instrument kinds cover the stack:
   cumulative bucket counts, Prometheus style.
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain sorted dicts of
-JSON scalars, so they cross process and wire boundaries unchanged, and
+JSON scalars, so they cross process boundaries unchanged, and
 :func:`merge_snapshots` combines them deterministically — the property
-that lets a distributed sweep merge per-worker registries into exactly
+that lets a parallel sweep merge per-report registries into exactly
 the totals a serial run would have produced.
 
 Pull-style sources (plain stats fields, such as every simulator
@@ -308,7 +308,7 @@ class MetricsRegistry:
                 for name in sorted(self._instruments)}
 
     def merge_snapshot(self, snapshot: Dict[str, Dict[str, Any]]) -> None:
-        """Fold a snapshot (e.g. a worker's) into this registry's
+        """Fold a snapshot (e.g. a report's) into this registry's
         instruments: counters and histograms add, gauges take the max."""
         for name in sorted(snapshot or {}):
             entry = snapshot[name]
@@ -355,7 +355,7 @@ def merge_snapshots(*snapshots: Dict[str, Dict[str, Any]],
     """Pure-dict merge of any number of snapshots (see
     :meth:`MetricsRegistry.merge_snapshot` for the per-kind rules).
     Order-independent for counters/histograms/gauges, so serial and
-    distributed sweeps merge to identical totals."""
+    parallel sweeps merge to identical totals."""
     registry = MetricsRegistry()
     for snapshot in snapshots:
         registry.merge_snapshot(snapshot)

@@ -16,16 +16,10 @@ Usage::
         record.attrs["rows"] = len(rows)   # attrs may be set late
 
 Records accumulate in a :class:`SpanTracer` (module default, or pass
-``tracer=``).
-
-Spans also propagate across processes: every tracer owns a ``trace_id``
-and every span a ``span_id``, and a :class:`TraceContext` (the pair
-``trace_id``/``parent_span_id``) rides distributed wire frames so a
-worker's task spans parent under the client span that dispatched them.
-Records stamp the recording process (``pid`` plus an optional role
-name), shipped snapshots re-enter a tracer through :meth:`ingest`
-(or merge as plain dicts via :func:`merge_span_records`), and the
-trace-event exporter lays each process out on its own lane.
+``tracer=``). Every tracer owns a ``trace_id`` and every span a
+``span_id`` (its parent's is ``parent_span_id``), and each record
+stamps the recording process's ``pid``, which the trace-event exporter
+uses as the record's lane.
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional
 
 
 def _new_trace_id() -> str:
@@ -45,30 +39,6 @@ def _new_trace_id() -> str:
 
 def _new_span_id() -> str:
     return uuid.uuid4().hex[:16]
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """The cross-process trace coordinates that ride wire frames."""
-
-    trace_id: str
-    parent_span_id: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        doc: Dict[str, Any] = {"trace_id": self.trace_id}
-        if self.parent_span_id is not None:
-            doc["parent_span_id"] = self.parent_span_id
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: Optional[Dict[str, Any]],
-                  ) -> Optional["TraceContext"]:
-        """``None`` (or a frame without a trace) maps to ``None`` —
-        readers that predate trace propagation stay compatible."""
-        if not doc or not doc.get("trace_id"):
-            return None
-        return cls(trace_id=str(doc["trace_id"]),
-                   parent_span_id=doc.get("parent_span_id"))
 
 
 @dataclass
@@ -84,9 +54,9 @@ class SpanRecord:
     attrs: Dict[str, Any] = field(default_factory=dict)
     trace_id: Optional[str] = None
     span_id: Optional[str] = None
-    parent_span_id: Optional[str] = None    # cross-process parent
+    parent_span_id: Optional[str] = None
     pid: Optional[int] = None
-    process: Optional[str] = None           # role name ("worker", ...)
+    process: Optional[str] = None           # lane name, in older dumps
 
     def to_dict(self) -> Dict[str, Any]:
         doc = {"name": self.name, "index": self.index,
@@ -104,34 +74,17 @@ class SpanRecord:
 class SpanTracer:
     """Collects spans; keeps a per-thread stack for nesting.
 
-    ``trace_id`` identifies the whole trace (lazily generated, or
-    inherited from a :class:`TraceContext`); ``parent_span_id`` makes
-    this tracer's root spans children of a remote span; ``process``
-    names the role recorded on every span (the pid is stamped per
-    span, so records survive forks with the right identity).
+    ``trace_id`` identifies the whole trace (generated with the first
+    span). The pid is stamped per span, so records survive forks with
+    the right identity.
     """
 
-    def __init__(self, clock=time.perf_counter_ns, *,
-                 trace_id: Optional[str] = None,
-                 parent_span_id: Optional[str] = None,
-                 process: Optional[str] = None) -> None:
+    def __init__(self, clock=time.perf_counter_ns) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self._local = threading.local()
         self._records: List[SpanRecord] = []
-        self._trace_id = trace_id
-        self._parent_span_id = parent_span_id
-        self._process = process
-
-    @classmethod
-    def for_context(cls, context: Optional[TraceContext], *,
-                    process: Optional[str] = None,
-                    clock=time.perf_counter_ns) -> "SpanTracer":
-        """A tracer whose root spans continue a propagated trace."""
-        if context is None:
-            return cls(clock=clock, process=process)
-        return cls(clock=clock, trace_id=context.trace_id,
-                   parent_span_id=context.parent_span_id, process=process)
+        self._trace_id: Optional[str] = None
 
     # -- trace identity ------------------------------------------------------------
 
@@ -141,15 +94,6 @@ class SpanTracer:
             if self._trace_id is None:
                 self._trace_id = _new_trace_id()
             return self._trace_id
-
-    def context(self) -> TraceContext:
-        """The :class:`TraceContext` to put on an outbound frame: this
-        trace, parented under the innermost open span (if any)."""
-        current = self.current()
-        return TraceContext(
-            trace_id=self.trace_id,
-            parent_span_id=current.span_id if current is not None
-            else self._parent_span_id)
 
     # -- the per-thread open-span stack -------------------------------------------
 
@@ -180,9 +124,8 @@ class SpanTracer:
                 depth=0 if parent is None else parent.depth + 1,
                 start_ns=self._clock(), attrs=dict(attrs or {}),
                 trace_id=self._trace_id, span_id=_new_span_id(),
-                parent_span_id=parent.span_id if parent is not None
-                else self._parent_span_id,
-                pid=os.getpid(), process=self._process)
+                parent_span_id=None if parent is None else parent.span_id,
+                pid=os.getpid())
             self._records.append(record)
         stack.append(record)
         try:
@@ -190,58 +133,6 @@ class SpanTracer:
         finally:
             record.duration_ns = self._clock() - record.start_ns
             stack.pop()
-
-    def record_span(self, name: str, *, start_ns: int, duration_ns: int,
-                    attrs: Optional[Dict[str, Any]] = None,
-                    trace_id: Optional[str] = None,
-                    parent_span_id: Optional[str] = None) -> SpanRecord:
-        """Append an already-timed root span (for event-loop code whose
-        operations outlive any one callback frame)."""
-        with self._lock:
-            if trace_id is None:
-                if self._trace_id is None:
-                    self._trace_id = _new_trace_id()
-                trace_id = self._trace_id
-            record = SpanRecord(
-                name=name, index=len(self._records), parent_index=None,
-                depth=0, start_ns=start_ns, duration_ns=duration_ns,
-                attrs=dict(attrs or {}), trace_id=trace_id,
-                span_id=_new_span_id(),
-                parent_span_id=parent_span_id
-                if parent_span_id is not None else self._parent_span_id,
-                pid=os.getpid(), process=self._process)
-            self._records.append(record)
-            return record
-
-    # -- merging shipped records ---------------------------------------------------
-
-    def ingest(self, records: Sequence[Dict[str, Any]]) -> int:
-        """Fold foreign span records (snapshot dicts shipped over the
-        wire) into this tracer, re-indexing so ``index``/
-        ``parent_index`` stay consistent; returns the count added.
-        Cross-process linkage rides the span-id fields untouched."""
-        if not records:
-            return 0
-        with self._lock:
-            offset = len(self._records)
-            index_map: Dict[Any, int] = {}
-            for position, doc in enumerate(records):
-                new_index = offset + position
-                index_map[doc.get("index")] = new_index
-                parent = doc.get("parent_index")
-                self._records.append(SpanRecord(
-                    name=str(doc.get("name", "?")), index=new_index,
-                    parent_index=index_map.get(parent)
-                    if parent is not None else None,
-                    depth=int(doc.get("depth", 0)),
-                    start_ns=doc.get("start_ns", 0),
-                    duration_ns=doc.get("duration_ns", 0),
-                    attrs=dict(doc.get("attrs") or {}),
-                    trace_id=doc.get("trace_id"),
-                    span_id=doc.get("span_id"),
-                    parent_span_id=doc.get("parent_span_id"),
-                    pid=doc.get("pid"), process=doc.get("process")))
-            return len(records)
 
     # -- export --------------------------------------------------------------------
 
@@ -264,31 +155,6 @@ class SpanTracer:
         with self._lock:
             self._records.clear()
             self._trace_id = None
-
-
-def merge_span_records(*groups: Sequence[Dict[str, Any]],
-                       ) -> List[Dict[str, Any]]:
-    """Concatenate span-record snapshots from several tracers.
-
-    Re-indexes every record so ``index`` is unique and each group's
-    ``parent_index`` edges still point at the right (re-numbered)
-    parents — tracers all start indexing at zero, so raw concatenation
-    would alias records across groups. Cross-process identity
-    (``trace_id``/``span_id``/``pid``) passes through untouched."""
-    merged: List[Dict[str, Any]] = []
-    for group in groups:
-        offset = len(merged)
-        index_map: Dict[Any, int] = {}
-        for position, record in enumerate(group or []):
-            entry = dict(record)
-            new_index = offset + position
-            index_map[record.get("index")] = new_index
-            entry["index"] = new_index
-            parent = record.get("parent_index")
-            entry["parent_index"] = index_map.get(parent) \
-                if parent is not None else None
-            merged.append(entry)
-    return merged
 
 
 _default_tracer = SpanTracer()

@@ -60,12 +60,12 @@ class SystemReport:
     #: Full :meth:`repro.obs.MetricsRegistry.snapshot` of the run. All
     #: values are simulated quantities, so two runs of the same
     #: experiment produce identical snapshots regardless of host, which
-    #: lets this field ride the result cache and the worker wire
-    #: protocol without breaking byte-identical report comparisons.
+    #: lets this field ride the result cache and the fork pool without
+    #: breaking byte-identical report comparisons.
     metrics: Dict[str, object] = field(default_factory=dict)
     #: Flight-recorder event log (:meth:`repro.obs.EventRecorder.snapshot`).
     #: Like ``metrics``, every field is a simulated quantity, so the log
-    #: is byte-identical across hosts and serial-vs-cluster execution
+    #: is byte-identical across hosts and serial-vs-parallel execution
     #: for the same experiment.
     events: List[Dict[str, object]] = field(default_factory=list)
 

@@ -1,4 +1,4 @@
-"""Known-bad fixture for the races family (REPRO511, REPRO512)."""
+"""Known-bad fixture for the races family (REPRO511)."""
 
 import threading
 
@@ -20,15 +20,3 @@ class Tracker:
 
     def reset(self):
         self._items = []
-
-
-class Pump:
-    """Awaits while holding a synchronous lock."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._queue = []
-
-    async def drain(self, sink):
-        with self._lock:
-            await sink.send(self._queue)

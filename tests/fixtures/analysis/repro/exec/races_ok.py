@@ -22,13 +22,3 @@ class Tracker:
     def snapshot(self):
         with self._lock:
             return list(self._items)
-
-
-class Pump:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._queue = []
-
-    async def drain(self, sink):
-        with self._lock:  # repro: suppress REPRO512 -- single-consumer test pump, never contended
-            await sink.send(self._queue)

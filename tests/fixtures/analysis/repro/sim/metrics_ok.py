@@ -4,4 +4,4 @@
 def register(registry, stats_cls):
     registry.counter("bogus.namespace.events")  # repro: suppress REPRO401 -- fixture
     registry.counter("mem.nvm.writes", unit="ops")
-    return stats_cls(registry, metrics_prefix="exec.worker.cache")
+    return stats_cls(registry, metrics_prefix="exec.cache")

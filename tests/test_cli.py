@@ -120,51 +120,6 @@ class TestCacheSweep:
                                        "--max-bytes", "lots"])
 
 
-class TestWorkerCli:
-    def test_serve_requires_subcommand(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["worker"])
-
-    def test_serve_announces_and_honours_max_tasks(self, capsys):
-        """Drive a real registered worker through one task: it
-        announces its registration, then drains after --max-tasks."""
-        import threading
-
-        from repro.exec import Runner, spec_experiment
-        from repro.exec.cluster import ClusterBackend, ClusterServer
-
-        codes = {}
-        with ClusterServer() as server:
-            def run_worker():
-                codes["exit"] = main(["worker", "serve", "--register",
-                                      server.endpoint, "--max-tasks", "1",
-                                      "--heartbeat", "0.2"])
-
-            thread = threading.Thread(target=run_worker, daemon=True)
-            thread.start()
-            reports = Runner(backend=ClusterBackend(server.address),
-                             use_cache=False).run(
-                [spec_experiment("HMMER", cores=1, scale=0.1)])
-            thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert codes["exit"] == 0
-        assert len(reports) == 1
-        captured = capsys.readouterr()
-        assert f"registered with {server.endpoint}" in captured.out
-        assert "worker stopped after 1 tasks" in captured.err
-
-    def test_distributed_failure_is_a_clean_exit(self, tmp_path, capsys,
-                                                 monkeypatch):
-        """An unreachable dispatcher surfaces as exit code 1, not a
-        traceback."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cc"))
-        code = main(["compare", "--benchmark", "GCC", "--scale", "0.1",
-                     "--cores", "1", "--backend", "cluster://127.0.0.1:1",
-                     "--no-cache"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
-
-
 class TestExportConfig:
     def test_export_and_reload(self, tmp_path, capsys):
         from repro.serialization import load_config
@@ -188,6 +143,7 @@ class TestObservabilityCli:
         with open(dump_path, encoding="utf-8") as stream:
             dump = read_jsonl(stream)
         assert dump.meta["command"] == "compare"
+        assert dump.meta["jobs"] == 1
         assert dump.metrics["exec.batch.runs"]["value"] == 1
         assert "mem.ctrl.data_writes" in dump.metrics
         assert any(s["name"] == "exec.batch" for s in dump.spans)
@@ -281,8 +237,7 @@ class TestFlagSurface:
         raise AssertionError(f"{option} missing from {subparser.prog}")
 
     def test_runner_flags_identical_across_compare_and_figure(self):
-        for option in ("--jobs", "--backend", "--no-cache",
-                       "--emit-metrics"):
+        for option in ("--jobs", "--no-cache", "--emit-metrics"):
             actions = [self.flag(self.subparser(cmd), option)
                        for cmd in ("compare", "figure")]
             helps = {a.help for a in actions}
@@ -292,136 +247,29 @@ class TestFlagSurface:
 
     def test_emit_metrics_spelled_identically_everywhere(self):
         surfaces = [self.subparser("compare"), self.subparser("figure"),
-                    self.subparser("worker", "serve"),
-                    self.subparser("cluster", "serve")]
+                    self.subparser("events")]
         helps = {self.flag(s, "--emit-metrics").help for s in surfaces}
         assert len(helps) == 1
 
-    def test_task_timeout_shared_with_cluster_commands(self):
-        surfaces = [self.subparser("cluster", "serve"),
-                    self.subparser("cluster", "drain")]
-        helps = {self.flag(s, "--task-timeout").help for s in surfaces}
-        defaults = {self.flag(s, "--task-timeout").default for s in surfaces}
-        assert len(helps) == 1
-        assert defaults == {300.0}
-
-    def test_backend_spec_timeout_is_not_overridden(self):
-        """The runner commands have no --task-timeout, so a cluster
-        spec's own frame_timeout reaches the backend (a flag default
-        used to override it)."""
-        from repro.cli import _runner_context
-        for path in (("compare",), ("figure",), ("events",)):
-            options = {option for action in self.subparser(*path)._actions
-                       for option in action.option_strings}
-            assert "--task-timeout" not in options
-        args = build_parser().parse_args(
-            ["compare", "--backend", "cluster://hub:7071?frame_timeout=900"])
-        with _runner_context(args) as runner:
-            assert runner.backend.frame_timeout == 900.0
-
-    def test_keyfile_shared_across_worker_and_cluster(self):
-        surfaces = [self.subparser("worker", "serve"),
-                    self.subparser("cluster", "serve"),
-                    self.subparser("cluster", "status"),
-                    self.subparser("cluster", "drain"),
-                    self.subparser("cluster", "shutdown")]
-        helps = {self.flag(s, "--keyfile").help for s in surfaces}
-        assert len(helps) == 1
-
-    def test_backend_spec_flag_parsed(self):
-        args = build_parser().parse_args(
-            ["compare", "--backend", "cluster://hub:7071?keyfile=k.key"])
-        assert args.backend == "cluster://hub:7071?keyfile=k.key"
-
-    def test_backend_serial_runs_end_to_end(self, capsys):
-        assert main(["compare", "--benchmark", "HMMER", "--scale", "0.15",
-                     "--cores", "1", "--no-cache",
-                     "--backend", "serial"]) == 0
-        assert "HMMER" in capsys.readouterr().out
-
-    def test_backend_with_jobs_is_a_clean_exit(self, capsys):
-        """``--backend`` and ``--jobs N`` contradict each other, as in
-        ``Runner``: the run is refused instead of silently serial."""
-        assert main(["compare", "--benchmark", "HMMER", "--scale", "0.1",
-                     "--cores", "1", "--no-cache", "--backend", "serial",
-                     "--jobs", "4"]) == 1
-        captured = capsys.readouterr()
-        assert "error: pass either jobs=N or backend=..., not both" \
-            in captured.err
-        assert captured.out == ""
-
-    def test_progress_goes_to_stderr_with_a_backend_or_jobs(self):
+    def test_progress_goes_to_stderr_only_with_jobs(self):
         from repro.cli import _cli_progress, _runner_context
-        for flags, progress in ((["--backend", "serial"], _cli_progress),
-                                (["--jobs", "2"], _cli_progress),
+        for flags, progress in ((["--jobs", "2"], _cli_progress),
                                 ([], None)):
             args = build_parser().parse_args(["compare", *flags])
             with _runner_context(args) as runner:
                 assert runner.progress is progress
+                assert runner.jobs == (2 if flags else 1)
 
-    def test_bad_backend_spec_is_a_clean_exit(self, capsys):
-        assert main(["compare", "--benchmark", "HMMER",
-                     "--backend", "warp-drive"]) == 1
-        assert "cannot parse backend spec" in capsys.readouterr().err
-
-
-class TestClusterCli:
-    def test_cluster_requires_subcommand(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["cluster"])
-
-    def test_keygen_writes_keyfile(self, tmp_path, capsys):
-        path = tmp_path / "cluster.key"
-        assert main(["cluster", "keygen", str(path)]) == 0
-        assert "cluster key written" in capsys.readouterr().out
-        from repro.exec.wire import FrameAuth
-        assert FrameAuth.from_keyfile(path) is not None
-
-    def test_status_against_live_dispatcher(self, capsys):
-        from repro.exec.cluster import ClusterServer
-        with ClusterServer() as server:
-            host, port = server.address
-            assert main(["cluster", "status", f"{host}:{port}"]) == 0
-            status = json.loads(capsys.readouterr().out)
-        assert status["queue_depth"] == 0
-        assert status["workers"] == []
-
-    def test_drain_and_shutdown_round_trip(self, capsys):
-        from repro.exec.cluster import ClusterServer
-        with ClusterServer() as server:
-            host, port = server.address
-            endpoint = f"{host}:{port}"
-            assert main(["cluster", "drain", endpoint]) == 0
-            assert "drained" in capsys.readouterr().out
-            assert main(["cluster", "shutdown", endpoint]) == 0
-            assert server.wait(timeout=30)
-
-    def test_status_unreachable_is_a_clean_exit(self, capsys):
-        assert main(["cluster", "status", "127.0.0.1:1"]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_top_shows_the_queue_and_each_worker(self, capsys):
-        """``repro top`` against a live dispatcher with one registered
-        worker: a header line for the queue and a row for the worker."""
-        import time
-
-        from repro.exec.cluster import ClusterServer, cluster_status
-        from repro.exec.worker import registered_worker_pool
-        with ClusterServer() as server:
-            with registered_worker_pool(1, server.endpoint) as workers:
-                deadline = time.monotonic() + 30
-                while not cluster_status(server.address)["workers"]:
-                    assert time.monotonic() < deadline, "worker never joined"
-                    time.sleep(0.05)
-                assert main(["top", server.endpoint,
-                             "--iterations", "1"]) == 0
-                lines = capsys.readouterr().out.splitlines()
-                name = f"worker-{workers[0].process.pid}"
-        assert lines[0] == ("cluster serving — queue 0, inflight 0, "
-                            "completed 0, cache hit rate n/a")
-        assert lines[1] == "workers (1):"
-        # name, tasks done, seconds since the last heartbeat, state
-        row = lines[2].split()
-        assert row[:3] == [name, "completed=0", "idle"]
-        assert row[3].endswith("s") and row[4] == "idle"
-        assert len(lines) == 3
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--backend", "serial"],
+        ["figure", "fig8", "--backend", "fork:2"],
+        ["events", "--backend", "serial"],
+        ["worker", "serve", "--register", "hub:7071"],
+        ["cluster", "status", "hub:7071"],
+        ["top", "hub:7071"],
+    ], ids=["compare-backend", "figure-backend", "events-backend", "worker",
+            "cluster", "top"])
+    def test_remote_execution_surface_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as error:
+            build_parser().parse_args(argv)
+        assert error.value.code == 2

@@ -10,7 +10,7 @@ from repro.errors import ExperimentError
 from repro.exec import (Experiment, ProgressEvent, ResultCache, Runner,
                         experiment_pair, run_experiments, spec_experiment,
                         workload_kinds)
-from repro.exec import backends as backends_module
+from repro.exec import runner as runner_module
 from repro.exec.cache import default_cache
 from repro.sim.system import System
 
@@ -48,13 +48,13 @@ class TestRunnerBasics:
 
     def test_duplicates_execute_once(self, monkeypatch):
         calls = []
-        original = backends_module._execute_to_dict
+        original = runner_module._execute_to_dict
 
         def counting(payload):
             calls.append(payload["name"])
             return original(payload)
 
-        monkeypatch.setattr(backends_module, "_execute_to_dict", counting)
+        monkeypatch.setattr(runner_module, "_execute_to_dict", counting)
         exp = spec_experiment("GCC", cores=1, scale=0.1)
         reports = Runner(use_cache=False).run([exp, exp, exp])
         assert len(calls) == 1
@@ -100,7 +100,7 @@ class TestDeterminism:
         assert canonical(serial) == canonical(parallel)
 
     def test_serial_fallback_without_fork(self, monkeypatch):
-        monkeypatch.setattr(backends_module, "_fork_context", lambda: None)
+        monkeypatch.setattr(runner_module, "_fork_context", lambda: None)
         batch = small_batch()[:2]
         reports = run_experiments(batch, jobs=4, use_cache=False)
         assert canonical(reports) == \
@@ -154,6 +154,17 @@ class TestFigureIntegration:
     def test_run_pair_rejects_junk(self):
         with pytest.raises(TypeError):
             run_pair(42)
+
+    @pytest.mark.parametrize("retired", [{"use_cache": False}, {"jobs": 4}],
+                             ids=["use_cache", "jobs"])
+    def test_run_pair_takes_only_a_runner(self, retired, tmp_path):
+        # jobs= and use_cache= beside runner= were silently ignored; the
+        # runner is now the one place they are set.
+        cache = ResultCache(tmp_path)
+        with pytest.raises(TypeError):
+            run_pair(spec_experiment("HMMER", cores=1, scale=0.1),
+                     runner=Runner(cache=cache), **retired)
+        assert len(cache) == 0
 
     def test_study_parallel_matches_serial(self, tmp_path):
         kwargs = dict(benchmarks=["GCC", "H264"], scale=0.15, cores=1)

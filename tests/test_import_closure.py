@@ -1,11 +1,10 @@
 """A figure run imports only the simulator.
 
-Every ``repro figure`` run, registered cluster worker and benchmark
-sample starts a fresh interpreter and pays for whatever ``import repro``
-pulls in. The package roots therefore re-export only what a local run
-needs: the cluster, wire and worker modules (asyncio, sockets) and the
-static analyzer are each imported where they are used, nothing in the
-package imports numpy, and nothing loads ``http.server`` or ssl.
+Every ``repro figure`` run and benchmark sample starts a fresh
+interpreter and pays for whatever ``import repro`` pulls in. The
+package roots therefore re-export only what a run needs: the static
+analyzer is imported where it is used, nothing in the package imports
+numpy, and nothing loads asyncio, ``http.server`` or ssl.
 
 Each import runs in a fresh subprocess, because this process has
 everything loaded already.
@@ -27,9 +26,6 @@ NOT_ON_THE_FIGURE_PATH = (
     "asyncio",
     "ssl",
     "http.server",
-    "repro.exec.cluster",
-    "repro.exec.worker",
-    "repro.exec.wire",
     "repro.lint",
 )
 

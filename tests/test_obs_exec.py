@@ -1,17 +1,10 @@
-"""Exec-layer telemetry: runner counters, the registered worker's task
-executor (reply frames, worker-side caching, exec.worker.* counters),
-and the cluster-equals-serial invariant."""
+"""Exec-layer telemetry: runner counters, report metrics folded into
+the runner's registry, and the parallel-equals-serial invariant."""
 
 import json
 
-import pytest
-
 from repro.exec import Experiment, ResultCache, Runner, spec_experiment
-from repro.exec.cluster import ClusterBackend, ClusterServer
-from repro.exec.wire import MSG_ERROR, MSG_RESULT, MSG_RUN
-from repro.exec.worker import _TaskExecutor, registered_worker_pool
 from repro.obs import MetricsRegistry
-from repro.sim.system import SystemReport
 
 
 def tiny_experiment(name="GCC", scale=0.1):
@@ -65,65 +58,9 @@ class TestRunnerMetrics:
             == reports[0].metrics["mem.ctrl.data_writes"]["value"]
 
 
-def run_frame(experiment):
-    return {"type": MSG_RUN, "experiment": experiment.to_dict()}
-
-
-class TestWorkerWire:
-    """The executor behind ``repro worker serve --register``: the frame
-    it answers each ``run`` frame with, and its worker-local telemetry."""
-
-    def test_result_frame_and_worker_counters(self):
-        executor = _TaskExecutor()
-        reply = executor.run(run_frame(tiny_experiment()))
-        assert reply["type"] == MSG_RESULT
-        metrics = executor.metrics.snapshot()
-        assert metrics["exec.worker.tasks_served"]["value"] == 1
-        assert metrics["exec.worker.task_duration_ns"]["count"] == 1
-        # The report document itself is still a loadable SystemReport.
-        report = SystemReport.from_dict(reply["result"])
-        assert report.metrics     # sim metrics embedded in the report
-        # The task's span rides the frame; the registry stays local.
-        assert [span["name"] for span in reply["spans"]] \
-            == ["exec.worker.task"]
-        assert "metrics" not in reply
-
-    def test_metrics_are_cumulative_across_tasks(self):
-        executor = _TaskExecutor()
-        executor.run(run_frame(tiny_experiment()))
-        executor.run(run_frame(tiny_experiment()))
-        snapshot = executor.metrics.snapshot()
-        assert snapshot["exec.worker.tasks_served"]["value"] == 2
-
-    def test_worker_side_cache(self, tmp_path):
-        executor = _TaskExecutor(cache_dir=tmp_path)
-        first = executor.run(run_frame(tiny_experiment()))
-        second = executor.run(run_frame(tiny_experiment()))
-        assert first["result"] == second["result"]
-        assert [reply["spans"][0]["attrs"]["cache_hit"]
-                for reply in (first, second)] == [False, True]
-        metrics = executor.metrics.snapshot()
-        assert metrics["exec.worker.cache.misses"]["value"] == 1
-        assert metrics["exec.worker.cache.hits"]["value"] == 1
-
-    def test_errors_counted_not_fatal(self):
-        """A failing or malformed task becomes an error frame; the
-        executor keeps serving."""
-        executor = _TaskExecutor()
-        for request in ({"type": MSG_RUN,
-                         "experiment": Experiment("bogus").to_dict()},
-                        {"type": MSG_RUN, "experiment": "junk"}):
-            assert executor.run(request)["type"] == MSG_ERROR
-        assert executor.run(run_frame(tiny_experiment()))["type"] \
-            == MSG_RESULT
-        snapshot = executor.metrics.snapshot()
-        assert snapshot["exec.worker.errors"]["value"] == 2
-        assert snapshot["exec.worker.tasks_served"]["value"] == 1
-
-
 class TestDistributedMetrics:
     def test_merged_sim_totals_match_serial(self):
-        """A cluster run's runner registry holds exactly the serial
+        """A fork-pool run's runner registry holds exactly the serial
         run's simulation totals, folded in from the shipped reports."""
         batch = [tiny_experiment("GCC"), tiny_experiment("H264")]
 
@@ -132,11 +69,7 @@ class TestDistributedMetrics:
         serial_snapshot = sim_metric_items(serial.metrics.snapshot())
 
         registry = MetricsRegistry()
-        with ClusterServer() as server:
-            with registered_worker_pool(2, server.endpoint):
-                clustered = Runner(backend=ClusterBackend(server.address),
-                                   use_cache=False, metrics=registry)
-                clustered.run(batch)
+        Runner(jobs=2, use_cache=False, metrics=registry).run(batch)
         merged = registry.snapshot()
 
         assert sim_metric_items(merged) == serial_snapshot

@@ -1,12 +1,11 @@
-"""Span tracing: nesting, durations, trace-context propagation, and
-the trace-replay integration."""
+"""Span tracing: nesting, durations, span identity, and the
+trace-replay integration."""
 
 import io
 import os
 import threading
 
-from repro.obs import (SpanTracer, TraceContext, default_tracer,
-                       merge_span_records, span)
+from repro.obs import SpanTracer, default_tracer, span
 
 
 def fake_clock(step=10):
@@ -86,121 +85,20 @@ class TestSpanTracer:
         tracer.clear()
         assert tracer.records == []
 
-
-class TestTraceContext:
-    def test_round_trip(self):
-        context = TraceContext(trace_id="t" * 32, parent_span_id="p" * 16)
-        assert TraceContext.from_dict(context.to_dict()) == context
-
-    def test_rootless_context_omits_parent(self):
-        context = TraceContext(trace_id="t" * 32)
-        assert context.to_dict() == {"trace_id": "t" * 32}
-        assert TraceContext.from_dict(context.to_dict()) == context
-
-    def test_missing_or_empty_frames_map_to_none(self):
-        assert TraceContext.from_dict(None) is None
-        assert TraceContext.from_dict({}) is None
-        assert TraceContext.from_dict({"trace_id": ""}) is None
-
-
-class TestTracePropagation:
-    def test_spans_carry_identity(self):
-        tracer = SpanTracer(clock=fake_clock(), process="client")
+    def test_spans_carry_trace_and_span_ids(self):
+        """The dump keys ``trace_id``/``span_id``/``parent_span_id``/
+        ``pid`` stay: one trace per tracer, a child names its parent."""
+        tracer = SpanTracer(clock=fake_clock())
         with tracer.span("outer"):
             with tracer.span("inner"):
                 pass
-        outer, inner = tracer.records
-        assert outer.trace_id == inner.trace_id == tracer.trace_id
-        assert inner.parent_span_id == outer.span_id
-        assert outer.pid == os.getpid()
-        assert outer.process == "client"
-
-    def test_context_parents_under_innermost_open_span(self):
-        tracer = SpanTracer(clock=fake_clock())
-        with tracer.span("batch") as record:
-            context = tracer.context()
-        assert context.trace_id == tracer.trace_id
-        assert context.parent_span_id == record.span_id
-
-    def test_for_context_continues_the_trace(self):
-        client = SpanTracer(clock=fake_clock(), process="client")
-        with client.span("exec.batch") as batch:
-            context = client.context()
-        worker = SpanTracer.for_context(context, process="worker",
-                                        clock=fake_clock())
-        with worker.span("exec.worker.task"):
-            pass
-        record = worker.records[0]
-        assert record.trace_id == client.trace_id
-        assert record.parent_span_id == batch.span_id
-        assert record.process == "worker"
-
-    def test_for_context_none_starts_fresh(self):
-        tracer = SpanTracer.for_context(None, process="worker",
-                                        clock=fake_clock())
-        with tracer.span("task"):
-            pass
-        assert tracer.records[0].parent_span_id is None
-
-    def test_record_span_appends_finished_root(self):
-        tracer = SpanTracer(clock=fake_clock(), process="dispatcher")
-        record = tracer.record_span("exec.cluster.task", start_ns=100,
-                                    duration_ns=40, attrs={"worker": "w1"},
-                                    trace_id="t" * 32,
-                                    parent_span_id="p" * 16)
-        assert tracer.records == [record]
-        assert record.duration_ns == 40
-        assert record.trace_id == "t" * 32
-        assert record.parent_span_id == "p" * 16
-
-    def test_ingest_reindexes_shipped_snapshots(self):
-        local = SpanTracer(clock=fake_clock())
-        with local.span("local-root"):
-            pass
-        remote = SpanTracer(clock=fake_clock(), process="worker")
-        with remote.span("remote-root"):
-            with remote.span("remote-child"):
-                pass
-        assert local.ingest(remote.snapshot()) == 2
-        by_name = {r.name: r for r in local.records}
-        assert by_name["remote-root"].index != 0   # re-numbered past local
-        assert by_name["remote-child"].parent_index \
-            == by_name["remote-root"].index
-        assert by_name["remote-child"].process == "worker"
-        assert local.ingest([]) == 0
-
-
-class TestMergeSpanRecords:
-    def make_group(self, names):
-        tracer = SpanTracer(clock=fake_clock())
-        for name in names:
-            with tracer.span(name):
-                pass
-        return tracer.snapshot()
-
-    def test_duplicate_indices_across_groups_reindexed(self):
-        # Every tracer numbers from zero, so concatenating snapshots
-        # aliases index 0; the merge must renumber and repoint parents.
-        merged = merge_span_records(self.make_group(["a", "b"]),
-                                    self.make_group(["c", "d"]))
-        assert [r["index"] for r in merged] == [0, 1, 2, 3]
-        assert [r["name"] for r in merged] == ["a", "b", "c", "d"]
-
-    def test_parent_edges_follow_their_group(self):
-        tracer = SpanTracer(clock=fake_clock())
-        with tracer.span("root"):
-            with tracer.span("child"):
-                pass
-        merged = merge_span_records(self.make_group(["solo"]),
-                                    tracer.snapshot())
-        child = next(r for r in merged if r["name"] == "child")
-        root = next(r for r in merged if r["name"] == "root")
-        assert child["parent_index"] == root["index"] == 1
-
-    def test_empty_groups_skipped(self):
-        assert merge_span_records([], self.make_group(["only"]), None) \
-            != []
-        assert merge_span_records([], []) == []
+        outer, inner = tracer.snapshot()
+        assert outer["trace_id"] == inner["trace_id"] == tracer.trace_id
+        assert outer["span_id"] != inner["span_id"]
+        assert "parent_span_id" not in outer
+        assert inner["parent_span_id"] == outer["span_id"]
+        assert outer["pid"] == inner["pid"] == os.getpid()
+        assert "process" not in outer
 
 
 class TestModuleLevelSpan:
