@@ -21,9 +21,9 @@ Commands
     Render a ``--emit-metrics`` JSON-lines dump as a table,
     Prometheus text, or a chrome://tracing span trace.
 ``analyze``
-    Run the repo's static invariant checker (``REPRO###`` rules);
-    see ``docs/ANALYSIS.md``. ``--import-graph dot`` exports the
-    layered import graph instead.
+    Run the repo's static invariant checker (``REPRO###`` rules) as
+    one cold pass over every file; see ``docs/ANALYSIS.md``.
+    ``--import-graph dot`` exports the layered import graph instead.
 
 ``compare``, ``figure`` and ``events`` run through one
 :class:`~repro.exec.Runner`: ``--jobs N`` fans the batch out over a
@@ -240,27 +240,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _changed_displays(root: str) -> Optional[List[str]]:
-    """Repo-relative ``.py`` paths changed vs. HEAD (plus untracked).
-
-    Returns ``None`` when git is unavailable or the root is not a work
-    tree — the caller turns that into the internal-error exit code.
-    """
-    import subprocess
-    changed: List[str] = []
-    for extra in (["diff", "--name-only", "HEAD"],
-                  ["ls-files", "--others", "--exclude-standard"]):
-        try:
-            proc = subprocess.run(
-                ["git", "-C", root] + extra, capture_output=True,
-                text=True, timeout=30, check=True)
-        except (OSError, subprocess.SubprocessError):
-            return None
-        changed.extend(line.strip() for line in proc.stdout.splitlines()
-                       if line.strip())
-    return sorted({path for path in changed if path.endswith(".py")})
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     """Exit 0 clean, 1 violations, 2 internal/usage error."""
     import json
@@ -271,35 +250,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         for code, entry in rule_catalog().items():
             print(f"{code}  [{entry['pass']}]  {entry['summary']}")
         return 0
-    cache_path = None if args.no_cache else args.root
     try:
+        analyzer = Analyzer(args.root, select=args.select,
+                            ignore=args.ignore)
         if args.import_graph:
             from .lint.passes.layering import render_import_graph
-            analyzer = Analyzer(args.root, select=args.select,
-                                ignore=args.ignore)
             sys.stdout.write(
                 render_import_graph(analyzer.source_files(args.paths or None),
                                     fmt=args.import_graph))
             return 0
-        changed: Optional[List[str]] = None
-        if args.changed:
-            changed = _changed_displays(args.root)
-            if changed is None:
-                print("analyze: --changed needs git and a work tree at "
-                      f"{args.root!r}", file=sys.stderr)
-                return 2
-            if not changed:
-                print("analyze: no changed .py files")
-                return 0
-        analyzer = Analyzer(args.root, select=args.select,
-                            ignore=args.ignore, cache_path=cache_path)
         report = analyzer.run(args.paths or None)
-        if changed is not None:
-            # Full (cache-backed) run for whole-project soundness, then
-            # scope the *reported* findings to the changed files.
-            scope = set(changed)
-            report.violations = [violation for violation in report.violations
-                                 if violation.path in scope]
     except Exception as error:  # internal error, not a finding
         print(f"analyze: internal error: {error}", file=sys.stderr)
         return 2
@@ -478,14 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "2.1.0 log for code-scanning upload)")
     analyze.add_argument("--output", default=None, metavar="FILE",
                          help="write the report to FILE instead of stdout")
-    analyze.add_argument("--changed", action="store_true",
-                         help="report only findings in files changed vs. "
-                              "git HEAD (the run itself stays whole-"
-                              "project, served from the incremental "
-                              "cache)")
-    analyze.add_argument("--no-cache", action="store_true",
-                         help="disable the incremental result cache "
-                              "(.repro-analysis-cache.json under --root)")
     analyze.add_argument("--select", default=None, metavar="CODES",
                          help="only enforce these comma-separated REPRO### "
                               "codes")

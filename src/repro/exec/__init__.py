@@ -4,7 +4,7 @@ The public surface for running sweeps:
 
 * :class:`Experiment` — a frozen, hashable description of one run
   (workload + parameters, :class:`~repro.config.SystemConfig`, shred
-  policy, seed) with a stable cross-process content hash.
+  policy) with a stable cross-process content hash.
 * :class:`Runner` / :func:`run_experiments` — batch orchestration:
   dedupe, cache consultation, progress, and execution, in-process for
   ``jobs=1`` or on a local ``multiprocessing`` fork pool for

@@ -1,8 +1,8 @@
 """The :class:`Experiment` spec: one simulation run as a frozen value.
 
 An experiment fully describes a run — workload kind plus parameters,
-the :class:`~repro.config.SystemConfig`, the shred policy and a seed —
-and nothing about *how* it is executed. Because the description is a
+the :class:`~repro.config.SystemConfig` and the shred policy — and
+nothing about *how* it is executed. Because the description is a
 frozen, hashable value with a stable content hash, experiments can be
 deduplicated within a batch, shipped to worker processes, and used as
 keys into the persistent result cache.
@@ -61,7 +61,6 @@ class Experiment:
     config: Optional[SystemConfig] = None
     shredder: bool = True
     policy: Optional[str] = None
-    seed: int = 0
     name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
@@ -94,7 +93,6 @@ class Experiment:
             "config": config_digest(self.config),
             "shredder": self.shredder,
             "policy": self.policy,
-            "seed": self.seed,
         }
         payload = json.dumps(document, sort_keys=True,
                              separators=(",", ":"))
@@ -111,7 +109,6 @@ class Experiment:
             "config": config_to_dict(self.config),
             "shredder": self.shredder,
             "policy": self.policy,
-            "seed": self.seed,
             "name": self.name,
         }
 
@@ -124,7 +121,6 @@ class Experiment:
                        config=config_from_dict(data["config"]),
                        shredder=bool(data.get("shredder", True)),
                        policy=data.get("policy"),
-                       seed=int(data.get("seed", 0)),
                        name=data.get("name", ""))
         except KeyError as error:
             raise ExperimentError(f"malformed experiment document: missing {error}")

@@ -4,8 +4,8 @@ execution.
 A :class:`Runner` executes a batch of :class:`Experiment`\\ s: it
 deduplicates the batch by content hash, serves whatever the persistent
 cache already holds, runs the remainder (in-process for ``jobs=1``, on
-a local ``multiprocessing`` fork pool for ``jobs=N``), and stores fresh
-results back into the cache the moment each one lands.
+a local fork-context ``ProcessPoolExecutor`` for ``jobs=N``), and
+stores fresh results back into the cache the moment each one lands.
 
 Results cross every execution boundary as ``SystemReport.to_dict()``
 payloads — including the in-process serial path — so a batch produces
@@ -63,9 +63,11 @@ def _execute(experiments: Sequence[Experiment], jobs: int,
 
     ``index`` is the experiment's position in ``experiments``. One job,
     one experiment, or no ``fork`` start method runs the batch
-    in-process, in order; otherwise a pool of ``min(jobs, len)`` forked
-    workers runs it over ``Pool.imap``. Closing the generator early
-    tears the pool down.
+    in-process, in order; otherwise a ``ProcessPoolExecutor`` of
+    ``min(jobs, len)`` forked workers runs it, in order. A worker that
+    dies mid-task raises :class:`~repro.errors.ExperimentError` instead
+    of stalling the batch. Closing the generator early cancels the
+    pending tasks and joins every worker.
     """
     jobs = min(jobs, len(experiments))
     context = _fork_context() if jobs > 1 else None
@@ -74,11 +76,22 @@ def _execute(experiments: Sequence[Experiment], jobs: int,
             document = _execute_to_dict(experiment.to_dict())
             yield index, SystemReport.from_dict(document)
         return
+    # Imported here so the serial path, which every benchmark sample
+    # and default figure run takes, does not load the executor.
+    from concurrent.futures.process import (BrokenProcessPool,
+                                            ProcessPoolExecutor)
     payloads = [experiment.to_dict() for experiment in experiments]
-    with context.Pool(processes=jobs) as pool:
-        documents = pool.imap(_execute_to_dict, payloads)
+    pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context)
+    try:
+        documents = pool.map(_execute_to_dict, payloads)
         for index, document in enumerate(documents):
             yield index, SystemReport.from_dict(document)
+    except BrokenProcessPool as error:
+        raise ExperimentError(
+            f"a worker process died before the batch finished: {error}"
+        ) from None
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass(frozen=True)

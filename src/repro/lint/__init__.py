@@ -3,10 +3,11 @@
 A dependency-free AST analyzer: :class:`Analyzer` runs the registered
 pass families (determinism, layering, shred-semantics, metrics
 namespace, concurrency, format, lock-guard race inference, plus the
-project-wide determinism-taint dataflow family) over the tree and reports ``REPRO###``-coded
-violations, with an incremental per-file-digest result cache for warm
-runs. Only the CLI and ``tools/`` import it, never a figure run. See
-``docs/ANALYSIS.md`` for the architecture, rules and suppressions.
+project-wide determinism-taint dataflow family) over the tree and
+reports ``REPRO###``-coded violations. Every run is one cold pass over
+every file; nothing is cached between runs. Only the CLI and
+``tools/`` import it, never a figure run. See ``docs/ANALYSIS.md`` for
+the architecture, rules and suppressions.
 """
 
 from .engine import (AnalysisPass, AnalysisReport, Analyzer, ProjectPass,

@@ -19,10 +19,8 @@ toolkit (symbol table and call graph in
 :mod:`repro.lint.cfg`) — that is how the taint family reasons
 across files.
 
-Runs are incremental when given a cache path: raw emissions are keyed
-by file digest (and by a whole-set digest for project passes) so a
-warm run replays results without parsing — see
-:mod:`repro.lint.cache`.
+Every run is cold: it parses every file, runs every pass, reports
+every finding and writes no file.
 
 Suppressions are line-level comments with a *required* justification::
 
@@ -41,7 +39,6 @@ Entry points: ``repro analyze`` (CLI) and ``tools/analyze.py`` (CI).
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
 import tokenize
@@ -49,8 +46,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple, Union)
-
-from .cache import DEFAULT_CACHE_FILENAME, AnalysisCache
 
 #: Directories searched when ``Analyzer.run`` is given no paths.
 DEFAULT_ROOTS = ("src", "tests", "benchmarks", "tools")
@@ -77,10 +72,6 @@ CODE_UNUSED_SUPPRESSION = "REPRO011"
 #: Code of the "file does not parse" rule (shared with the format pass
 #: family, which documents it).
 CODE_SYNTAX_ERROR = "REPRO001"
-
-#: Bump to invalidate every incremental-cache entry when emission or
-#: suppression semantics change.
-ENGINE_CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -212,8 +203,8 @@ def parse_suppressions(text: str) -> Tuple[
 class SourceFile:
     """One analyzed file: text, lines, module name, and a single AST."""
 
-    def __init__(self, path: Union[str, Path], root: Union[str, Path],
-                 text: Optional[str] = None) -> None:
+    def __init__(self, path: Union[str, Path],
+                 root: Union[str, Path]) -> None:
         self.path = Path(path)
         self.root = Path(root)
         try:
@@ -221,12 +212,9 @@ class SourceFile:
                 self.root.resolve()))
         except ValueError:
             self.display = str(self.path)
-        if text is None:
-            raw = self.path.read_bytes()
-            text = raw.decode("utf-8")
-            self.ends_with_newline = (not raw) or raw.endswith(b"\n")
-        else:
-            self.ends_with_newline = (not text) or text.endswith("\n")
+        raw = self.path.read_bytes()
+        text = raw.decode("utf-8")
+        self.ends_with_newline = (not raw) or raw.endswith(b"\n")
         self.text = text
         self.lines = text.splitlines()
         self.module = module_name(self.path, self.root)
@@ -266,11 +254,6 @@ class AnalysisPass:
     pass applies to (empty = every file). :meth:`check` yields
     ``(line, code, message)`` triples; the engine attaches path and
     pass name and applies suppressions.
-
-    ``version`` salts the incremental cache — bump it whenever the
-    pass's behaviour changes, or stale cached results will replay.
-    ``inputs`` lists repo-relative non-Python files whose content the
-    pass depends on (they are hashed into the cache salt too).
     """
 
     name = "abstract"
@@ -278,8 +261,6 @@ class AnalysisPass:
     scope: Tuple[str, ...] = ()
     requires_ast = True
     project = False
-    version = 1
-    inputs: Tuple[str, ...] = ()
 
     def applies_to(self, source: SourceFile) -> bool:
         if not self.scope:
@@ -322,7 +303,6 @@ class AnalysisReport:
     files_checked: int = 0
     violations: List[Violation] = field(default_factory=list)
     suppressed: int = 0
-    files_reparsed: int = 0
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -345,36 +325,14 @@ def _split_codes(value: Union[None, str, Iterable[str]]) -> Optional[Set[str]]:
     return codes or None
 
 
-@dataclass
-class _FileRecord:
-    """One file's replayable run state: emissions + suppression tables."""
-
-    path: Path
-    display: str
-    digest: str
-    emissions: List[Tuple[int, str, str, str]]
-    suppressed: Dict[int, Set[str]]
-    comments: List[SuppressionComment]
-    source: Optional[SourceFile]
-    raw: bytes
-
-
 class Analyzer:
-    """Runs a set of passes over a file tree, one parse per file.
-
-    With ``cache_path`` set, raw emissions are persisted per file
-    digest and replayed on warm runs without re-parsing; project-pass
-    results are keyed by a digest over the whole analyzed set. The
-    cache invalidates itself when any pass's ``version``/``codes`` or
-    declared ``inputs`` files change.
-    """
+    """Runs a set of passes over a file tree, one parse per file."""
 
     def __init__(self, root: Union[str, Path] = ".", *,
                  passes: Optional[Sequence[AnalysisPass]] = None,
                  select: Union[None, str, Iterable[str]] = None,
                  ignore: Union[None, str, Iterable[str]] = None,
-                 exclude: Sequence[str] = DEFAULT_EXCLUDES,
-                 cache_path: Union[None, str, Path] = None) -> None:
+                 exclude: Sequence[str] = DEFAULT_EXCLUDES) -> None:
         if passes is None:
             from .passes import builtin_passes
             passes = builtin_passes()
@@ -383,12 +341,6 @@ class Analyzer:
         self.select = _split_codes(select)
         self.ignore = _split_codes(ignore) or set()
         self.exclude = tuple(exclude)
-        self.cache: Optional[AnalysisCache] = None
-        if cache_path is not None:
-            cache_path = Path(cache_path)
-            if cache_path.is_dir():
-                cache_path = cache_path / DEFAULT_CACHE_FILENAME
-            self.cache = AnalysisCache(cache_path, self._cache_salt())
 
     # -- file discovery ------------------------------------------------------
 
@@ -418,9 +370,13 @@ class Analyzer:
     def source_files(self,
                      paths: Optional[Sequence[Union[str, Path]]] = None
                      ) -> List[SourceFile]:
-        """The parsed :class:`SourceFile` set a run would analyze."""
-        return [SourceFile(path, self.root)
-                for path in self.python_files(paths)]
+        """The parsed :class:`SourceFile` set a run analyzes: one per
+        distinct display path, in discovery order."""
+        sources: Dict[str, SourceFile] = {}
+        for path in self.python_files(paths):
+            source = SourceFile(path, self.root)
+            sources.setdefault(source.display, source)
+        return list(sources.values())
 
     # -- rule filtering ------------------------------------------------------
 
@@ -429,171 +385,39 @@ class Analyzer:
             return False
         return self.select is None or code in self.select
 
-    # -- cache plumbing ------------------------------------------------------
-
-    def _cache_salt(self) -> str:
-        parts = [f"engine:{ENGINE_CACHE_VERSION}"]
-        for analysis_pass in self.passes:
-            parts.append("pass:%s:%s:%s" % (
-                analysis_pass.name, analysis_pass.version,
-                ",".join(sorted(analysis_pass.codes))))
-            for rel in analysis_pass.inputs:
-                target = self.root / rel
-                try:
-                    digest = hashlib.sha256(target.read_bytes()).hexdigest()
-                except OSError:
-                    digest = "absent"
-                parts.append(f"input:{rel}:{digest}")
-        return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
-
-    def _display(self, path: Path) -> str:
-        try:
-            return str(path.resolve().relative_to(self.root.resolve()))
-        except ValueError:
-            return str(path)
-
     # -- the run -------------------------------------------------------------
 
     def run(self, paths: Optional[Sequence[Union[str, Path]]] = None
             ) -> AnalysisReport:
         context = AnalysisContext(root=self.root)
         report = AnalysisReport(root=str(self.root))
-        per_file = [p for p in self.passes if not p.project]
-        project_passes = [p for p in self.passes if p.project]
+        sources = self.source_files(paths)
 
-        records: List[_FileRecord] = []
-        seen: Set[str] = set()
-        for path in self.python_files(paths):
-            raw = path.read_bytes()
-            digest = hashlib.sha256(raw).hexdigest()
-            display = self._display(path)
-            if display in seen:
-                continue
-            seen.add(display)
-            entry = self.cache.lookup(display, digest) if self.cache else None
-            if entry is not None:
-                records.append(_FileRecord(
-                    path=path, display=display, digest=digest,
-                    emissions=[tuple(e) for e in entry["emissions"]],
-                    suppressed={int(line): set(codes) for line, codes
-                                in entry["suppressed"].items()},
-                    comments=[SuppressionComment(
-                        line=item[0], codes=frozenset(item[1]),
-                        lines=tuple(item[2]), justification=item[3])
-                        for item in entry["comments"]],
-                    source=None, raw=raw))
-                continue
-            source = SourceFile(path, self.root, text=raw.decode("utf-8"))
-            report.files_reparsed += 1
-            emissions = self._per_file_emissions(source, per_file, context)
-            records.append(_FileRecord(
-                path=path, display=source.display, digest=digest,
-                emissions=emissions, suppressed=source.suppressions,
-                comments=source.suppression_comments, source=source,
-                raw=raw))
-            if self.cache:
-                self.cache.store(
-                    source.display, digest, emissions, source.suppressions,
-                    [(c.line, sorted(c.codes), list(c.lines),
-                      c.justification) for c in source.suppression_comments])
-
-        project_emissions = self._project_emissions(
-            records, project_passes, context, report)
-
-        # Replay every emission through filtering + suppression, and
-        # track which suppression comments actually fired.
+        # Every emission goes through filtering + suppression, and
+        # ``used`` tracks which suppression comments actually fired.
         used: Set[Tuple[str, int]] = set()
-        by_display = {record.display: record for record in records}
 
-        def emit(record: _FileRecord, line: int, code: str, message: str,
+        def emit(source: SourceFile, line: int, code: str, message: str,
                  pass_name: str) -> None:
             if not self._wanted(code):
                 return
-            if code in record.suppressed.get(line, ()):
+            if source.is_suppressed(line, code):
                 report.suppressed += 1
-                for comment in record.comments:
+                for comment in source.suppression_comments:
                     if line in comment.lines and code in comment.codes:
-                        used.add((record.display, comment.line))
+                        used.add((source.display, comment.line))
                 return
             report.violations.append(Violation(
-                path=record.display, line=line, code=code,
+                path=source.display, line=line, code=code,
                 message=message, pass_name=pass_name))
 
-        for record in records:
+        per_file = [p for p in self.passes if not p.project]
+        project_passes = [p for p in self.passes if p.project]
+        for source in sources:
             report.files_checked += 1
-            for line, code, message, pass_name in record.emissions:
-                emit(record, line, code, message, pass_name)
-        for display, line, code, message, pass_name in project_emissions:
-            record = by_display.get(display)
-            if record is not None:
-                emit(record, line, code, message, pass_name)
-
-        # Stale suppressions: only meaningful when every rule ran.
-        if self.select is None:
-            for record in records:
-                for comment in record.comments:
-                    if (record.display, comment.line) in used:
-                        continue
-                    if CODE_UNUSED_SUPPRESSION in comment.codes:
-                        continue
-                    if comment.codes <= self.ignore:
-                        continue
-                    emit(record, comment.line, CODE_UNUSED_SUPPRESSION,
-                         "suppression for "
-                         f"{', '.join(sorted(comment.codes))} matched no "
-                         "finding; remove the stale comment", "suppress")
-
-        if self.cache:
-            self.cache.prune(seen)
-            self.cache.save()
-        report.violations.sort(key=lambda violation: violation.sort_key)
-        return report
-
-    def _per_file_emissions(self, source: SourceFile,
-                            passes: Sequence[AnalysisPass],
-                            context: AnalysisContext
-                            ) -> List[Tuple[int, str, str, str]]:
-        emissions: List[Tuple[int, str, str, str]] = []
-        for line, message in source.suppression_problems:
-            emissions.append((line, CODE_BAD_SUPPRESSION, message,
-                              "suppress"))
-        if source.syntax_error is not None:
-            emissions.append((source.syntax_error.lineno or 0,
-                              CODE_SYNTAX_ERROR,
-                              f"syntax error: {source.syntax_error.msg}",
-                              "format"))
-        for analysis_pass in passes:
-            if not analysis_pass.applies_to(source):
-                continue
-            if analysis_pass.requires_ast and source.tree is None:
-                continue
-            for line, code, message in analysis_pass.check(source, context):
-                emissions.append((line, code, message, analysis_pass.name))
-        return emissions
-
-    def _project_emissions(self, records: List[_FileRecord],
-                           project_passes: Sequence[AnalysisPass],
-                           context: AnalysisContext,
-                           report: AnalysisReport
-                           ) -> List[Tuple[str, int, str, str, str]]:
-        if not project_passes:
-            return []
-        joined = "\n".join(f"{record.display}\x00{record.digest}"
-                           for record in records)
-        project_digest = hashlib.sha256(joined.encode("utf-8")).hexdigest()
-        if self.cache:
-            cached = self.cache.project_lookup(project_digest)
-            if cached is not None:
-                return [tuple(emission) for emission in cached]
-        for record in records:
-            if record.source is None:
-                record.source = SourceFile(
-                    record.path, self.root,
-                    text=record.raw.decode("utf-8"))
-                report.files_reparsed += 1
-        sources = [record.source for record in records
-                   if record.source is not None]
-        emissions: List[Tuple[str, int, str, str, str]] = []
+            for line, code, message, pass_name in \
+                    self._per_file_emissions(source, per_file, context):
+                emit(source, line, code, message, pass_name)
         for analysis_pass in project_passes:
             applicable = [
                 source for source in sources
@@ -602,8 +426,39 @@ class Analyzer:
                      or not analysis_pass.requires_ast)]
             for source, line, code, message in \
                     analysis_pass.check_project(applicable, context):
-                emissions.append((source.display, line, code, message,
-                                  analysis_pass.name))
-        if self.cache:
-            self.cache.project_store(project_digest, emissions)
-        return emissions
+                emit(source, line, code, message, analysis_pass.name)
+
+        # Stale suppressions: only meaningful when every rule ran.
+        if self.select is None:
+            for source in sources:
+                for comment in source.suppression_comments:
+                    if (source.display, comment.line) in used:
+                        continue
+                    if CODE_UNUSED_SUPPRESSION in comment.codes:
+                        continue
+                    if comment.codes <= self.ignore:
+                        continue
+                    emit(source, comment.line, CODE_UNUSED_SUPPRESSION,
+                         "suppression for "
+                         f"{', '.join(sorted(comment.codes))} matched no "
+                         "finding; remove the stale comment", "suppress")
+
+        report.violations.sort(key=lambda violation: violation.sort_key)
+        return report
+
+    def _per_file_emissions(self, source: SourceFile,
+                            passes: Sequence[AnalysisPass],
+                            context: AnalysisContext
+                            ) -> Iterator[Tuple[int, str, str, str]]:
+        for line, message in source.suppression_problems:
+            yield line, CODE_BAD_SUPPRESSION, message, "suppress"
+        if source.syntax_error is not None:
+            yield (source.syntax_error.lineno or 0, CODE_SYNTAX_ERROR,
+                   f"syntax error: {source.syntax_error.msg}", "format")
+        for analysis_pass in passes:
+            if not analysis_pass.applies_to(source):
+                continue
+            if analysis_pass.requires_ast and source.tree is None:
+                continue
+            for line, code, message in analysis_pass.check(source, context):
+                yield line, code, message, analysis_pass.name

@@ -168,9 +168,6 @@ class MetricsNamespacePass(AnalysisPass):
                     "documented-prefix f-string head)",
     }
     scope = ("repro",)
-    version = 3
-    #: Editing the namespace table must invalidate cached results.
-    inputs = ("docs/OBSERVABILITY.md",)
 
     #: The registry is the plumbing already-validated names flow
     #: through on re-registration; its pass-through calls are exempt.

@@ -219,7 +219,6 @@ class LockGuardPass(AnalysisPass):
                     "holding the inferred lock",
     }
     scope = ("repro.exec", "repro.obs")
-    version = 1
 
     def check(self, source: SourceFile,
               context: AnalysisContext) -> Iterator[Tuple[int, str, str]]:

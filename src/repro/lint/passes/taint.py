@@ -366,7 +366,6 @@ class DeterminismTaintPass(ProjectPass):
                     "spec)",
     }
     scope = ("repro",)
-    version = 1
 
     def check_project(self, sources: Sequence[SourceFile],
                       context: AnalysisContext

@@ -32,10 +32,10 @@ Two mechanisms keep the log bounded without breaking that identity:
 * **Coalescing** — an emission that matches the tail record's
   ``(kind, page, block)`` folds into it (``count`` accumulates, the
   first ``time_ns`` wins).
-* **Sampling and capacity** — after coalescing, every
-  ``sample_every``-th distinct record is kept, up to ``capacity``
-  records; the rest only bump ``dropped``. Both are pure functions of
-  the emission stream, so identical streams produce identical logs.
+* **Capacity** — after coalescing, the first ``capacity`` distinct
+  records are kept; the rest only bump ``dropped``. Both are pure
+  functions of the emission stream, so identical streams produce
+  identical logs.
 """
 
 from __future__ import annotations
@@ -66,29 +66,22 @@ def _json_time(value: Number) -> Number:
 
 
 class EventRecorder:
-    """Collects sim events; bounded, sampled, and coalescing.
+    """Collects sim events; bounded and coalescing.
 
     Single-writer by design — the simulator core is single-threaded
     per :class:`~repro.sim.System`, and the hot path must stay cheap —
     so there is no lock; readers (``snapshot``) run between accesses.
     """
 
-    def __init__(self, *, capacity: int = DEFAULT_EVENT_CAPACITY,
-                 sample_every: int = 1) -> None:
+    def __init__(self, *, capacity: int = DEFAULT_EVENT_CAPACITY) -> None:
         if capacity < 0:
             raise ObservabilityError(
                 f"event recorder capacity must be >= 0, got {capacity}")
-        if sample_every < 1:
-            raise ObservabilityError(
-                f"event recorder sample_every must be >= 1, "
-                f"got {sample_every}")
         self.capacity = int(capacity)
-        self.sample_every = int(sample_every)
         self._records: List[Dict[str, Any]] = []
         self._tail: Optional[Dict[str, Any]] = None
-        self._seq = 0           # distinct (post-coalescing) records seen
         self._emitted = 0       # total event count, including coalesced
-        self._dropped = 0       # distinct records lost to sampling/capacity
+        self._dropped = 0       # distinct records past the capacity bound
 
     # -- emission -----------------------------------------------------------------
 
@@ -97,8 +90,8 @@ class EventRecorder:
         """Record ``count`` occurrences of one transition.
 
         Coalesces into the tail record when ``(kind, page, block)``
-        match — even when that record was itself dropped, so sampling
-        cannot change which emissions coalesce.
+        match — even when that record was itself dropped, so the
+        capacity bound cannot change which emissions coalesce.
         """
         if kind not in _KIND_SET:
             raise ObservabilityError(
@@ -115,10 +108,8 @@ class EventRecorder:
                                   "count": int(count)}
         if block is not None:
             record["block"] = int(block)
-        self._seq += 1
         self._emitted += count
-        if (self._seq - 1) % self.sample_every == 0 \
-                and len(self._records) < self.capacity:
+        if len(self._records) < self.capacity:
             self._records.append(record)
         else:
             self._dropped += 1
@@ -138,7 +129,7 @@ class EventRecorder:
 
     @property
     def dropped(self) -> int:
-        """Distinct records lost to sampling or the capacity bound."""
+        """Distinct records lost to the capacity bound."""
         return self._dropped
 
     def snapshot(self) -> List[Dict[str, Any]]:
@@ -148,7 +139,6 @@ class EventRecorder:
     def clear(self) -> None:
         self._records.clear()
         self._tail = None
-        self._seq = 0
         self._emitted = 0
         self._dropped = 0
 

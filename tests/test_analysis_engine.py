@@ -1,4 +1,6 @@
-"""Engine mechanics: parsing, suppressions, filtering, reporters."""
+"""Engine mechanics: parsing, suppressions, filtering, reporters, and
+the ``repro analyze`` CLI contract (exit codes 0 clean / 1 violations /
+2 internal or usage error; every run one cold pass)."""
 
 import json
 from pathlib import Path
@@ -10,9 +12,18 @@ from repro.lint import (Analyzer, module_name, render_json, render_text,
 from repro.lint.engine import (CODE_BAD_SUPPRESSION,
                                CODE_UNUSED_SUPPRESSION, SourceFile,
                                parse_suppressions)
+from repro.cli import main
 from repro.errors import ConfigError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tree(tmp_path, files):
+    for relative, text in files.items():
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return tmp_path
 
 
 class TestModuleName:
@@ -218,3 +229,64 @@ class TestReporters:
         document["version"] = 999
         with pytest.raises(ConfigError):
             report_from_json(document)
+
+
+class TestAnalyzeExitCodes:
+    def test_clean_tree_exits_0(self, tmp_path, capsys):
+        root = _tree(tmp_path, {"src/repro/fine.py": "x = 1\n"})
+        assert main(["analyze", "--root", str(root)]) == 0
+        assert "clean" in capsys.readouterr().out
+
+    def test_violations_exit_1(self, tmp_path, capsys):
+        root = _tree(tmp_path, {"src/repro/bad.py": "y = 2   \n"})
+        assert main(["analyze", "--root", str(root)]) == 1
+        assert "REPRO003" in capsys.readouterr().out
+
+    def test_internal_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        root = _tree(tmp_path, {"src/repro/fine.py": "x = 1\n"})
+        monkeypatch.setattr(Analyzer, "run",
+                            lambda self, paths=None: 1 / 0)
+        assert main(["analyze", "--root", str(root)]) == 2
+        assert "internal error" in capsys.readouterr().err
+
+    def test_output_file_holds_the_report(self, tmp_path, capsys):
+        root = _tree(tmp_path, {"src/repro/bad.py": "y = 2   \n"})
+        out = tmp_path / "report.sarif"
+        code = main(["analyze", "--root", str(root),
+                     "--format", "sarif", "--output", str(out)])
+        assert code == 1
+        document = json.loads(out.read_text())
+        assert document["version"] == "2.1.0"
+        results = document["runs"][0]["results"]
+        assert results and results[0]["ruleId"] == "REPRO003"
+
+
+class TestColdRuns:
+    """Every run parses every file and runs every pass afresh: no
+    result outlives the run that computed it."""
+
+    def test_rerun_reports_what_the_rules_say_now(self, tmp_path, capsys,
+                                                  monkeypatch):
+        from repro.lint.passes import format as format_pass
+        root = _tree(tmp_path, {"src/repro/wide.py": "x = '" + "w" * 29
+                                + "'\n"})     # 35 columns
+        assert main(["analyze", "--root", str(root)]) == 0
+        assert "1 file(s) clean" in capsys.readouterr().out
+        monkeypatch.setattr(format_pass, "MAX_LINE", 20)
+        assert main(["analyze", "--root", str(root)]) == 1
+        assert "REPRO004 line too long (35 > 20)" in capsys.readouterr().out
+
+    def test_run_writes_no_file_under_root(self, tmp_path, capsys):
+        root = _tree(tmp_path, {"src/repro/fine.py": "x = 1\n",
+                                "src/repro/bad.py": "y = 2   \n"})
+        before = sorted(root.rglob("*"))
+        assert main(["analyze", "--root", str(root)]) == 1
+        assert sorted(root.rglob("*")) == before
+
+    @pytest.mark.parametrize("flag", ["--no-cache", "--changed"])
+    def test_retired_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        root = _tree(tmp_path, {"src/repro/fine.py": "x = 1\n"})
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", flag, "--root", str(root)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -2,12 +2,20 @@
 ``Runner(jobs=N)``, its ``(index, report)`` contract and determinism."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from concurrent.futures import process
+from pathlib import Path
 
 import pytest
 
 from repro.exec import Runner, experiment_pair, spec_experiment
 from repro.exec import runner as runner_module
 from repro.sim.system import SystemReport
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def small_batch():
@@ -35,6 +43,11 @@ def no_fork():
     raise AssertionError("this batch must run in-process")
 
 
+def needs_fork():
+    if runner_module._fork_context() is None:
+        pytest.skip("no fork start method on this platform")
+
+
 class TestResolution:
     def test_jobs_one_means_serial(self, monkeypatch):
         assert Runner().jobs == 1
@@ -46,21 +59,21 @@ class TestResolution:
         assert len(run(small_batch()[:1], 4)) == 1
 
     def test_jobs_many_means_fork_pool(self, monkeypatch):
-        """A pool of ``min(jobs, pending)`` forked workers."""
-        fork = runner_module._fork_context()
-        if fork is None:
-            pytest.skip("no fork start method on this platform")
-        sizes = []
+        """An executor of ``min(jobs, pending)`` forked workers."""
+        needs_fork()
+        sizes, methods = [], []
 
-        class SpyContext:
-            def Pool(self, processes):
-                sizes.append(processes)
-                return fork.Pool(processes=processes)
+        class SpyExecutor(process.ProcessPoolExecutor):
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+                methods.append(mp_context.get_start_method())
+                super().__init__(max_workers=max_workers,
+                                 mp_context=mp_context)
 
-        monkeypatch.setattr(runner_module, "_fork_context", SpyContext)
+        monkeypatch.setattr(process, "ProcessPoolExecutor", SpyExecutor)
         assert Runner(jobs=4).jobs == 4
         assert len(run(small_batch()[:3], 4)) == 3
-        assert sizes == [3]
+        assert sizes == [3] and methods == ["fork"]
 
 
 class TestSubmitContract:
@@ -106,3 +119,52 @@ class TestSubmitContract:
             again = Runner(cache=ResultCache(tmp_path)).run(batch)
         assert canonical(again) == canonical(
             Runner(cache=ResultCache(tmp_path)).run(batch))
+
+
+#: A batch of two experiments whose executor kills its worker process
+#: for one of them, run with ``jobs=2``; prints the error it raises.
+CRASH_BATCH = """
+import os
+from repro.errors import ExperimentError
+from repro.exec import Experiment, Runner
+from repro.exec.workloads import register_workload
+
+@register_workload("crash-probe")
+def crash_probe(system, params):
+    if params["die"]:
+        os._exit(1)
+
+batch = [Experiment(workload="crash-probe", params={"die": die})
+         for die in (False, True)]
+try:
+    Runner(jobs=2, use_cache=False).run(batch)
+except ExperimentError as error:
+    print("ExperimentError:", error)
+"""
+
+
+class TestWorkerFailure:
+    def test_dying_worker_raises_instead_of_hanging(self):
+        needs_fork()
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + ([path] if path else [])))
+        done = subprocess.run([sys.executable, "-c", CRASH_BATCH], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("ExperimentError: a worker process "
+                                      "died"), done.stdout
+
+    def test_raising_progress_callback_leaves_no_worker(self):
+        needs_fork()
+
+        class Stop(Exception):
+            pass
+
+        def progress(event):
+            raise Stop(event.label)
+
+        runner = Runner(jobs=2, use_cache=False, progress=progress)
+        with pytest.raises(Stop):
+            runner.run(small_batch())
+        assert multiprocessing.active_children() == []

@@ -61,7 +61,7 @@ class TestHitMiss:
 
 class TestInvalidation:
     def test_invalidate_one(self, cache, experiment):
-        other = experiment.with_updates(seed=9)
+        other = experiment.with_updates(policy="increment-major")
         cache.put(experiment, tiny_report())
         cache.put(other, tiny_report(name="other"))
         cache.invalidate(experiment)

@@ -67,7 +67,7 @@ class TestContentHash:
     def test_spec_hash_pinned(self):
         # Cache keys and committed digests depend on this exact value.
         assert spec_experiment("GCC").content_hash() == \
-            "990d2dfbd970d8e809fb5defb0a972180ac9c2eb854663aaed6559def24446cd"
+            "ff24362494770cb14841f814030b63665b6427c756ec199a32475d40ed41993d"
 
     def test_every_content_field_matters(self):
         base = gcc()
@@ -76,7 +76,6 @@ class TestContentHash:
             gcc(config=fast_config()),
             base.with_updates(shredder=not base.shredder),
             base.with_updates(policy="increment-major"),
-            base.with_updates(seed=1),
             base.with_updates(workload="powergraph"),
         ]
         hashes = {base.content_hash()} | {v.content_hash() for v in variants}
@@ -103,7 +102,7 @@ class TestContentHash:
 class TestSerialization:
     def test_round_trip(self):
         exp = gcc(config=fast_config()).with_updates(
-            policy="major-reset-minors", seed=3, name="labelled")
+            policy="major-reset-minors", shredder=False, name="labelled")
         clone = Experiment.from_dict(exp.to_dict())
         assert clone == exp
         assert clone.name == "labelled"
@@ -111,9 +110,10 @@ class TestSerialization:
 
     def test_retired_engine_key_ignored(self):
         # Documents written while experiments carried an access-engine
-        # field still deserialise to the same experiment.
+        # field or a seed still deserialise to the same experiment.
         document = gcc().to_dict()
         document["engine"] = "scalar"
+        document["seed"] = 3
         assert Experiment.from_dict(document) == gcc()
 
     def test_malformed_document(self):

@@ -4,7 +4,8 @@ Every ``repro figure`` run and benchmark sample starts a fresh
 interpreter and pays for whatever ``import repro`` pulls in. The
 package roots therefore re-export only what a run needs: the static
 analyzer is imported where it is used, nothing in the package imports
-numpy, and nothing loads asyncio, ``http.server`` or ssl.
+numpy, and nothing loads asyncio, ``http.server``, ssl or
+``concurrent.futures`` (the fork pool imports it when a batch uses it).
 
 Each import runs in a fresh subprocess, because this process has
 everything loaded already.
@@ -26,6 +27,7 @@ NOT_ON_THE_FIGURE_PATH = (
     "asyncio",
     "ssl",
     "http.server",
+    "concurrent.futures",
     "repro.lint",
 )
 

@@ -1,5 +1,5 @@
-"""The flight recorder: coalescing, sampling, export, and embedding in
-the system report."""
+"""The flight recorder: coalescing, the capacity bound, export, and
+embedding in the system report."""
 
 import io
 import json
@@ -20,8 +20,6 @@ class TestEventRecorder:
     def test_bad_bounds_rejected(self):
         with pytest.raises(ObservabilityError):
             EventRecorder(capacity=-1)
-        with pytest.raises(ObservabilityError):
-            EventRecorder(sample_every=0)
 
     def test_records_are_json_safe_and_ordered(self):
         recorder = EventRecorder()
@@ -65,24 +63,17 @@ class TestEventRecorder:
         assert recorder.dropped == 3
         assert recorder.emitted == 5
 
-    def test_sampling_keeps_every_nth_distinct_record(self):
-        recorder = EventRecorder(sample_every=2)
-        for page in range(6):
-            recorder.emit("shred", page, page)
-        assert [e["page"] for e in recorder.snapshot()] == [0, 2, 4]
-        assert recorder.dropped == 3
-
     def test_coalescing_into_a_dropped_tail(self):
-        # Sampling must not change which emissions coalesce: a repeat
-        # of a dropped record still folds into it instead of counting
-        # as a new distinct record.
-        recorder = EventRecorder(sample_every=2)
-        recorder.emit("shred", 0, 0)        # kept (seq 1)
-        recorder.emit("shred", 1, 1)        # dropped (seq 2)
+        # The capacity bound must not change which emissions coalesce:
+        # a repeat of a dropped record still folds into it instead of
+        # counting as a new distinct record.
+        recorder = EventRecorder(capacity=1)
+        recorder.emit("shred", 0, 0)        # kept
+        recorder.emit("shred", 1, 1)        # dropped: past capacity
         recorder.emit("shred", 1, 2)        # coalesces into the drop
-        recorder.emit("shred", 2, 3)        # kept (seq 3)
-        assert [e["page"] for e in recorder.snapshot()] == [0, 2]
-        assert recorder.emitted == 4 and recorder.dropped == 1
+        recorder.emit("shred", 2, 3)        # dropped
+        assert [e["page"] for e in recorder.snapshot()] == [0]
+        assert recorder.emitted == 4 and recorder.dropped == 2
 
     def test_clear(self):
         recorder = EventRecorder()
