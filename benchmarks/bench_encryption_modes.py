@@ -46,7 +46,8 @@ def run_mode(kind: str) -> dict:
     for i in range(BLOCKS):
         # Space the requests out so queueing does not mask the
         # per-access latency difference between the designs.
-        read_ns += controller.fetch_block(i * 64, i * 500.0).latency_ns
+        _, latency_ns, _ = controller.fetch_block(i * 64, i * 500.0)
+        read_ns += latency_ns
     return {
         "mode": kind,
         "avg_read_ns": round(read_ns / BLOCKS, 1),

@@ -37,7 +37,8 @@ def read_latency(kind: str, pad_cycles: int) -> float:
             controller.shred_page(page)
     total = 0.0
     for i in range(BLOCKS):
-        total += controller.fetch_block(i * 64, i * 500.0).latency_ns
+        _, latency_ns, _ = controller.fetch_block(i * 64, i * 500.0)
+        total += latency_ns
     return total / BLOCKS
 
 

@@ -30,7 +30,8 @@ def run_case(start_gap: bool) -> dict:
     # Functional check: the hot lines still hold the last value.
     for line in range(HOT_LINES):
         expected = bytes([(WRITES_PER_LINE - 1) % 256]) * 64
-        assert controller.fetch_block(line * 64).data == expected
+        data, _, _ = controller.fetch_block(line * 64)
+        assert data == expected
 
     device = controller.device
     return {

@@ -54,9 +54,9 @@ def main() -> None:
     machine.shred_register.write(page * 4096, kernel_mode=True)
     assert controller.device.peek(block) == ciphertext_before
     print("  shred wrote 0 data blocks; stale ciphertext still in cells")
-    fetched = controller.fetch_block(block)
-    print(f"  controller returns zero-fill: {fetched.zero_filled}, "
-          f"data == zeros: {fetched.data == bytes(64)}")
+    data, _, zero_filled = controller.fetch_block(block)
+    print(f"  controller returns zero-fill: {zero_filled}, "
+          f"data == zeros: {data == bytes(64)}")
     counters = controller.counter_cache.peek(page)
     new_iv = controller.iv_layout.build(page, 0, counters.major, 1)
     garbage = controller.engine.decrypt(ciphertext_before, new_iv)

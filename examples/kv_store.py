@@ -102,8 +102,8 @@ def main() -> None:
     print(f"  dropped in {machine.controller.stats.shreds} total shreds, "
           f"{machine.controller.stats.data_writes - writes_before} data writes")
     for page in pages:
-        fetched = machine.controller.fetch_block(page * 4096)
-        assert fetched.zero_filled
+        _, _, zero_filled = machine.controller.fetch_block(page * 4096)
+        assert zero_filled
     print("  every record now reads as zeros; ciphertext cells untouched")
     print("\nKV store: durable across crashes, erasable for free.")
 

@@ -68,10 +68,10 @@ def main() -> None:
           f" shred commands, "
           f"{machine.controller.stats.data_writes - writes_before} data writes")
     assert machine.controller.device.peek(page * 4096) == ciphertext_before
-    fetched = machine.controller.fetch_block(page * 4096)
+    data, _, zero_filled = machine.controller.fetch_block(page * 4096)
     print(f"  stale ciphertext still in cells; controller reads "
-          f"zero-fill: {fetched.zero_filled}")
-    assert fetched.data == bytes(64)
+          f"zero-fill: {zero_filled}")
+    assert data == bytes(64)
     print("\nPersistent data survived the crash; deleted data is gone "
           "at zero write cost.")
 

@@ -50,7 +50,7 @@ def run_datacenter(shredder: bool) -> dict:
         paddr = vm_b.kernel.translate(guest.pid,
                                       region_b.start + page * 4096,
                                       write=False).physical
-        data = system.machine.load(1, paddr).data
+        _, data = system.machine.load(1, paddr)
         if data and b"tenant-A" in data:
             leaked += 1
 

@@ -14,8 +14,7 @@ cache over per-page counter blocks.
 
 from .cache import SetAssociativeCache, CacheStats
 from .coherence import MESIState, CoherenceDirectory
-from .hierarchy import (CacheHierarchy, HierarchyAccess, MemoryFetch,
-                        PageInvalidation)
+from .hierarchy import CacheHierarchy, PageInvalidation
 from .counter_cache import CounterCache
 
 __all__ = [
@@ -23,9 +22,7 @@ __all__ = [
     "CacheStats",
     "CoherenceDirectory",
     "CounterCache",
-    "HierarchyAccess",
     "MESIState",
-    "MemoryFetch",
     "PageInvalidation",
     "SetAssociativeCache",
 ]

@@ -11,10 +11,9 @@ victims are written back to the memory controller below.
 The hierarchy talks to the world below through two callbacks, in a
 full machine the controller's own ``fetch_block``/``store_block``:
 
-* ``miss_handler(address, now_ns)`` — fetch a block; returns anything
-  with :class:`MemoryFetch`'s ``data``/``latency_ns``/``zero_filled``
-  (the controller's ``AccessResult``), and may report a *zero-filled*
-  block for shredded pages that never touch NVM.
+* ``miss_handler(address, now_ns)`` — fetch a block; returns the tuple
+  ``(data, latency_ns, zero_filled)``, where ``zero_filled`` marks a
+  block of a shredded page that never touched NVM.
 * ``writeback_handler(address, data, now_ns)`` — a dirty block
   leaves the hierarchy.
 
@@ -23,34 +22,26 @@ Shredding interacts with the hierarchy through
 
 Loads and stores take one walk, :meth:`CacheHierarchy.access`, one
 call per access (the execution context's ``touch`` applies the pure L1
-hits of that walk to the set dicts itself). The walk works on each
-level's set dicts directly: L4 fills through
-:meth:`SetAssociativeCache.fill` (its victim carries a payload and a
-dirty bit), while the tag-only L1-L3, which are never dirty, are filled
-and back-invalidated in place without building an
-:class:`~repro.cache.cache.Eviction`. The directory lists a core as a
-sharer of a block exactly while that core's L1 or L2 holds it, and
-tracks only blocks L4 holds (:meth:`CacheHierarchy.check_inclusion`).
+hits of that walk to the set dicts itself), which returns
+``(latency_cycles, data)``. The walk works on each level's set dicts
+directly: L4 fills through :meth:`SetAssociativeCache.fill` (its
+victim carries a payload and a dirty bit), while the tag-only L1-L3,
+which are never dirty, are filled and back-invalidated in place without
+building an :class:`~repro.cache.cache.Eviction`. The directory lists
+a core as a sharer of a block exactly while that core's L1 or L2 holds
+it, and tracks only blocks L4 holds
+(:meth:`CacheHierarchy.check_inclusion`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..config import SystemConfig
 from ..errors import AddressError, SimulationError
 from .cache import Eviction, SetAssociativeCache
 from .coherence import CoherenceDirectory
-
-
-@dataclass
-class MemoryFetch:
-    """What the memory side returns for an LLC miss."""
-
-    data: Optional[bytes]
-    latency_ns: float
-    zero_filled: bool = False
 
 
 @dataclass
@@ -62,19 +53,8 @@ class PageInvalidation:
     private_invalidations: int = 0
 
 
-@dataclass
-class HierarchyAccess:
-    """Outcome of one load or store issued by a core."""
-
-    address: int
-    is_write: bool
-    latency_cycles: int
-    hit_level: str                      # "L1" | "L2" | "L3" | "L4" | "MEM" | "ZERO"
-    data: Optional[bytes] = None
-    writebacks: int = 0
-
-
-MissHandler = Callable[[int, float], MemoryFetch]
+#: ``(address, now_ns) -> (data, latency_ns, zero_filled)``
+MissHandler = Callable[[int, float], Tuple[Optional[bytes], float, bool]]
 WritebackHandler = Callable[[int, Optional[bytes], float], None]
 
 
@@ -103,7 +83,7 @@ class CacheHierarchy:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _handle_l4_eviction(self, eviction: Eviction, now_ns: float) -> int:
+    def _handle_l4_eviction(self, eviction: Eviction, now_ns: float) -> None:
         """Back-invalidate an L4 victim everywhere and write back if dirty.
 
         The victim leaves L3 and its sharers' L1 and L2 in place: the
@@ -125,21 +105,21 @@ class CacheHierarchy:
         if eviction.dirty:
             self.writeback_handler(address, eviction.payload, now_ns)
             self.writebacks += 1
-            return 1
-        return 0
 
     # -- the main access path ------------------------------------------------------
 
     def access(self, core: int, address: int, is_write: bool,
                data: Optional[bytes] = None, now_ns: float = 0.0,
-               merge: Optional[tuple] = None) -> HierarchyAccess:
+               merge: Optional[tuple] = None,
+               ) -> Tuple[int, Optional[bytes]]:
         """Issue one load or store from ``core`` at ``address``.
 
         ``data`` is the full-block payload for functional stores;
         alternatively ``merge=(offset, value_bytes)`` performs a
         sub-block store as a read-modify-write of the cached copy.
-        Returns the access latency in core cycles and, for loads in
-        functional mode, the block's bytes.
+        Returns ``(latency_cycles, data)``: the access latency in core
+        cycles and, for loads in functional mode, the block's bytes
+        (else ``None``).
 
         One pass: the block number is computed once and each level's
         set probed once, top down; a hit re-inserts the block as its
@@ -162,7 +142,6 @@ class CacheHierarchy:
         l2 = self.l2[core]
         l4 = self.l4
         latency = l1.latency_cycles
-        writeback_count = 0
 
         # Coherence first: a store must gain exclusive ownership even on a
         # private-cache hit; a load miss may downgrade a remote owner.
@@ -176,16 +155,15 @@ class CacheHierarchy:
             del l1_ways[block]
             l1_ways[block] = None
             l1.stats.hits += 1
-            hit_level = "L1"
         else:
             l1.stats.misses += 1
             latency += l2.latency_cycles
             l2_ways = l2.sets[block % l2.num_sets]
-            if block in l2_ways:
+            l2_hit = block in l2_ways
+            if l2_hit:
                 del l2_ways[block]
                 l2_ways[block] = None
                 l2.stats.hits += 1
-                hit_level = "L2"
             else:
                 l2.stats.misses += 1
                 if not is_write:
@@ -197,7 +175,6 @@ class CacheHierarchy:
                     del l3_ways[block]
                     l3_ways[block] = None
                     l3.stats.hits += 1
-                    hit_level = "L3"
                 else:
                     l3.stats.misses += 1
                     latency += l4.latency_cycles
@@ -205,26 +182,23 @@ class CacheHierarchy:
                     if block in l4_ways:
                         l4_ways[block] = l4_ways.pop(block)
                         l4.stats.hits += 1
-                        hit_level = "L4"
                     else:
                         l4.stats.misses += 1
-                        fetch = self.miss_handler(address, now_ns)
-                        latency += self.config.cpu.ns_to_cycles(fetch.latency_ns)
-                        if fetch.zero_filled:
-                            hit_level = "ZERO"
+                        fetched, fetch_ns, zero_filled = self.miss_handler(
+                            address, now_ns)
+                        latency += self.config.cpu.ns_to_cycles(fetch_ns)
+                        if zero_filled:
                             self.zero_fills += 1
                         else:
-                            hit_level = "MEM"
                             self.memory_fetches += 1
                         payload = None
                         if self.functional:
-                            payload = fetch.data
+                            payload = fetched
                             if payload is None:
                                 payload = self._zero_block
                         evicted = l4.fill(address, payload)
                         if evicted is not None:
-                            writeback_count = self._handle_l4_eviction(
-                                evicted, now_ns)
+                            self._handle_l4_eviction(evicted, now_ns)
                     if len(l3_ways) == l3.associativity:
                         del l3_ways[next(iter(l3_ways))]
                         l3.stats.evictions += 1
@@ -238,7 +212,7 @@ class CacheHierarchy:
                     directory.evicted(victim * block_size, core)
             l1_ways[block] = None
             l1.stats.fills += 1
-            if hit_level != "L2":
+            if not l2_hit:
                 if len(l2_ways) == l2.associativity:
                     victim = next(iter(l2_ways))
                     del l2_ways[victim]
@@ -273,8 +247,7 @@ class CacheHierarchy:
         elif self.functional:
             result_data = l4_ways[block]
 
-        return HierarchyAccess(address, is_write, latency, hit_level,
-                               result_data, writeback_count)
+        return latency, result_data
 
     # -- shred support ------------------------------------------------------------
 

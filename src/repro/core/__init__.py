@@ -12,7 +12,7 @@
 """
 
 from .iv import IVLayout, CounterBlock
-from .secure_memory import SecureMemoryController, AccessResult
+from .secure_memory import SecureMemoryController
 from .shredder import SilentShredderController, ShredRegister
 from .deuce import DeuceShredderController
 from .direct import DirectEncryptionController
@@ -26,7 +26,6 @@ from .policies import (
 )
 
 __all__ = [
-    "AccessResult",
     "CounterBlock",
     "DeuceShredderController",
     "DirectEncryptionController",

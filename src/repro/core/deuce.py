@@ -35,7 +35,6 @@ from ..errors import AddressError, CipherError
 from ..mem import NVMDevice
 from .iv import CounterBlock
 from .policies import ShredPolicy
-from .secure_memory import AccessResult
 from .shredder import SilentShredderController
 
 #: DEUCE word granularity in bytes (16 words per 64 B line).
@@ -133,37 +132,37 @@ class DeuceShredderController(SilentShredderController):
         epoch_plain = xor_bytes(ciphertext, epoch_pad)
         return self._splice(epoch_plain, lead_plain, state.mask)
 
-    def fetch_block(self, address: int, now_ns: float = 0.0) -> AccessResult:
+    def fetch_block(self, address: int, now_ns: float = 0.0,
+                    ) -> Tuple[Optional[bytes], float, bool]:
         self._check_data_address(address)
         page_id = self.page_of(address)
         offset = self.offset_of(address)
-        counters, counter_latency, hit = self._probe_counters(page_id, now_ns)
+        counters, counter_latency, _ = self._probe_counters(page_id, now_ns)
 
         if self.zero_semantics and counters.is_shredded(offset):
             self.stats.zero_fill_reads += 1
             self.stats.record_read(counter_latency)
-            return AccessResult(data=self._zero_block if self.functional else None,
-                                latency_ns=counter_latency, zero_filled=True,
-                                counter_hit=hit)
+            return (self._zero_block if self.functional else None,
+                    counter_latency, True)
 
-        access = self.mem.read_block(address, now_ns + counter_latency)
+        raw, read_latency = self.mem.read_block(address,
+                                                now_ns + counter_latency)
         self.stats.data_reads += 1
         plaintext = None
         if self.functional:
             if self.encrypted:
-                plaintext = self._decrypt_line(address, access.data,
+                plaintext = self._decrypt_line(address, raw,
                                                page_id, offset, counters)
             else:
-                plaintext = access.data
+                plaintext = raw
         latency = (counter_latency
-                   + max(access.latency_ns, self._pad_latency_ns)
+                   + max(read_latency, self._pad_latency_ns)
                    + self._xor_latency_ns)
         self.stats.record_read(latency)
-        return AccessResult(data=plaintext, latency_ns=latency,
-                            counter_hit=hit)
+        return plaintext, latency, False
 
     def store_block(self, address: int, data: Optional[bytes] = None,
-                    now_ns: float = 0.0) -> AccessResult:
+                    now_ns: float = 0.0) -> float:
         if not self.functional or not self.encrypted:
             # Without real bytes DEUCE degenerates to the parent's path.
             return super().store_block(address, data, now_ns)
@@ -172,7 +171,7 @@ class DeuceShredderController(SilentShredderController):
             raise AddressError("functional store requires a full data block")
         page_id = self.page_of(address)
         offset = self.offset_of(address)
-        counters, counter_latency, hit = self._probe_counters(page_id, now_ns)
+        counters, counter_latency, _ = self._probe_counters(page_id, now_ns)
 
         was_shredded = self.zero_semantics and counters.is_shredded(offset)
         old_plaintext = None
@@ -190,9 +189,7 @@ class DeuceShredderController(SilentShredderController):
             latency = self._reencrypt_page(page_id, counters,
                                            {offset: data}, now_ns)
             self.stats.reencryptions += 1
-            return AccessResult(data=None,
-                                latency_ns=counter_latency + latency,
-                                counter_hit=hit, reencrypted=True)
+            return counter_latency + latency
         minor = counters.minors[offset]
 
         state = self._line_state.get(address)
@@ -222,12 +219,11 @@ class DeuceShredderController(SilentShredderController):
             self.deuce_stats.words_reencrypted += bin(state.mask).count("1")
 
         pad_ns = self._pad_latency_ns + self._xor_latency_ns
-        access = self.mem.write_block(address, ciphertext,
-                                      now_ns + counter_latency + pad_ns)
+        write_latency = self.mem.write_block(address, ciphertext,
+                                             now_ns + counter_latency + pad_ns)
         self.stats.data_writes += 1
         counter_update_ns = self._counters_updated(page_id, counters, now_ns)
-        latency = counter_latency + pad_ns + access.latency_ns + counter_update_ns
-        return AccessResult(data=None, latency_ns=latency, counter_hit=hit)
+        return counter_latency + pad_ns + write_latency + counter_update_ns
 
     # -- shred composition ---------------------------------------------------------
 

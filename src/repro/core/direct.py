@@ -16,13 +16,13 @@ counter-mode substrate.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..config import SystemConfig
 from ..crypto import ecb_transform, require_invertible
 from ..errors import AddressError
 from ..mem import NVMDevice
-from .secure_memory import AccessResult, SecureMemoryController
+from .secure_memory import SecureMemoryController
 
 
 class DirectEncryptionController(SecureMemoryController):
@@ -41,24 +41,23 @@ class DirectEncryptionController(SecureMemoryController):
         # latency.
         self._cipher_latency_ns = config.encryption.pad_latency_cycles * cycle_ns
 
-    def fetch_block(self, address: int, now_ns: float = 0.0) -> AccessResult:
+    def fetch_block(self, address: int, now_ns: float = 0.0,
+                    ) -> Tuple[Optional[bytes], float, bool]:
         """LLC miss: fetch then decrypt — latencies add, never overlap."""
         self._check_data_address(address)
-        access = self.mem.read_block(address, now_ns)
+        raw, read_latency = self.mem.read_block(address, now_ns)
         self.stats.data_reads += 1
         plaintext = None
         if self.functional:
-            raw = access.data
             plaintext = (ecb_transform(self.engine.cipher, raw, encrypt=False)
                          if self.encrypted and raw != bytes(self.block_size)
                          else raw)
-        latency = access.latency_ns + self._cipher_latency_ns
+        latency = read_latency + self._cipher_latency_ns
         self.stats.record_read(latency)
-        return AccessResult(data=plaintext, latency_ns=latency,
-                            counter_hit=True)
+        return plaintext, latency, False
 
     def store_block(self, address: int, data: Optional[bytes] = None,
-                    now_ns: float = 0.0) -> AccessResult:
+                    now_ns: float = 0.0) -> float:
         self._check_data_address(address)
         if self.functional and (data is None or len(data) != self.block_size):
             raise AddressError("functional store requires a full data block")
@@ -66,8 +65,7 @@ class DirectEncryptionController(SecureMemoryController):
         if self.functional:
             ciphertext = (ecb_transform(self.engine.cipher, data, encrypt=True)
                           if self.encrypted else data)
-        access = self.mem.write_block(address, ciphertext,
-                                      now_ns + self._cipher_latency_ns)
+        write_latency = self.mem.write_block(address, ciphertext,
+                                             now_ns + self._cipher_latency_ns)
         self.stats.data_writes += 1
-        latency = self._cipher_latency_ns + access.latency_ns
-        return AccessResult(data=None, latency_ns=latency)
+        return self._cipher_latency_ns + write_latency

@@ -25,13 +25,13 @@ model exposes are exactly the paper's objections:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 from ..config import SystemConfig
 from ..crypto import ecb_transform, require_invertible
 from ..errors import AddressError
 from ..mem import NVMDevice
-from .secure_memory import AccessResult, SecureMemoryController
+from .secure_memory import SecureMemoryController
 
 
 class INVMMController(SecureMemoryController):
@@ -106,28 +106,28 @@ class INVMMController(SecureMemoryController):
 
     # -- data path ------------------------------------------------------------------
 
-    def fetch_block(self, address: int, now_ns: float = 0.0) -> AccessResult:
+    def fetch_block(self, address: int, now_ns: float = 0.0,
+                    ) -> Tuple[Optional[bytes], float, bool]:
         self._check_data_address(address)
         page_id = self.page_of(address)
         unseal_ns = self._touch(page_id, now_ns)
-        access = self.mem.read_block(address, now_ns + unseal_ns)
+        data, read_latency = self.mem.read_block(address, now_ns + unseal_ns)
         self.stats.data_reads += 1
-        latency = unseal_ns + access.latency_ns
+        latency = unseal_ns + read_latency
         self.stats.record_read(latency)
-        return AccessResult(data=access.data, latency_ns=latency,
-                            counter_hit=True)
+        return data, latency, False
 
     def store_block(self, address: int, data: Optional[bytes] = None,
-                    now_ns: float = 0.0) -> AccessResult:
+                    now_ns: float = 0.0) -> float:
         self._check_data_address(address)
         if self.functional and (data is None or len(data) != self.block_size):
             raise AddressError("functional store requires a full data block")
         page_id = self.page_of(address)
         unseal_ns = self._touch(page_id, now_ns)
         # Hot pages hold plaintext: the bus and cells both see it.
-        access = self.mem.write_block(address, data, now_ns + unseal_ns)
+        write_latency = self.mem.write_block(address, data, now_ns + unseal_ns)
         self.stats.data_writes += 1
-        return AccessResult(data=None, latency_ns=unseal_ns + access.latency_ns)
+        return unseal_ns + write_latency
 
     def power_cycle(self) -> None:
         """Power loss: i-NVMM seals everything it can on the way down

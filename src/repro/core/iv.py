@@ -95,13 +95,16 @@ class CounterBlock:
     minor_bits: int = 7
 
     def __post_init__(self) -> None:
-        if not self.minors:
+        minors = self.minors
+        if not minors:
             raise AddressError("a counter block needs at least one minor counter")
         limit = self.minor_max
-        for value in self.minors:
-            if value < 0 or value > limit:
-                raise CounterOverflowError(f"minor counter {value} exceeds "
-                                           f"{self.minor_bits} bits")
+        if min(minors) < 0 or max(minors) > limit:
+            # Only a bad block walks the list, to name its first bad value.
+            for value in minors:
+                if value < 0 or value > limit:
+                    raise CounterOverflowError(f"minor counter {value} exceeds "
+                                               f"{self.minor_bits} bits")
 
     @classmethod
     def fresh(cls, blocks_per_page: int = 64, minor_bits: int = 7) -> "CounterBlock":

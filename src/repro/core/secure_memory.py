@@ -84,17 +84,6 @@ class SecureMemoryStats:
 
 
 @dataclass
-class AccessResult:
-    """Outcome of one controller-level read or write transaction."""
-
-    data: Optional[bytes]
-    latency_ns: float
-    zero_filled: bool = False
-    counter_hit: bool = True
-    reencrypted: bool = False
-
-
-@dataclass
 class CounterFetch:
     """Outcome of one counter-cache probe (:meth:`get_counters`), read
     through its named fields."""
@@ -199,12 +188,12 @@ class SecureMemoryController:
                           now_ns: float) -> float:
         """Write a counter block to the NVM counter region (+ Merkle update)."""
         packed = counters.pack() if self.functional else None
-        access = self.mem.write_block(self._counter_address(page_id), packed,
-                                      now_ns)
+        latency = self.mem.write_block(self._counter_address(page_id), packed,
+                                       now_ns)
         if self.merkle is not None and packed is not None:
             self.merkle.update(page_id, packed)
         self.stats.counter_writebacks += 1
-        return access.latency_ns + self._merkle_latency_ns
+        return latency + self._merkle_latency_ns
 
     def _probe_counters(self, page_id: int,
                         now_ns: float) -> Tuple[CounterBlock, float, bool]:
@@ -227,9 +216,9 @@ class SecureMemoryController:
             raise AddressError(f"page id {page_id} out of range")
         lines.stats.misses += 1
         self.stats.counter_misses += 1
-        access = self.mem.read_block(self._counter_address(page_id), now_ns)
+        raw, fetch_latency = self.mem.read_block(
+            self._counter_address(page_id), now_ns)
         self.stats.counter_fetches += 1
-        raw = access.data
         if self.functional and self.merkle is not None:
             self.merkle.verify(page_id, raw)
         if self.functional and raw != self._zero_block:
@@ -243,7 +232,7 @@ class SecureMemoryController:
         if evicted is not None and evicted.dirty:
             self._persist_counters(evicted.page_id, evicted.block, now_ns)
         return (counters, self._counter_latency_ns
-                + (access.latency_ns + self._merkle_latency_ns), False)
+                + (fetch_latency + self._merkle_latency_ns), False)
 
     def get_counters(self, page_id: int,
                      now_ns: float = 0.0) -> CounterFetch:
@@ -269,16 +258,18 @@ class SecureMemoryController:
 
     # -- data path -----------------------------------------------------------------
 
-    def fetch_block(self, address: int, now_ns: float = 0.0) -> AccessResult:
+    def fetch_block(self, address: int, now_ns: float = 0.0,
+                    ) -> Tuple[Optional[bytes], float, bool]:
         """Serve an LLC miss at ``now_ns``: decrypt (or zero-fill) one data
-        block."""
+        block. Returns ``(data, latency_ns, zero_filled)``; ``data`` is
+        ``None`` in timing mode."""
         block_size = self.block_size
         if (address < 0 or address + block_size > self.data_capacity
                 or address % block_size):
             self._check_data_address(address)
         page_id = address // self.page_size
         offset = address % self.page_size // block_size
-        counters, counter_latency, hit = self._probe_counters(page_id, now_ns)
+        counters, counter_latency, _ = self._probe_counters(page_id, now_ns)
         stats = self.stats
 
         if self.zero_semantics and counters.minors[offset] == MINOR_SHREDDED:
@@ -291,27 +282,27 @@ class SecureMemoryController:
             data = self._zero_block if self.functional else None
             zero_filled = True
         else:
-            access = self.mem.read_block(address, now_ns + counter_latency)
+            data, read_latency = self.mem.read_block(
+                address, now_ns + counter_latency)
             stats.data_reads += 1
-            data = None
-            if self.functional:
-                data = access.data
-                if self.encrypted:
-                    data = self.engine.decrypt(
-                        data, self._iv(page_id, offset, counters))
+            if not self.functional:
+                data = None
+            elif self.encrypted:
+                data = self.engine.decrypt(
+                    data, self._iv(page_id, offset, counters))
             # Pad generation overlaps the NVM fetch; only the larger of
             # the two plus the XOR is on the critical path (section 2.2).
             latency = (counter_latency
-                       + max(access.latency_ns, self._pad_latency_ns)
+                       + max(read_latency, self._pad_latency_ns)
                        + self._xor_latency_ns)
             zero_filled = False
         stats.record_read(latency)
-        return AccessResult(data, latency, zero_filled, hit)
+        return data, latency, zero_filled
 
     def store_block(self, address: int, data: Optional[bytes] = None,
-                    now_ns: float = 0.0) -> AccessResult:
+                    now_ns: float = 0.0) -> float:
         """Write back one data block at ``now_ns``: bump minor, encrypt,
-        write NVM."""
+        write NVM. Returns the latency in ns."""
         block_size = self.block_size
         if (address < 0 or address + block_size > self.data_capacity
                 or address % block_size):
@@ -320,7 +311,7 @@ class SecureMemoryController:
             raise AddressError("functional store requires a full data block")
         page_id = address // self.page_size
         offset = address % self.page_size // block_size
-        counters, counter_latency, hit = self._probe_counters(page_id, now_ns)
+        counters, counter_latency, _ = self._probe_counters(page_id, now_ns)
 
         if self.events is not None and self.zero_semantics \
                 and counters.minors[offset] == MINOR_SHREDDED:
@@ -335,8 +326,7 @@ class SecureMemoryController:
             latency = self._reencrypt_page(page_id, counters,
                                            {offset: data}, now_ns)
             self.stats.reencryptions += 1
-            return AccessResult(None, counter_latency + latency, False, hit,
-                                True)
+            return counter_latency + latency
 
         ciphertext = None
         if self.functional:
@@ -345,12 +335,11 @@ class SecureMemoryController:
                 ciphertext = self.engine.encrypt(
                     data, self._iv(page_id, offset, counters))
         pad_ns = self._pad_latency_ns + self._xor_latency_ns
-        access = self.mem.write_block(address, ciphertext,
-                                      now_ns + counter_latency + pad_ns)
+        write_latency = self.mem.write_block(address, ciphertext,
+                                             now_ns + counter_latency + pad_ns)
         self.stats.data_writes += 1
         counter_update_ns = self._counters_updated(page_id, counters, now_ns)
-        latency = counter_latency + pad_ns + access.latency_ns + counter_update_ns
-        return AccessResult(None, latency, False, hit)
+        return counter_latency + pad_ns + write_latency + counter_update_ns
 
     def _reencrypt_page(self, page_id: int, counters: CounterBlock,
                         replacements: Dict[int, Optional[bytes]],
@@ -375,17 +364,15 @@ class SecureMemoryController:
                 # Shredded blocks hold no data; they stay shredded.
                 continue
             address = page_id * self.page_size + offset * self.block_size
-            access = self.mem.read_block(address, now_ns)
+            data, latency = self.mem.read_block(address, now_ns)
             self.stats.data_reads += 1
-            last_finish = max(last_finish, access.finish_ns)
-            if self.functional:
-                if self.encrypted:
-                    iv = self._iv(page_id, offset, counters)
-                    plaintexts[offset] = self.engine.decrypt(access.data, iv)
-                else:
-                    plaintexts[offset] = access.data
-            else:
-                plaintexts[offset] = None
+            last_finish = max(last_finish, now_ns + latency)
+            if not self.functional:
+                data = None
+            elif self.encrypted:
+                data = self.engine.decrypt(
+                    data, self._iv(page_id, offset, counters))
+            plaintexts[offset] = data
 
         # Advance the page generation; minors reset to 1 (never to the
         # reserved 0 — section 4.2), shredded blocks keep their 0.
@@ -406,9 +393,9 @@ class SecureMemoryController:
                     ciphertext = self.engine.encrypt(plaintext, iv)
                 else:
                     ciphertext = plaintext
-            access = self.mem.write_block(address, ciphertext, write_start)
+            latency = self.mem.write_block(address, ciphertext, write_start)
             self.stats.data_writes += 1
-            last_finish = max(last_finish, access.finish_ns)
+            last_finish = max(last_finish, write_start + latency)
 
         self._counters_updated(page_id, counters, now_ns)
         return last_finish - now_ns

@@ -85,18 +85,24 @@ class Experiment:
         """Stable SHA-256 identifying this experiment's *content*.
 
         Identical across processes and interpreter runs (unlike
-        ``hash()``); ignores ``name``.
+        ``hash()``); ignores ``name``. Every field is frozen, so the
+        digest is computed on the first call and kept on the instance:
+        a batch's dedupe, cache lookup and cache store share it.
         """
-        document = {
-            "workload": self.workload,
-            "params": list(self.params),
-            "config": config_digest(self.config),
-            "shredder": self.shredder,
-            "policy": self.policy,
-        }
-        payload = json.dumps(document, sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        digest = self.__dict__.get("_content_hash")
+        if digest is None:
+            document = {
+                "workload": self.workload,
+                "params": list(self.params),
+                "config": config_digest(self.config),
+                "shredder": self.shredder,
+                "policy": self.policy,
+            }
+            payload = json.dumps(document, sort_keys=True,
+                                 separators=(",", ":"))
+            digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_content_hash", digest)
+        return digest
 
     # -- serialization ------------------------------------------------------------
 

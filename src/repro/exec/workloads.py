@@ -125,9 +125,9 @@ def _run_policy_ablation(system: System, params: Dict[str, Any]) -> Dict[str, fl
     zero_reads = 0
     probes = 0
     for page in range(1, pages + 1):
-        result = controller.fetch_block(page * page_size)
+        _, _, zero_filled = controller.fetch_block(page * page_size)
         probes += 1
-        if result.zero_filled:
+        if zero_filled:
             zero_reads += 1
     return {
         "probes": float(probes),

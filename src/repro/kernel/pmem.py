@@ -160,9 +160,8 @@ class PersistentHeap:
         base = directory_ppn * page_size
         blob = bytearray()
         for offset in range(0, page_size, block_size):
-            result = machine.controller.fetch_block(base + offset)
-            blob.extend(result.data if result.data is not None
-                        else bytes(block_size))
+            data, _, _ = machine.controller.fetch_block(base + offset)
+            blob.extend(data if data is not None else bytes(block_size))
         if bytes(blob[:len(_MAGIC)]) != _MAGIC:
             raise SimulationError("no persistent directory found "
                                   "(uncommitted or corrupted)")

@@ -122,11 +122,11 @@ class ZeroingEngine:
         reads_before = machine.controller.stats.data_reads
         elapsed = 0.0
         for address in self._page_blocks(ppn):
-            access = machine.hierarchy.access(
+            latency, _ = machine.hierarchy.access(
                 core, address, True,
                 self._zero_block if machine.functional else None,
                 now_ns + elapsed)
-            elapsed += access.latency_cycles * self._cycle_ns + self._issue_ns
+            elapsed += latency * self._cycle_ns + self._issue_ns
             result.cache_blocks_polluted += 1
         result.latency_ns = elapsed
         result.cpu_busy_ns = elapsed
@@ -146,10 +146,10 @@ class ZeroingEngine:
         last_finish = now_ns
         for address in self._page_blocks(ppn):
             issue_time += self._issue_ns
-            store = machine.controller.store_block(
+            store_ns = machine.controller.store_block(
                 address, self._zero_block if machine.functional else None,
                 now_ns + issue_time)
-            last_finish = max(last_finish, now_ns + issue_time + store.latency_ns)
+            last_finish = max(last_finish, now_ns + issue_time + store_ns)
             result.memory_writes += 1
         # sfence: the fault cannot complete until all zeros are durable.
         result.latency_ns = last_finish - now_ns
@@ -166,10 +166,10 @@ class ZeroingEngine:
         setup_ns = DMA_SETUP_CYCLES * self._cycle_ns
         last_finish = now_ns + setup_ns
         for address in self._page_blocks(ppn):
-            store = machine.controller.store_block(
+            store_ns = machine.controller.store_block(
                 address, self._zero_block if machine.functional else None,
                 now_ns + setup_ns)
-            last_finish = max(last_finish, now_ns + setup_ns + store.latency_ns)
+            last_finish = max(last_finish, now_ns + setup_ns + store_ns)
             result.memory_writes += 1
         result.latency_ns = last_finish - now_ns
         result.cpu_busy_ns = setup_ns

@@ -162,10 +162,16 @@ def parse_suppressions(text: str) -> Tuple[
         Dict[int, Set[str]], List[Tuple[int, str]],
         List[SuppressionComment]]:
     """Extract per-line suppressed codes, malformed-comment problems,
-    and the parsed comment records (for stale-suppression tracking)."""
+    and the parsed comment records (for stale-suppression tracking).
+
+    Text without ``repro:`` cannot hold a suppression (see
+    ``_SUPPRESS_RE``) and is not tokenized.
+    """
     suppressed: Dict[int, Set[str]] = {}
     problems: List[Tuple[int, str]] = []
     comments: List[SuppressionComment] = []
+    if "repro:" not in text:
+        return suppressed, problems, comments
     for number, comment, statement_start in _comments(text):
         match = _SUPPRESS_RE.search(comment)
         if match is None:

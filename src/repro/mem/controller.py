@@ -11,8 +11,7 @@ device's lines before the channel/device access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..config import NVMConfig
 from ..errors import AddressError
@@ -20,15 +19,6 @@ from .channel import ChannelModel
 from .device import MemoryDevice
 from .stats import MemoryStats
 from .wear import StartGapWearLeveler
-
-
-@dataclass
-class RawAccess:
-    """Outcome of one device transaction."""
-
-    data: Optional[bytes]
-    latency_ns: float
-    finish_ns: float
 
 
 class MemoryController:
@@ -69,9 +59,11 @@ class MemoryController:
 
     # -- transactions --------------------------------------------------------
 
-    def read_block(self, address: int, now_ns: float = 0.0) -> RawAccess:
-        """Read one block at ``now_ns``; returns data plus end-to-end
-        latency."""
+    def read_block(self, address: int,
+                   now_ns: float = 0.0) -> Tuple[Optional[bytes], float]:
+        """Read one block at ``now_ns``; returns ``(data, latency_ns)``,
+        the latency end to end (the read finishes at ``now_ns +
+        latency_ns``)."""
         physical = (address if self.wear_leveler is None
                     else self._physical_address(address))
         device = self.device
@@ -86,12 +78,12 @@ class MemoryController:
         stats.bytes_read += self.block_size
         stats.total_read_latency_ns += latency
         stats.read_energy_pj += device.read_energy_pj
-        return RawAccess(data, latency, finish)
+        return data, latency
 
     def write_block(self, address: int, data: Optional[bytes] = None,
-                    now_ns: float = 0.0) -> RawAccess:
+                    now_ns: float = 0.0) -> float:
         """Write one block at ``now_ns``; returns the write's end-to-end
-        latency."""
+        latency in ns."""
         physical = (address if self.wear_leveler is None
                     else self._physical_address(address))
         for snooper in self.snoopers:
@@ -109,7 +101,7 @@ class MemoryController:
         stats.bits_written += bits
         stats.total_write_latency_ns += latency
         stats.write_energy_pj += device.write_energy_pj
-        return RawAccess(None, latency, finish)
+        return latency
 
     def check_block_address(self, address: int) -> None:
         if address % self.block_size != 0:

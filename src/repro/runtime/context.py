@@ -114,12 +114,13 @@ class ExecutionContext:
     def load_u64(self, vaddr: int) -> int:
         """Load an 8-byte little-endian integer."""
         physical = self._translate(vaddr, write=False)
-        access = self.machine.load(self.core_id, physical, self.core.now_ns)
-        self.core.load(access.latency_cycles)
-        if not self.functional or access.data is None:
+        latency, data = self.machine.load(self.core_id, physical,
+                                          self.core.now_ns)
+        self.core.load(latency)
+        if not self.functional or data is None:
             return 0
         offset = physical % self.block_size
-        return struct.unpack_from("<Q", access.data, offset)[0]
+        return struct.unpack_from("<Q", data, offset)[0]
 
     def store_u64(self, vaddr: int, value: int) -> None:
         """Store an 8-byte little-endian integer."""
@@ -128,9 +129,9 @@ class ExecutionContext:
         if self.functional:
             merge = (physical % self.block_size,
                      struct.pack("<Q", value & (1 << 64) - 1))
-        access = self.machine.store(self.core_id, physical,
-                                    now_ns=self.core.now_ns, merge=merge)
-        self.core.store(access.latency_cycles)
+        latency, _ = self.machine.store(self.core_id, physical,
+                                        now_ns=self.core.now_ns, merge=merge)
+        self.core.store(latency)
 
     def touch(self, vaddr: int, write: bool) -> None:
         """Block-granularity timing access without data semantics.
@@ -170,7 +171,7 @@ class ExecutionContext:
         else:
             latency = self._hierarchy.access(
                 self.core_id, physical, write, None, self.core.now_ns,
-                self._zero_merge if write else None).latency_cycles
+                self._zero_merge if write else None)[0]
         if write:
             self.core.store(latency)
             return
@@ -190,10 +191,17 @@ class ExecutionContext:
         Like glibc, uses temporal stores for small regions and
         non-temporal stores when the region exceeds the LLC (avoiding
         cache pollution). Either way every page is first-touched, so the
-        kernel's fault-time zeroing happens underneath.
+        kernel's fault-time zeroing happens underneath. Both paths store
+        whole blocks, so ``vaddr`` and ``size`` must be block-aligned;
+        anything else raises rather than zeroing bytes outside the
+        region.
         """
         if size <= 0:
             raise SimulationError("memset size must be positive")
+        if vaddr % self.block_size or size % self.block_size:
+            raise SimulationError(
+                f"memset region {vaddr:#x}+{size:#x} is not aligned to "
+                f"{self.block_size}-byte blocks")
         if nontemporal is None:
             nontemporal = size > self._l4_bytes
 
@@ -207,18 +215,17 @@ class ExecutionContext:
                 # completion latency, so sustained memset runs at NVM
                 # write bandwidth rather than issue rate.
                 self._hierarchy.invalidate_page(
-                    physical - physical % self.block_size, self.block_size,
-                    writeback=False, now_ns=self.core.now_ns)
-                store = self.machine.controller.store_block(
-                    physical - physical % self.block_size,
-                    self._zero_block if self.functional else None,
+                    physical, self.block_size, writeback=False,
+                    now_ns=self.core.now_ns)
+                store_ns = self.machine.controller.store_block(
+                    physical, self._zero_block if self.functional else None,
                     self.core.now_ns)
-                self.core.store(store.latency_ns / self._cycle_ns)
+                self.core.store(store_ns / self._cycle_ns)
             else:
-                access = self._hierarchy.access(self.core_id, physical, True,
-                                                None, self.core.now_ns,
-                                                self._zero_merge)
-                self.core.store(access.latency_cycles)
+                latency, _ = self._hierarchy.access(
+                    self.core_id, physical, True, None, self.core.now_ns,
+                    self._zero_merge)
+                self.core.store(latency)
             position += self.block_size
         if nontemporal:
             self.core.drain_stores()
@@ -232,10 +239,11 @@ class ExecutionContext:
             physical = self._translate(position, write=False)
             offset = physical % self.block_size
             take = min(self.block_size - offset, remaining)
-            access = self.machine.load(self.core_id,
-                                       physical - offset, self.core.now_ns)
-            self.core.load(access.latency_cycles)
-            chunk = access.data if access.data is not None else self._zero_block
+            latency, chunk = self.machine.load(self.core_id, physical - offset,
+                                               self.core.now_ns)
+            self.core.load(latency)
+            if chunk is None:
+                chunk = self._zero_block
             out.extend(chunk[offset:offset + take])
             position += take
             remaining -= take
@@ -250,9 +258,10 @@ class ExecutionContext:
             offset = physical % self.block_size
             take = min(self.block_size - offset, len(view))
             merge = (offset, bytes(view[:take])) if self.functional else None
-            access = self.machine.store(self.core_id, physical - offset,
-                                        now_ns=self.core.now_ns, merge=merge)
-            self.core.store(access.latency_cycles)
+            latency, _ = self.machine.store(self.core_id, physical - offset,
+                                            now_ns=self.core.now_ns,
+                                            merge=merge)
+            self.core.store(latency)
             position += take
             view = view[take:]
 

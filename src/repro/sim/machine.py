@@ -44,13 +44,17 @@ class Machine:
 
     # -- physical-address access helpers -----------------------------------------
 
-    def load(self, core: int, address: int, now_ns: float = 0.0):
-        """Load the block containing ``address`` through the caches."""
+    def load(self, core: int, address: int,
+             now_ns: float = 0.0) -> Tuple[int, Optional[bytes]]:
+        """Load the block containing ``address`` through the caches;
+        returns ``(latency_cycles, data)``."""
         return self.hierarchy.access(core, address, False, now_ns=now_ns)
 
     def store(self, core: int, address: int, data: Optional[bytes] = None,
-              now_ns: float = 0.0, merge: Optional[Tuple[int, bytes]] = None):
-        """Store to the block containing ``address`` through the caches."""
+              now_ns: float = 0.0, merge: Optional[Tuple[int, bytes]] = None,
+              ) -> Tuple[int, Optional[bytes]]:
+        """Store to the block containing ``address`` through the caches;
+        returns ``(latency_cycles, None)``."""
         return self.hierarchy.access(core, address, True, data=data,
                                      now_ns=now_ns, merge=merge)
 
@@ -68,10 +72,11 @@ class Machine:
             block_start = position - position % self.block_size
             offset = position - block_start
             take = min(self.block_size - offset, remaining)
-            access = self.hierarchy.access(core, block_start, False,
-                                           now_ns=now_ns)
-            cycles += access.latency_cycles
-            chunk = access.data if access.data is not None else bytes(self.block_size)
+            latency, chunk = self.hierarchy.access(core, block_start, False,
+                                                   now_ns=now_ns)
+            cycles += latency
+            if chunk is None:
+                chunk = bytes(self.block_size)
             out.extend(chunk[offset:offset + take])
             position += take
             remaining -= take
@@ -87,10 +92,10 @@ class Machine:
             block_start = position - position % self.block_size
             offset = position - block_start
             take = min(self.block_size - offset, len(view))
-            access = self.hierarchy.access(core, block_start, True,
-                                           now_ns=now_ns,
-                                           merge=(offset, bytes(view[:take])))
-            cycles += access.latency_cycles
+            latency, _ = self.hierarchy.access(
+                core, block_start, True, now_ns=now_ns,
+                merge=(offset, bytes(view[:take])))
+            cycles += latency
             position += take
             view = view[take:]
         return cycles

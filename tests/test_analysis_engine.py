@@ -101,9 +101,26 @@ class TestSuppressions:
 
     def test_bad_suppression_surfaces_as_repro010(self, tmp_path):
         bad = tmp_path / "bad.py"
-        bad.write_text("x = 1  # repro: suppress REPRO999x\n")
-        report = Analyzer(tmp_path).run([bad])
-        assert [v.code for v in report.violations] == [CODE_BAD_SUPPRESSION]
+        for comment in ("# repro: suppress REPRO999x",
+                        "#repro:suppress REPRO101",
+                        "# repro: suppress REPRO101",
+                        "# repro: suppress -- no codes",
+                        "#  repro:  suppress E501 -- not a REPRO code"):
+            bad.write_text(f"x = 1  {comment}\n")
+            report = Analyzer(tmp_path).run([bad])
+            assert [v.code for v in report.violations] \
+                == [CODE_BAD_SUPPRESSION], comment
+
+    def test_text_without_the_marker_is_not_tokenized(self, monkeypatch):
+        from repro.lint import engine
+
+        def refuse(text):
+            raise AssertionError("tokenized a file with no 'repro:'")
+        monkeypatch.setattr(engine, "_comments", refuse)
+        assert parse_suppressions("x = 1  # noqa: E501 -- repro\n") \
+            == ({}, [], [])
+        with pytest.raises(AssertionError):
+            parse_suppressions("x = 1  # repro: suppress REPRO101 -- ok\n")
 
     def test_stale_suppression_surfaces_as_repro011(self, tmp_path):
         stale = tmp_path / "stale.py"

@@ -5,7 +5,7 @@ from typing import List, Optional
 
 import pytest
 
-from repro.cache import CacheHierarchy, MemoryFetch
+from repro.cache import CacheHierarchy
 from repro.config import fast_config
 
 
@@ -19,13 +19,12 @@ class FakeMemory:
         self.writebacks: List[int] = []
         self.zero_pages = set()
 
-    def miss_handler(self, address: int, now_ns: float) -> MemoryFetch:
+    def miss_handler(self, address: int, now_ns: float):
         self.fetches.append(address)
         if address // 4096 in self.zero_pages:
-            return MemoryFetch(data=bytes(self.block_size),
-                               latency_ns=5.0, zero_filled=True)
+            return bytes(self.block_size), 5.0, True
         payload = (address % 251).to_bytes(2, "little") * (self.block_size // 2)
-        return MemoryFetch(data=payload, latency_ns=self.latency_ns)
+        return payload, self.latency_ns, False
 
     def writeback_handler(self, address: int, data, now_ns: float) -> None:
         self.writebacks.append(address)
@@ -42,38 +41,39 @@ def setup(tiny_config):
 class TestHitLevels:
     def test_cold_miss_goes_to_memory(self, setup):
         hierarchy, memory, _ = setup
-        access = hierarchy.access(0, 0x1000, False)
-        assert access.hit_level == "MEM"
+        hierarchy.access(0, 0x1000, False)
+        assert hierarchy.memory_fetches == 1
         assert memory.fetches == [0x1000]
 
     def test_second_access_hits_l1(self, setup):
-        hierarchy, memory, _ = setup
+        hierarchy, memory, config = setup
         hierarchy.access(0, 0x1000, False)
-        access = hierarchy.access(0, 0x1000, False)
-        assert access.hit_level == "L1"
+        latency, _ = hierarchy.access(0, 0x1000, False)
+        assert hierarchy.l1[0].stats.hits == 1
+        assert latency == config.l1.latency_cycles
         assert len(memory.fetches) == 1
 
     def test_other_core_hits_shared_level(self, setup):
         hierarchy, memory, _ = setup
         hierarchy.access(0, 0x1000, False)
-        access = hierarchy.access(1, 0x1000, False)
-        assert access.hit_level in ("L3", "L4")
+        hierarchy.access(1, 0x1000, False)
+        assert hierarchy.l3.stats.hits + hierarchy.l4.stats.hits == 1
         assert len(memory.fetches) == 1
 
     def test_latency_ordering(self, setup):
         hierarchy, _, config = setup
-        miss = hierarchy.access(0, 0x2000, False)
-        hit = hierarchy.access(0, 0x2000, False)
-        assert hit.latency_cycles == config.l1.latency_cycles
-        assert miss.latency_cycles > hit.latency_cycles
+        miss, _ = hierarchy.access(0, 0x2000, False)
+        hit, _ = hierarchy.access(0, 0x2000, False)
+        assert hit == config.l1.latency_cycles
+        assert miss > hit
 
     def test_zero_filled_miss(self, setup):
         hierarchy, memory, _ = setup
         memory.zero_pages.add(1)
-        access = hierarchy.access(0, 0x1000, False)
-        assert access.hit_level == "ZERO"
-        assert access.data == bytes(64)
+        _, data = hierarchy.access(0, 0x1000, False)
+        assert data == bytes(64)
         assert hierarchy.zero_fills == 1
+        assert hierarchy.memory_fetches == 0
 
     def test_block_alignment(self, setup):
         hierarchy, memory, _ = setup
@@ -86,14 +86,14 @@ class TestFunctionalData:
         hierarchy, _, _ = setup
         payload = bytes(range(64))
         hierarchy.access(0, 0x3000, True, data=payload)
-        access = hierarchy.access(0, 0x3000, False)
-        assert access.data == payload
+        _, data = hierarchy.access(0, 0x3000, False)
+        assert data == payload
 
     def test_merge_store(self, setup):
         hierarchy, _, _ = setup
         hierarchy.access(0, 0x3000, True, data=bytes(64))
         hierarchy.access(0, 0x3000, True, merge=(8, b"\xff\xff"))
-        data = hierarchy.access(0, 0x3000, False).data
+        _, data = hierarchy.access(0, 0x3000, False)
         assert data[8:10] == b"\xff\xff"
         assert data[:8] == bytes(8)
 
@@ -101,7 +101,8 @@ class TestFunctionalData:
         hierarchy, _, _ = setup
         payload = b"\xab" * 64
         hierarchy.access(0, 0x3000, True, data=payload)
-        assert hierarchy.access(1, 0x3000, False).data == payload
+        _, data = hierarchy.access(1, 0x3000, False)
+        assert data == payload
 
 
 class TestWritebacks:
@@ -184,8 +185,10 @@ class TestCoherenceIntegration:
         assert not hierarchy.l2[1].contains(0x5000)
         # Core 1 refetches from the shared levels, not memory.
         before = len(memory.fetches)
-        access = hierarchy.access(1, 0x5000, False)
-        assert access.hit_level in ("L3", "L4")
+        shared_hits = hierarchy.l3.stats.hits + hierarchy.l4.stats.hits
+        hierarchy.access(1, 0x5000, False)
+        assert (hierarchy.l3.stats.hits + hierarchy.l4.stats.hits
+                == shared_hits + 1)
         assert len(memory.fetches) == before
 
     def test_directory_invariants_after_traffic(self, setup):
@@ -201,7 +204,8 @@ class TestCoherenceIntegration:
         flushed = hierarchy.flush_all()
         assert flushed == 1
         assert memory.writebacks == [0x6000]
-        assert hierarchy.access(0, 0x6000, False).hit_level == "MEM"
+        hierarchy.access(0, 0x6000, False)
+        assert memory.fetches == [0x6000, 0x6000]
 
 
 class TestDirectoryTracksPrivateResidency:

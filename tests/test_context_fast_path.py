@@ -89,22 +89,22 @@ def reference_touch(ctx, vaddr, write):
     physical = reference_translate(ctx, vaddr, write)
     if write:
         merge = (0, ctx._zero_block) if ctx.functional else None
-        access = ctx.machine.store(ctx.core_id, physical,
-                                   now_ns=ctx.core.now_ns, merge=merge)
-        ctx.core.store(access.latency_cycles)
+        latency, _ = ctx.machine.store(ctx.core_id, physical,
+                                       now_ns=ctx.core.now_ns, merge=merge)
+        ctx.core.store(latency)
     else:
-        access = ctx.machine.load(ctx.core_id, physical, ctx.core.now_ns)
-        ctx.core.load(access.latency_cycles)
+        latency, _ = ctx.machine.load(ctx.core_id, physical, ctx.core.now_ns)
+        ctx.core.load(latency)
 
 
 def reference_load_u64(ctx, vaddr):
     physical = reference_translate(ctx, vaddr, False)
-    access = ctx.machine.load(ctx.core_id, physical, ctx.core.now_ns)
-    ctx.core.load(access.latency_cycles)
-    if not ctx.functional or access.data is None:
+    latency, data = ctx.machine.load(ctx.core_id, physical, ctx.core.now_ns)
+    ctx.core.load(latency)
+    if not ctx.functional or data is None:
         return 0
     offset = physical % ctx.block_size
-    return int.from_bytes(access.data[offset:offset + 8], "little")
+    return int.from_bytes(data[offset:offset + 8], "little")
 
 
 def reference_store_u64(ctx, vaddr, value):
@@ -112,9 +112,9 @@ def reference_store_u64(ctx, vaddr, value):
     merge = None
     if ctx.functional:
         merge = (physical % ctx.block_size, value.to_bytes(8, "little"))
-    access = ctx.machine.store(ctx.core_id, physical,
-                               now_ns=ctx.core.now_ns, merge=merge)
-    ctx.core.store(access.latency_cycles)
+    latency, _ = ctx.machine.store(ctx.core_id, physical,
+                                   now_ns=ctx.core.now_ns, merge=merge)
+    ctx.core.store(latency)
 
 
 class FastOps:

@@ -15,14 +15,24 @@ move hook included), and by replacing its counter cache with
 :class:`ReferenceCounterCache`, which runs on the way-and-stamp
 ``test_cache_reference.ReferenceCache``.
 
+The reference also keeps the result records the chain returned,
+which the code under test no longer builds: :class:`RawAccess` (with
+its ``finish_ns``) from the memory controller and :class:`AccessResult`
+from ``fetch_block``/``store_block``, and it transcribes
+``_reencrypt_page`` as it was, timing the page's transactions by
+``finish_ns`` where the code under test uses start + latency.
+
 Hypothesis drives a reference and a current controller, baseline and
 Silent Shredder, in timing and functional mode, through random
 fetches, stores, shreds, counter probes, raw memory transactions,
 same-time write bursts and counter flushes. Configurations cover
 write-back and write-through counter caches, counter caches small
 enough to evict dirty entries, minor-counter overflow, Start-Gap and
-an attached bus snooper. After every operation the returned
-``AccessResult``/``RawAccess``/``CounterFetch`` fields, the
+an attached bus snooper. After every operation the returned plain
+values must equal the reference records' fields (``(data,
+latency_ns, zero_filled)`` for a fetch, ``latency_ns`` for a store,
+``(data, latency_ns)``/``latency_ns`` for a raw read/write), as must
+the ``CounterFetch`` fields, the
 ``SecureMemoryStats`` (latency buckets included), the device's and the
 memory controller's ``MemoryStats``, the channel's queue state, the
 NVM cells, wear map and flip bits, the counter cache's entries, stats,
@@ -36,7 +46,7 @@ from __future__ import annotations
 import inspect
 import sys
 import textwrap
-from dataclasses import astuple, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Any, Dict, Optional
 
 import pytest
@@ -47,13 +57,12 @@ from repro.cache.counter_cache import CounterEviction
 from repro.config import (KB, CacheConfig, CounterCacheConfig, NVMConfig,
                           fast_config)
 from repro.core import SecureMemoryController, SilentShredderController
-from repro.core.iv import CounterBlock
-from repro.core.secure_memory import AccessResult, CounterFetch
+from repro.core.iv import MINOR_SHREDDED, CounterBlock
+from repro.core.secure_memory import CounterFetch
 from repro.core.shredder import ShredOutcome
 from repro.errors import AddressError
 from repro.mem import (BusSnooper, ChannelModel, MemoryController,
                        MemoryDevice, NVMDevice)
-from repro.mem.controller import RawAccess
 from repro.mem.nvm import FNW_WORD_BITS
 from repro.obs.events import EventRecorder
 
@@ -67,6 +76,26 @@ OFFSETS = 4                 # blocks used per page: counters get reused
 
 
 # -- the reference: the chain before the one-pass rewrite --------------------------
+
+@dataclass
+class RawAccess:
+    """What the memory controller's transactions used to return."""
+
+    data: Optional[bytes]
+    latency_ns: float
+    finish_ns: float
+
+
+@dataclass
+class AccessResult:
+    """What the secure controller's transactions used to return."""
+
+    data: Optional[bytes]
+    latency_ns: float
+    zero_filled: bool = False
+    counter_hit: bool = True
+    reencrypted: bool = False
+
 
 class ReferenceChannel(ChannelModel):
     def request(self, address, now_ns, service_ns, *, is_read=True):
@@ -288,6 +317,51 @@ class ReferenceDatapath:
         return AccessResult(data=None, latency_ns=latency, counter_hit=hit,
                             reencrypted=reencrypted)
 
+    def _reencrypt_page(self, page_id, counters, replacements, now_ns):
+        if self.events is not None:
+            self.events.emit("iv_regen", page_id, now_ns)
+        plaintexts = {}
+        last_finish = now_ns
+        for offset in range(self.blocks_per_page):
+            if offset in replacements:
+                plaintexts[offset] = replacements[offset]
+                continue
+            if self.zero_semantics and counters.is_shredded(offset):
+                continue
+            address = page_id * self.page_size + offset * self.block_size
+            access = self.mem.read_block(address, now_ns)
+            self.stats.data_reads += 1
+            last_finish = max(last_finish, access.finish_ns)
+            if self.functional:
+                if self.encrypted:
+                    iv = self._iv(page_id, offset, counters)
+                    plaintexts[offset] = self.engine.decrypt(access.data, iv)
+                else:
+                    plaintexts[offset] = access.data
+            else:
+                plaintexts[offset] = None
+        counters.major += 1
+        for offset in range(self.blocks_per_page):
+            if self.zero_semantics and counters.minors[offset] == MINOR_SHREDDED \
+                    and offset not in plaintexts:
+                continue
+            counters.minors[offset] = 1
+        write_start = last_finish
+        for offset, plaintext in plaintexts.items():
+            address = page_id * self.page_size + offset * self.block_size
+            ciphertext = None
+            if self.functional:
+                if self.encrypted:
+                    iv = self._iv(page_id, offset, counters)
+                    ciphertext = self.engine.encrypt(plaintext, iv)
+                else:
+                    ciphertext = plaintext
+            access = self.mem.write_block(address, ciphertext, write_start)
+            self.stats.data_writes += 1
+            last_finish = max(last_finish, access.finish_ns)
+        self._counters_updated(page_id, counters, now_ns)
+        return last_finish - now_ns
+
     def shred_page(self, page_id, now_ns=0.0):
         if page_id < 0 or page_id >= self.num_pages:
             raise AddressError(f"page id {page_id} out of range")
@@ -430,9 +504,20 @@ def observe(controller) -> tuple:
     )
 
 
+def plain(kind: str, result: Any) -> Any:
+    """A reference record in the shape the code under test returns."""
+    if kind == "fetch":
+        return result.data, result.latency_ns, result.zero_filled
+    if kind in ("store", "raw_write"):
+        return result.latency_ns
+    if kind == "burst":
+        return [access.latency_ns for access in result]
+    if kind == "raw_read":
+        return result.data, result.latency_ns
+    return result
+
+
 def describe(result: Any) -> Any:
-    if isinstance(result, (AccessResult, RawAccess)):
-        return type(result).__name__, astuple(result)
     if isinstance(result, CounterFetch):
         counters = result.counters
         return ("CounterFetch", counters.major, tuple(counters.minors),
@@ -458,9 +543,9 @@ def apply(controller, op: tuple) -> Any:
     if kind == "burst":
         # Many same-time write-backs to one channel fill its queue.
         _, page, count, at = op
-        return [describe(controller.store_block(
+        return [controller.store_block(
             page * PAGE + (2 * i % OFFSETS) * BLOCK,
-            payload(controller, i % 255 + 1), at)) for i in range(count)]
+            payload(controller, i % 255 + 1), at) for i in range(count)]
     if kind == "shred":
         _, page, at = op
         if not isinstance(controller, SilentShredderController):
@@ -487,7 +572,8 @@ def check_against_reference(setup: Dict[str, Any], ops) -> None:
     ref = build(config, shredder=setup["shredder"],
                 snooper=setup["snooper"], reference=True)
     for step, op in enumerate(ops):
-        got, want = describe(apply(current, op)), describe(apply(ref, op))
+        got = describe(apply(current, op))
+        want = describe(plain(op[0], apply(ref, op)))
         assert got == want, (step, op)
         assert observe(current) == observe(ref), (step, op)
 
@@ -575,6 +661,10 @@ MUTANTS = {
         ChannelModel, "request", "queue_delay = cap_ns", "pass"),
     "device-write-skips-bit-count": (
         MemoryDevice, "write_block", "stats.bits_written += bits", "pass"),
+    "reencrypt-times-writes-from-now": (
+        SecureMemoryController, "_reencrypt_page",
+        "last_finish = max(last_finish, write_start + latency)",
+        "last_finish = max(last_finish, now_ns + latency)"),
 }
 
 

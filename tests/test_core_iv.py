@@ -115,8 +115,13 @@ class TestCounterBlock:
         assert not block.all_shredded()
 
     def test_invalid_minor_rejected(self):
-        with pytest.raises(CounterOverflowError):
-            CounterBlock(major=0, minors=[200], minor_bits=7)
+        # The message names the first out-of-range value.
+        for minors, first_bad in (([200], 200), ([1, 200, -1, 300], 200),
+                                  ([5, -3, 128], -3), ([127, 0, 128], 128)):
+            with pytest.raises(CounterOverflowError) as error:
+                CounterBlock(major=0, minors=minors, minor_bits=7)
+            assert str(error.value) \
+                == f"minor counter {first_bad} exceeds 7 bits"
 
     def test_empty_minors_rejected(self):
         with pytest.raises(AddressError):

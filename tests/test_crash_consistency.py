@@ -29,13 +29,13 @@ class TestBatteryBacked:
     def test_data_readable_after_orderly_loss(self, controller):
         controller.store_block(0, b"\x11" * 64)
         controller.power_fail(battery=True)
-        assert controller.fetch_block(0).data == b"\x11" * 64
+        assert controller.fetch_block(0)[0] == b"\x11" * 64
 
     def test_shred_state_survives(self, controller):
         controller.store_block(0, b"\x22" * 64)
         controller.shred_page(0)
         controller.power_fail(battery=True)
-        assert controller.fetch_block(0).zero_filled
+        assert controller.fetch_block(0)[2]
 
 
 class TestBatteryLess:
@@ -51,7 +51,7 @@ class TestBatteryLess:
         payload = b"\x37" * 64
         controller.store_block(0, payload)                # minor 1 -> 2
         controller.power_fail(battery=False)
-        recovered = controller.fetch_block(0).data
+        recovered = controller.fetch_block(0)[0]
         assert recovered != payload
 
     def test_lost_shred_resurrects_data_risk(self, controller):
@@ -65,9 +65,9 @@ class TestBatteryLess:
         controller.shred_page(0)                   # shred dirty in cache only
         lost = controller.power_fail(battery=False)
         assert lost >= 1
-        after = controller.fetch_block(0)
-        assert not after.zero_filled
-        assert after.data == secret, \
+        data, _, zero_filled = controller.fetch_block(0)
+        assert not zero_filled
+        assert data == secret, \
             "without counter persistence the shred is silently undone"
 
     def test_write_through_cache_immune(self, tiny_config):
@@ -79,7 +79,7 @@ class TestBatteryLess:
         controller.shred_page(0)
         lost = controller.power_fail(battery=False)
         assert lost == 0
-        assert controller.fetch_block(0).zero_filled
+        assert controller.fetch_block(0)[2]
 
 
 class TestTemporalZeroingNotPersistent:
@@ -94,7 +94,7 @@ class TestTemporalZeroingNotPersistent:
         machine.controller.store_block(4096, secret)
         ZeroingEngine(machine).zero_page(1)       # zeros parked in caches
         machine.controller.power_cycle()          # caches lost
-        leaked = machine.controller.fetch_block(4096).data
+        leaked = machine.controller.fetch_block(4096)[0]
         assert leaked == secret, "temporal zeroing lost on power failure"
 
     def test_shred_zeroing_is_persistent(self, tiny_config):
@@ -103,4 +103,4 @@ class TestTemporalZeroingNotPersistent:
         machine.controller.store_block(4096, b"\x66" * 64)
         ZeroingEngine(machine).zero_page(1)
         machine.controller.power_cycle()          # battery flush included
-        assert machine.controller.fetch_block(4096).zero_filled
+        assert machine.controller.fetch_block(4096)[2]

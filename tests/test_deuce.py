@@ -22,14 +22,14 @@ class TestFunctionalCorrectness:
     def test_roundtrip(self, controller):
         payload = bytes(range(64))
         controller.store_block(0, payload)
-        assert controller.fetch_block(0).data == payload
+        assert controller.fetch_block(0)[0] == payload
 
     def test_partial_update_roundtrip(self, controller):
         first = bytes(range(64))
         controller.store_block(0, first)
         second = with_word(first, 3, b"\xde\xad\xbe\xef")
         controller.store_block(0, second)
-        assert controller.fetch_block(0).data == second
+        assert controller.fetch_block(0)[0] == second
 
     def test_many_partial_updates(self, controller):
         data = bytes(64)
@@ -37,7 +37,7 @@ class TestFunctionalCorrectness:
         for i in range(6):        # stays inside one epoch (interval 8)
             data = with_word(data, i % 16, bytes([i + 1] * 4))
             controller.store_block(0, data)
-            assert controller.fetch_block(0).data == data
+            assert controller.fetch_block(0)[0] == data
 
     def test_epoch_turnover_roundtrip(self, controller):
         data = bytes(64)
@@ -45,7 +45,7 @@ class TestFunctionalCorrectness:
         for i in range(20):       # crosses epoch boundaries
             data = with_word(data, i % 16, bytes([(i * 7 + 1) % 256] * 4))
             controller.store_block(0, data)
-        assert controller.fetch_block(0).data == data
+        assert controller.fetch_block(0)[0] == data
         assert controller.deuce_stats.full_encryptions >= 2
 
     def test_multiple_lines_independent(self, controller):
@@ -54,7 +54,7 @@ class TestFunctionalCorrectness:
         controller.store_block(0, a)
         controller.store_block(64, b)
         controller.store_block(0, with_word(a, 0, b"\xff" * 4))
-        assert controller.fetch_block(64).data == b
+        assert controller.fetch_block(64)[0] == b
 
     def test_bad_epoch_interval(self, tiny_config):
         with pytest.raises(CipherError):
@@ -108,8 +108,8 @@ class TestShredComposition:
     def test_shredded_reads_zero(self, controller):
         controller.store_block(0, bytes(range(64)))
         controller.shred_page(0)
-        result = controller.fetch_block(0)
-        assert result.zero_filled and result.data == bytes(64)
+        data, _, zero_filled = controller.fetch_block(0)
+        assert zero_filled and data == bytes(64)
 
     def test_write_after_shred_fresh_epoch(self, controller):
         data = bytes(range(64))
@@ -118,7 +118,7 @@ class TestShredComposition:
         controller.shred_page(0)
         fresh = b"\x42" * 64
         controller.store_block(0, fresh)
-        assert controller.fetch_block(0).data == fresh
+        assert controller.fetch_block(0)[0] == fresh
         state = controller._line_state[0]
         assert state.mask == 0, "shred must reset the modified-word mask"
 
@@ -127,7 +127,7 @@ class TestShredComposition:
         controller.store_block(0, secret)
         controller.shred_page(0)
         controller.store_block(0, bytes(64))
-        fetched = controller.fetch_block(0).data
+        fetched = controller.fetch_block(0)[0]
         assert fetched == bytes(64)
 
     def test_overflow_reencryption_resets_state(self, tiny_config):
@@ -139,4 +139,4 @@ class TestShredComposition:
             data = with_word(data, i % 16, bytes([i + 1] * 4))
             controller.store_block(0, data)
         assert controller.stats.reencryptions >= 1
-        assert controller.fetch_block(0).data == data
+        assert controller.fetch_block(0)[0] == data

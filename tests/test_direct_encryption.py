@@ -23,7 +23,7 @@ class TestFunctional:
     def test_roundtrip(self, controller):
         payload = bytes(range(64))
         controller.store_block(0, payload)
-        assert controller.fetch_block(0).data == payload
+        assert controller.fetch_block(0)[0] == payload
 
     def test_ciphertext_at_rest(self, controller):
         controller.store_block(0, b"\x21" * 64)
@@ -55,7 +55,7 @@ class TestECBWeakness:
         stale = controller.device.peek(0)
         controller.store_block(0, b"NEW-BALANCE:001!" * 4)
         controller.device.poke(0, stale)         # physical replay
-        assert controller.fetch_block(0).data == b"OLD-BALANCE:100!" * 4
+        assert controller.fetch_block(0)[0] == b"OLD-BALANCE:100!" * 4
 
 
 class TestLatency:
@@ -66,8 +66,8 @@ class TestLatency:
         ctr = SecureMemoryController(aes_config)
         for controller in (direct, ctr):
             controller.store_block(0, b"\x10" * 64)
-        direct_read = direct.fetch_block(0).latency_ns
+        direct_read = direct.fetch_block(0)[1]
         # Read through a warm counter cache for a fair comparison.
         ctr.fetch_block(0)
-        ctr_read = ctr.fetch_block(64).latency_ns
+        ctr_read = ctr.fetch_block(64)[1]
         assert direct_read > ctr_read

@@ -98,8 +98,8 @@ class TestINVMMTimingMode:
     def test_degrades_without_payloads(self, timing_config):
         controller = INVMMController(timing_config)   # xorshift ok: no data
         controller.store_block(0, None)
-        result = controller.fetch_block(0)
-        assert result.data in (None, bytes(64))      # no payload semantics
+        data, _, _ = controller.fetch_block(0)
+        assert data in (None, bytes(64))             # no payload semantics
         # Aging + sealing still work on metadata alone.
         for page in range(1, 6):
             controller.store_block(page * 4096, None)

@@ -66,7 +66,7 @@ class TestUntrustedOS:
         shreds_before = machine.controller.stats.shreds
         manager.teardown(enclave.enclave_id)
         assert machine.controller.stats.shreds == shreds_before + 1
-        assert machine.load(0, page * 4096).data == bytes(64)
+        assert machine.load(0, page * 4096)[1] == bytes(64)
         manager.guard_reuse(page)          # now permitted (no raise)
 
     def test_teardown_writes_nothing(self, setup):

@@ -120,6 +120,24 @@ class TestCachedExecution:
         cached = Runner(cache=ResultCache(tmp_path)).run(batch)
         assert canonical(cached) == canonical(warm)
 
+    def test_each_digest_is_computed_once_per_batch(self, tmp_path,
+                                                     monkeypatch):
+        """Dedupe, cache lookup, result key and cache store share one
+        content hash per experiment object."""
+        from repro.exec import experiment as experiment_module
+        computed = []
+        real = experiment_module.config_digest
+        monkeypatch.setattr(experiment_module, "config_digest",
+                            lambda config: computed.append(1) or real(config))
+        first = spec_experiment("GCC", cores=1, scale=0.05)
+        twin = spec_experiment("GCC", cores=1, scale=0.05)
+        batch = [first, first, twin]
+        reports = Runner(cache=ResultCache(tmp_path)).run(batch)
+        assert reports[0] is reports[1] is reports[2]
+        assert len(computed) == 2           # one per distinct object
+        Runner(cache=ResultCache(tmp_path)).run(batch)
+        assert len(computed) == 2           # and never again
+
     def test_no_cache_bypasses_existing_entries(self, tmp_path, monkeypatch):
         batch = small_batch()[:1]
         Runner(cache=ResultCache(tmp_path)).run(batch)

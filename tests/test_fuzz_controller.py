@@ -61,7 +61,7 @@ def run_sequence(controller, operations):
             model.store(address, payload)
         elif kind == "fetch":
             address = argument * BLOCK
-            observed = controller.fetch_block(address).data
+            observed = controller.fetch_block(address)[0]
             expected = model.fetch(address)
             if expected is not None:
                 assert observed == expected, \
@@ -75,7 +75,7 @@ def run_sequence(controller, operations):
             controller.power_cycle()
     # Final sweep: every block the model knows about must agree.
     for address, expected in model.blocks.items():
-        observed = controller.fetch_block(address).data
+        observed = controller.fetch_block(address)[0]
         assert observed == expected, f"final divergence at {address:#x}"
 
 

@@ -8,16 +8,20 @@ every block of the page, and ``flush_all`` invalidating line by line.
 Its caches are ``test_cache_reference.ReferenceCache`` (ways, LRU
 stamps and ``CacheLine`` objects) and its directory is
 ``test_directory_reference.ReferenceDirectory`` (``DirectoryEntry``
-objects), so no class of the code under test takes part. Two fixes are
-applied to it: an L2 hit reports its L1 victim to the directory when
-neither private level still holds it, and ``flush_all`` clears the
-directory's entries but keeps its statistics.
+objects), so no class of the code under test takes part. It keeps the
+records the old walk passed around, which the code under test no
+longer builds: :class:`MemoryFetch` from the miss handler and
+:class:`HierarchyAccess` from ``access``. Two fixes are applied to it:
+an L2 hit reports its L1 victim to the directory when neither private
+level still holds it, and ``flush_all`` clears the directory's entries
+but keeps its statistics.
 
 Hypothesis drives both hierarchies, on 1-4 cores, in timing and
 functional mode and with small L1-L4 geometries so evictions and
 back-invalidations are frequent, through random loads, stores (full
 block and ``merge``), ``invalidate_page`` with and without write-back,
-and ``flush_all``. After every operation the return values, the
+and ``flush_all``. After every operation the return values (the walk's
+``(latency_cycles, data)`` against the reference record's fields), the
 sequence of ``miss_handler``/``writeback_handler`` calls and
 ``state_signature`` (per cache: stats, each set's recency order,
 dirty blocks and payloads; the hierarchy's counters; the directory's
@@ -30,16 +34,15 @@ from __future__ import annotations
 
 import inspect
 import textwrap
-from dataclasses import astuple, replace
-from typing import Any, Dict, List
+from dataclasses import astuple, dataclass, replace
+from typing import Any, Dict, List, Optional
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from repro.cache import CacheHierarchy, MemoryFetch, PageInvalidation
+from repro.cache import CacheHierarchy, PageInvalidation
 from repro.cache import hierarchy as hierarchy_module
-from repro.cache.hierarchy import HierarchyAccess
 from repro.config import CacheConfig, CPUConfig, fast_config
 from repro.errors import AddressError, ReproError
 
@@ -53,6 +56,27 @@ BLOCKS = 24                # address range, in blocks (6 pages)
 
 
 # -- the reference: the chained walk before the one-pass rewrite -----------------
+
+@dataclass
+class MemoryFetch:
+    """What the memory side used to return for an LLC miss."""
+
+    data: Optional[bytes]
+    latency_ns: float
+    zero_filled: bool = False
+
+
+@dataclass
+class HierarchyAccess:
+    """What ``access`` used to return."""
+
+    address: int
+    is_write: bool
+    latency_cycles: int
+    hit_level: str
+    data: Optional[bytes] = None
+    writebacks: int = 0
+
 
 def reference_cache_flush(cache: ReferenceCache) -> list:
     """``SetAssociativeCache.flush_all`` before the wholesale clear."""
@@ -236,6 +260,9 @@ class RecordingMemory:
 
     Every third page reads as zero-filled (a shredded page); the fetch
     latency varies with the address so cycle rounding is exercised.
+    ``miss_handler`` returns the reference's :class:`MemoryFetch`;
+    ``plain_miss_handler`` returns the same fields as the tuple the
+    walk under test takes.
     """
 
     def __init__(self) -> None:
@@ -247,6 +274,9 @@ class RecordingMemory:
             return MemoryFetch(bytes(BLOCK), 2.5, zero_filled=True)
         return MemoryFetch(bytes([address // BLOCK % 251]) * BLOCK,
                            60.0 + address % 7 * 1.3)
+
+    def plain_miss_handler(self, address: int, now_ns: float) -> tuple:
+        return astuple(self.miss_handler(address, now_ns))
 
     def writeback_handler(self, address: int, data, now_ns: float) -> None:
         self.calls.append(("writeback", address, data, now_ns))
@@ -265,7 +295,9 @@ def make_config(cores: int, functional: bool, geometry: tuple):
 
 
 def describe(result: Any) -> Any:
-    if isinstance(result, (HierarchyAccess, PageInvalidation)):
+    if isinstance(result, HierarchyAccess):
+        return result.latency_cycles, result.data
+    if isinstance(result, PageInvalidation):
         return type(result).__name__, astuple(result)
     return result
 
@@ -296,7 +328,7 @@ def check_against_reference(cores: int, functional: bool, geometry: tuple,
                             ops: List[tuple]) -> None:
     config = make_config(cores, functional, geometry)
     memories = RecordingMemory(), RecordingMemory()
-    walk = CacheHierarchy(config, memories[0].miss_handler,
+    walk = CacheHierarchy(config, memories[0].plain_miss_handler,
                           memories[0].writeback_handler)
     ref = ReferenceHierarchy(config, memories[1].miss_handler,
                              memories[1].writeback_handler)
@@ -374,9 +406,7 @@ def test_sharing_and_eviction_storm(functional):
 #: name -> (method, fragment of its source, the mutation)
 MUTANTS = {
     "l4-hit-skips-l3-fill": (
-        "access", "l3_ways[block] = None\n" + " " * 16 + "l3.stats.fills",
-        "if hit_level != 'L4': l3_ways[block] = None\n" + " " * 16
-        + "l3.stats.fills"),
+        "access", "l4.stats.hits += 1", "l4.stats.hits += 1; l3_ways = {}"),
     "l3-fill-never-evicts": (
         "access", "if len(l3_ways) == l3.associativity:", "if False:"),
     "l1-victim-left-in-directory": (
@@ -395,6 +425,8 @@ MUTANTS = {
     "flush-resets-directory-stats": (
         "flush_all", "self.directory.entries.clear()",
         "self.directory = CoherenceDirectory(self.num_cores)"),
+    "l4-victim-drops-its-dirty-bit": (
+        "_handle_l4_eviction", "if eviction.dirty:", "if False:"),
 }
 
 

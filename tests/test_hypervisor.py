@@ -77,7 +77,7 @@ class TestIsolation:
         vm_b = hypervisor.create_vm(initial_pages=2)
         leaked = False
         for page in vm_b.granted_pages:
-            data = machine.load(0, page * 4096).data
+            data = machine.load(0, page * 4096)[1]
             if data and data[:16] == secret[:16]:
                 leaked = True
         assert not leaked

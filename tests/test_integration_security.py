@@ -76,9 +76,9 @@ class TestShredIsolationEndToEnd:
         aes_system.machine.shred_register.write(page_id * 4096,
                                                 kernel_mode=True)
         assert device.peek(physical) == ciphertext_before
-        fetched = aes_system.machine.controller.fetch_block(
+        data, _, zero_filled = aes_system.machine.controller.fetch_block(
             physical - physical % 64)
-        assert fetched.zero_filled and fetched.data == bytes(64)
+        assert zero_filled and data == bytes(64)
 
 
 class TestTamperingAttacks:
@@ -104,11 +104,11 @@ class TestTamperingAttacks:
         raw = bytearray(device.peek(block_address))
         raw[0] ^= 0xFF
         device.poke(block_address, bytes(raw))
-        fetched = aes_system.machine.controller.fetch_block(block_address)
-        assert fetched.data != SECRET
+        data, _, _ = aes_system.machine.controller.fetch_block(block_address)
+        assert data != SECRET
         # Only the tampered byte's plaintext changes under CTR; the
         # attacker still cannot learn the secret from the controller.
-        assert fetched.data[1:] == SECRET[1:]
+        assert data[1:] == SECRET[1:]
 
 
 class TestDictionaryResistance:
@@ -140,8 +140,8 @@ class TestCrashRecovery:
                                                 kernel_mode=True)
         controller = aes_system.machine.controller
         controller.power_cycle()          # battery flushes counters
-        fetched = controller.fetch_block(physical - physical % 64)
-        assert fetched.zero_filled, \
+        _, _, zero_filled = controller.fetch_block(physical - physical % 64)
+        assert zero_filled, \
             "shredded state survives power loss via persisted counters"
 
     def test_data_recoverable_after_power_loss(self, aes_system):
@@ -153,5 +153,5 @@ class TestCrashRecovery:
                                                write=False).physical
         controller = aes_system.machine.controller
         controller.power_cycle()
-        fetched = controller.fetch_block(physical - physical % 64)
-        assert fetched.data == b"durable!" * 8
+        data, _, _ = controller.fetch_block(physical - physical % 64)
+        assert data == b"durable!" * 8

@@ -25,7 +25,7 @@ def controller(aes_config):
 class TestHotColdLifecycle:
     def test_roundtrip_hot(self, controller):
         controller.store_block(0, SECRET)
-        assert controller.fetch_block(0).data == SECRET
+        assert controller.fetch_block(0)[0] == SECRET
 
     def test_sealing_encrypts_at_rest(self, controller):
         controller.store_block(0, SECRET)
@@ -41,7 +41,7 @@ class TestHotColdLifecycle:
         for page in range(1, 8):
             controller.store_block(page * 4096, bytes(64))
         controller.seal_cold_pages()
-        assert controller.fetch_block(0).data == SECRET
+        assert controller.fetch_block(0)[0] == SECRET
         assert not controller.is_sealed(0)
         assert controller.pages_unsealed == 1
 
@@ -50,8 +50,8 @@ class TestHotColdLifecycle:
         for page in range(1, 8):
             controller.store_block(page * 4096, bytes(64))
         controller.seal_cold_pages()
-        cold_read = controller.fetch_block(0).latency_ns
-        hot_read = controller.fetch_block(0).latency_ns
+        cold_read = controller.fetch_block(0)[1]
+        hot_read = controller.fetch_block(0)[1]
         assert cold_read > hot_read
 
     def test_hot_pages_never_seal(self, controller):

@@ -116,7 +116,7 @@ class TestDataIsolation:
         for i in range(64):
             result = kernel.translate(attacker.pid, region2.start + i * 4096,
                                       write=True)
-            data = machine.load(0, result.physical).data
+            data = machine.load(0, result.physical)[1]
             if data and secret[:16] in data:
                 leaked = True
         assert not leaked
@@ -172,7 +172,7 @@ class TestShredSyscall:
         latency = kernel.sys_shred(process.pid, region.start, 2)
         assert latency > 0
         for paddr in paddrs:
-            assert machine.load(0, paddr).data == bytes(64)
+            assert machine.load(0, paddr)[1] == bytes(64)
 
     def test_sys_shred_skips_zero_page_mappings(self, system_parts):
         _, kernel = system_parts

@@ -25,14 +25,14 @@ class TestBasics:
     def test_read_returns_data_and_latency(self):
         controller, device = make_controller()
         device.poke(0, b"\x07" * 64)
-        access = controller.read_block(0)
-        assert access.data == b"\x07" * 64
-        assert access.latency_ns >= device.read_latency_ns
+        data, latency_ns = controller.read_block(0)
+        assert data == b"\x07" * 64
+        assert latency_ns >= device.read_latency_ns
 
     def test_write_then_read(self):
         controller, _ = make_controller()
         controller.write_block(64, b"\x09" * 64)
-        assert controller.read_block(64).data == b"\x09" * 64
+        assert controller.read_block(64)[0] == b"\x09" * 64
 
     def test_stats_track_both_sides(self):
         controller, _ = make_controller()
@@ -56,7 +56,7 @@ class TestWearLevelledController:
         for i in range(40):
             controller.write_block((i % 8) * 64, bytes([i % 8]) * 64)
         for line in range(8):
-            assert controller.read_block(line * 64).data == bytes([line]) * 64
+            assert controller.read_block(line * 64)[0] == bytes([line]) * 64
 
     def test_remap_spreads_physical_targets(self):
         controller, device = make_controller(wear=True, lines=16)

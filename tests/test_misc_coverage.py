@@ -105,10 +105,10 @@ class TestDeuceTimingMode:
         config = replace(fast_config(), functional=False)
         controller = DeuceShredderController(config)
         controller.store_block(0, None)
-        result = controller.fetch_block(0)
-        assert result.data is None
+        data, _, _ = controller.fetch_block(0)
+        assert data is None
         controller.shred_page(0)
-        assert controller.fetch_block(0).zero_filled
+        assert controller.fetch_block(0)[2]
 
 
 class TestSystemDescribeIntegration:

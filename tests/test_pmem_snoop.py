@@ -86,8 +86,8 @@ class TestPersistentRegions:
         heap.destroy_region("tmp")
         assert kernel.allocator.free_pages == free_before + 1
         # Secure deletion: the page reads as zeros through the controller.
-        fetched = machine.controller.fetch_block(page * 4096)
-        assert fetched.zero_filled
+        _, _, zero_filled = machine.controller.fetch_block(page * 4096)
+        assert zero_filled
 
     def test_name_too_long(self, machine_kernel):
         machine, kernel = machine_kernel

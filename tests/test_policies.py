@@ -92,20 +92,21 @@ class TestSoftwareCompatibility:
         return controller.fetch_block(0)
 
     def test_option3_reads_zero(self, tiny_config):
-        result = self._shred_and_read(tiny_config, "major-reset-minors")
-        assert result.zero_filled and result.data == bytes(64)
+        data, _, zero_filled = self._shred_and_read(tiny_config,
+                                                    "major-reset-minors")
+        assert zero_filled and data == bytes(64)
 
     @pytest.mark.parametrize("policy_name", ["increment-minors",
                                              "increment-major"])
     def test_options_1_2_read_garbage(self, tiny_config, policy_name):
-        result = self._shred_and_read(tiny_config, policy_name)
-        assert not result.zero_filled
-        assert result.data != b"\x5a" * 64   # unintelligible, not old data
-        assert result.data != bytes(64)      # ...and not zeros: incompatible
+        data, _, zero_filled = self._shred_and_read(tiny_config, policy_name)
+        assert not zero_filled
+        assert data != b"\x5a" * 64          # unintelligible, not old data
+        assert data != bytes(64)             # ...and not zeros: incompatible
 
     @pytest.mark.parametrize("policy_name", ["increment-minors",
                                              "increment-major",
                                              "major-reset-minors"])
     def test_all_policies_destroy_old_data(self, tiny_config, policy_name):
-        result = self._shred_and_read(tiny_config, policy_name)
-        assert result.data != b"\x5a" * 64
+        data, _, _ = self._shred_and_read(tiny_config, policy_name)
+        assert data != b"\x5a" * 64

@@ -75,6 +75,34 @@ class TestMemset:
         with pytest.raises(SimulationError):
             ctx.memset(base, 0)
 
+    @pytest.mark.parametrize("nontemporal", [False, True],
+                             ids=["temporal", "nontemporal"])
+    @pytest.mark.parametrize("offset, size", [(8, 16), (0, 16), (8, 64)],
+                             ids=["both", "size", "start"])
+    def test_unaligned_region_raises_and_zeroes_nothing(
+            self, ctx, system, nontemporal, offset, size):
+        """Both store paths write whole blocks: a region that does not
+        start and end on block boundaries is refused before any byte
+        outside it (or in it) is touched."""
+        assert ctx.functional
+        base = ctx.malloc(4096)
+        ctx.write_bytes(base, bytes(range(1, 129)))
+        with pytest.raises(SimulationError, match="not aligned"):
+            ctx.memset(base + offset, size, nontemporal=nontemporal)
+        system.machine.hierarchy.flush_all()
+        assert ctx.read_bytes(base, 128) == bytes(range(1, 129))
+
+    @pytest.mark.parametrize("nontemporal", [False, True],
+                             ids=["temporal", "nontemporal"])
+    def test_aligned_region_zeroes_exactly_its_blocks(self, ctx, system,
+                                                      nontemporal):
+        base = ctx.malloc(4096)
+        ctx.write_bytes(base, bytes(range(1, 193)))
+        ctx.memset(base + 64, 64, nontemporal=nontemporal)
+        system.machine.hierarchy.flush_all()
+        assert ctx.read_bytes(base, 192) == (bytes(range(1, 65)) + bytes(64)
+                                             + bytes(range(129, 193)))
+
     def test_auto_selects_nontemporal_for_big_regions(self, ctx, system):
         """Regions larger than the LLC bypass the caches, like glibc."""
         size = system.config.l4.size_bytes * 2

@@ -25,14 +25,14 @@ class TestDataPath:
     def test_roundtrip(self, controller):
         payload = bytes(range(64))
         controller.store_block(0, payload)
-        assert controller.fetch_block(0).data == payload
+        assert controller.fetch_block(0)[0] == payload
 
     def test_fresh_block_reads_all_zero_pad_decrypt(self, controller):
         # A never-written block decrypts NVM zeros with a valid IV: the
         # result is deterministic but meaningless; it must not crash.
-        result = controller.fetch_block(64)
-        assert len(result.data) == 64
-        assert not result.zero_filled      # baseline has no zero semantics
+        data, _, zero_filled = controller.fetch_block(64)
+        assert len(data) == 64
+        assert not zero_filled             # baseline has no zero semantics
 
     def test_ciphertext_differs_from_plaintext(self, controller):
         payload = bytes(range(64))
@@ -49,7 +49,7 @@ class TestDataPath:
         controller.store_block(0, payload)
         second = controller.device.peek(0)
         assert first != second
-        assert controller.fetch_block(0).data == payload
+        assert controller.fetch_block(0)[0] == payload
 
     def test_same_plaintext_different_blocks_differ(self, controller):
         payload = b"\x55" * 64
@@ -61,7 +61,7 @@ class TestDataPath:
     def test_aes_roundtrip(self, aes_controller):
         payload = bytes((i * 3) % 256 for i in range(64))
         aes_controller.store_block(128, payload)
-        assert aes_controller.fetch_block(128).data == payload
+        assert aes_controller.fetch_block(128)[0] == payload
 
     def test_misaligned_address_rejected(self, controller):
         with pytest.raises(AddressError):
@@ -82,15 +82,17 @@ class TestCounterManagement:
 
     def test_counter_cache_hit_after_first_touch(self, controller):
         controller.fetch_block(0)
-        result = controller.fetch_block(64)   # same page
-        assert result.counter_hit
+        hits = controller.stats.counter_hits
+        controller.fetch_block(64)            # same page
+        assert controller.stats.counter_hits == hits + 1
 
     def test_counter_miss_loads_from_nvm(self, controller):
         controller.store_block(0, bytes(64))
         controller.flush_counters()
         controller.counter_cache.invalidate(0)
-        result = controller.fetch_block(0)
-        assert not result.counter_hit
+        misses = controller.stats.counter_misses
+        controller.fetch_block(0)
+        assert controller.stats.counter_misses == misses + 1
         assert controller.stats.counter_fetches >= 1
 
     def test_counters_persist_via_flush(self, controller):
@@ -120,9 +122,13 @@ class TestReencryption:
         # Seed another block of the page so re-encryption moves data.
         controller.store_block(64, b"\x77" * 64)
         payload = b"\x33" * 64
-        results = [controller.store_block(0, payload) for _ in range(8)]
+        reencrypting = []
+        for _ in range(8):
+            before = controller.stats.reencryptions
+            controller.store_block(0, payload)
+            reencrypting.append(controller.stats.reencryptions - before)
         assert controller.stats.reencryptions == 1
-        assert any(result.reencrypted for result in results)
+        assert reencrypting.count(1) == 1
 
     def test_reencryption_preserves_all_data(self, overflow_config):
         controller = SecureMemoryController(overflow_config)
@@ -130,9 +136,9 @@ class TestReencryption:
         controller.store_block(128, b"\x88" * 64)
         for i in range(8):
             controller.store_block(0, bytes([i]) * 64)
-        assert controller.fetch_block(0).data == bytes([7]) * 64
-        assert controller.fetch_block(64).data == b"\x77" * 64
-        assert controller.fetch_block(128).data == b"\x88" * 64
+        assert controller.fetch_block(0)[0] == bytes([7]) * 64
+        assert controller.fetch_block(64)[0] == b"\x77" * 64
+        assert controller.fetch_block(128)[0] == b"\x88" * 64
 
     def test_reencryption_bumps_major_resets_minors(self, overflow_config):
         controller = SecureMemoryController(overflow_config)
@@ -180,7 +186,7 @@ class TestPersistence:
     def test_power_cycle_preserves_data(self, controller):
         controller.store_block(0, b"\x99" * 64)
         controller.power_cycle()
-        assert controller.fetch_block(0).data == b"\x99" * 64, \
+        assert controller.fetch_block(0)[0] == b"\x99" * 64, \
             "counters flushed + NVM retained => data recoverable"
 
     def test_power_cycle_clears_counter_cache(self, controller):
@@ -191,13 +197,13 @@ class TestPersistence:
 
 class TestTiming:
     def test_read_latency_includes_memory(self, controller, tiny_config):
-        result = controller.fetch_block(0)
-        assert result.latency_ns >= tiny_config.nvm.read_latency_ns
+        _, latency_ns, _ = controller.fetch_block(0)
+        assert latency_ns >= tiny_config.nvm.read_latency_ns
 
     def test_counter_hit_faster_than_miss(self, controller):
-        miss = controller.fetch_block(0)
-        hit = controller.fetch_block(64)
-        assert hit.latency_ns < miss.latency_ns
+        _, miss_ns, _ = controller.fetch_block(0)
+        _, hit_ns, _ = controller.fetch_block(64)
+        assert hit_ns < miss_ns
 
     def test_unencrypted_mode_skips_pad_latency(self, tiny_config):
         plain_cfg = replace(tiny_config, encryption=replace(

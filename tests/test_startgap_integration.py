@@ -22,7 +22,7 @@ class TestFunctionalWithLevelling:
         controller = make_controller(start_gap=True, interval=3)
         for i in range(60):
             controller.store_block(0, bytes([i]) * 64)
-        assert controller.fetch_block(0).data == bytes([59]) * 64
+        assert controller.fetch_block(0)[0] == bytes([59]) * 64
 
     def test_multiple_blocks_stay_separate(self):
         controller = make_controller(start_gap=True, interval=2)
@@ -34,7 +34,7 @@ class TestFunctionalWithLevelling:
         for address, payload in payloads.items():
             if address == 0:
                 continue
-            assert controller.fetch_block(address).data == payload
+            assert controller.fetch_block(address)[0] == payload
 
     def test_shred_still_works_with_levelling(self):
         controller = make_controller(start_gap=True, interval=3)
@@ -42,8 +42,8 @@ class TestFunctionalWithLevelling:
         for _ in range(20):
             controller.store_block(64, b"\x88" * 64)
         controller.shred_page(0)
-        assert controller.fetch_block(0).zero_filled
-        assert controller.fetch_block(0).data == bytes(64)
+        assert controller.fetch_block(0)[2]
+        assert controller.fetch_block(0)[0] == bytes(64)
 
     def test_counters_roundtrip_through_levelling(self):
         """The counter region is wear-levelled too; flushed counters
@@ -54,7 +54,7 @@ class TestFunctionalWithLevelling:
             controller.store_block(128, b"\x43" * 64)
         controller.flush_counters()
         controller.counter_cache.invalidate(0)
-        assert controller.fetch_block(0).data == b"\x42" * 64
+        assert controller.fetch_block(0)[0] == b"\x42" * 64
 
 
 class TestWearDistribution:

@@ -38,7 +38,7 @@ class TestStrategiesZeroThePage:
         engine.zero_page(ppn)
         machine.hierarchy.flush_all()
         for address in page_blocks(machine, ppn):
-            assert machine.load(0, address).data == bytes(64), \
+            assert machine.load(0, address)[1] == bytes(64), \
                 f"{strategy}: block {address:#x} must read zero"
 
 
